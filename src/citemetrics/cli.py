@@ -256,7 +256,7 @@ def _cmd_ks(args) -> None:
             a=float(fit_payload["params"]["a"]), b=float(fit_payload["params"]["b"])
         )
         log_base = float(fit_payload["params"].get("log_base", math.e))
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError):
         raise ValidationError(
             f"{args.fit}: expected a fit report with params.a and params.b"
         ) from None
@@ -317,6 +317,8 @@ def _cmd_trend(args) -> None:
         for rec in ranked.records
     ]
     pairs = [(x, y) for x, y in pairs if x is not None and y is not None]
+    if not pairs:
+        raise ValidationError(f"{args.set}: no journal has both {args.x} and {args.y} defined")
     xs, ys = zip(*pairs)
     rows = binned_trend(xs, ys, n_bins=args.bins)
     payload = {
@@ -343,17 +345,20 @@ def _cmd_synth(args) -> None:
 def _dataset_report(ranked: RankedSet) -> dict:
     basis_m = basis_measure(ranked.basis)
     series = rank_series(ranked, basis_m)
-    zipf = zipf_fit(series)
     out = {
         "discipline": ranked.discipline.value,
         "basis": ranked.basis.value,
         "year": ranked.year,
         "rows": len(ranked),
-        "zipf": _fit_json(basis_m.value, zipf),
-        "pareto_predicted_gamma": zipf_pareto_predict(zipf.params["b"])
-        if zipf.params["b"] > 0
-        else None,
+        "pareto_predicted_gamma": None,
     }
+    try:
+        zipf = zipf_fit(series)
+        out["zipf"] = _fit_json(basis_m.value, zipf)
+        if zipf.params["b"] > 0:
+            out["pareto_predicted_gamma"] = zipf_pareto_predict(zipf.params["b"])
+    except ValidationError as exc:
+        out["zipf"] = {"error": str(exc)}
     try:
         pareto = pareto_tail_fit(list(series.values))
         out["pareto"] = _fit_json(basis_m.value, pareto)
@@ -567,7 +572,7 @@ def run(argv=None) -> int:
     except FitConvergenceError as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return 3
-    except (CitemetricsError, OSError, json.JSONDecodeError) as exc:
+    except (CitemetricsError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .errors import FitConvergenceError, ValidationError
 from .model import FitMethod, FitResult
@@ -29,6 +28,7 @@ MIN_TAIL_SAMPLES = 50
 MIN_GUMBEL_SAMPLES = 30
 GUMBEL_TOL = 1e-10
 GUMBEL_MAX_ITER = 200
+BRENTQ_RTOL = 4 * float(np.finfo(float).eps)
 
 
 class Scaling(str, Enum):
@@ -273,7 +273,9 @@ def gumbel_log_pdf(x, params: GumbelParams):
     on any grid exceeds exp(-1)/b, the value at x = a. Values agree with the
     textbook form to about 1e-13 relative wherever it does not underflow.
     """
-    z = (np.asarray(x, dtype=float) - params.a) / params.b
+    # Below z = -709.8 expm1(-z) overflows to inf and the density is 0; the
+    # floor keeps x = -inf at that limit instead of -inf + inf = NaN.
+    z = np.maximum((np.asarray(x, dtype=float) - params.a) / params.b, -1e3)
     with np.errstate(over="ignore"):  # expm1(-z) -> inf far left, pdf underflows to 0
         out = np.exp(-1.0 - np.maximum(z + np.expm1(-z), 0.0)) / params.b
     if out.ndim == 0:
@@ -291,12 +293,83 @@ def gumbel_cdf(x, params: GumbelParams):
     return out
 
 
+def _brentq(
+    f: Callable[[float], float], xa: float, xb: float, xtol: float, maxiter: int
+) -> float:
+    """Root of f between xa and xb by Brent's method.
+
+    A step-for-step port of scipy's ``brentq.c``: the same sign-bit bracket
+    test, the same choice between inverse linear interpolation, inverse
+    quadratic extrapolation and bisection, and the same stopping rule
+    |xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2. Every step is the same
+    IEEE double arithmetic in the same order, so it returns the very float
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, maxiter=maxiter)`` does,
+    after the same evaluations of f. The rtol is scipy's default, ``BRENTQ_RTOL``.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise FitConvergenceError("root is not bracketed: f has one sign at both ends")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise FitConvergenceError(
+        f"Brent root-finding did not converge after {maxiter} iterations, value is {xcur!r}",
+        residual=abs(fcur),
+    )
+
+
 def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
     """Solve the two Gumbel likelihood equations.
 
     The scale solves b = mean(x) - sum(x w)/sum(w) with w = exp(-x/b) by
     bracketed root-finding; the location then follows in closed form.
     Values are shifted by their minimum inside the weights to avoid overflow.
+
+    The root finder is ``_brentq``, a port of scipy's ``brentq`` that makes
+    the same floating-point operations in the same order and so returns the
+    same b to the last bit. Any other root finder would stop at a different
+    point inside the ``GUMBEL_TOL`` interval, which can change the ninth
+    significant digit the CLI prints; with the port the package needs no
+    scipy import for this fit.
     """
     x_bar = float(x.mean())
     shift = float(x.min())
@@ -322,17 +395,23 @@ def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
             "could not bracket the Gumbel scale equation", residual=min(abs(f_lo), abs(f_hi))
         )
     try:
-        b = brentq(imbalance, lo, hi, xtol=GUMBEL_TOL, maxiter=GUMBEL_MAX_ITER)
-    except RuntimeError as exc:
+        b = _brentq(imbalance, lo, hi, xtol=GUMBEL_TOL, maxiter=GUMBEL_MAX_ITER)
+    except FitConvergenceError as exc:
         raise FitConvergenceError(
-            f"Gumbel scale root-finding did not converge: {exc}", residual=None
+            f"Gumbel scale equation: {exc}", residual=exc.residual
         ) from None
     a = shift - b * math.log(float(np.exp(-xs / b).mean()))
     return a, float(b)
 
 
 def _gumbel_lsq(x: np.ndarray, bins: int) -> tuple[float, float, float]:
-    """Fit (a, b) to the binned density curve by nonlinear least squares."""
+    """Fit (a, b) to the binned density curve by nonlinear least squares.
+
+    scipy is imported here, not at module scope: this is the only fit that
+    needs it, and importing ``scipy.optimize`` costs about half a second.
+    """
+    from scipy.optimize import least_squares
+
     counts, edges = np.histogram(x, bins=bins)
     widths = np.diff(edges)
     density = counts / (x.size * widths)
@@ -372,6 +451,8 @@ def gumbel_fit(
         raise ValidationError(
             f"need at least {MIN_GUMBEL_SAMPLES} rates, have {r.size}"
         )
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("rates must be finite")
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
     if not log_base > 1:

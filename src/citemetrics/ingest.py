@@ -20,6 +20,7 @@ import csv
 import fcntl
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -34,6 +35,7 @@ COLUMNS = ("journal_id", "year", "citations", "impact_factor", "articles")
 MANIFEST_NAME = "manifest.json"
 DATA_DIR = "data"
 LOCK_NAME = ".lock"
+ENTRY_KEYS = ("discipline", "basis", "year", "source_path", "content_digest")
 
 
 def _parse_int(text: str, column: str, line_no: int) -> int:
@@ -55,6 +57,8 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
         raise ValidationError(
             f"line {line_no}: column {column!r} must be numeric, got {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ValidationError(f"line {line_no}: column {column!r} must be finite, got {text!r}")
     if value < 0:
         raise ValidationError(f"line {line_no}: column {column!r} must be >= 0, got {value}")
     return value
@@ -161,12 +165,37 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def read_manifest(workspace_dir: str | Path) -> list[dict]:
-    """Manifest entries of a workspace; empty list if none exists yet."""
+    """Manifest entries of a workspace; empty list if none exists yet.
+
+    Raises WorkspaceError unless the manifest is an object whose ``entries``
+    is a list of objects, each carrying every key in ``ENTRY_KEYS`` with a
+    known discipline and basis, an integer year (and cap, if given) and a
+    string source path.
+    """
     manifest_path = Path(workspace_dir) / MANIFEST_NAME
     if not manifest_path.exists():
         return []
     payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-    return payload.get("entries", [])
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise WorkspaceError(f"{manifest_path}: expected an object with a list of entries")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise WorkspaceError(f"{manifest_path}: entry {i} is not an object")
+        missing = [k for k in ENTRY_KEYS if k not in entry]
+        if missing:
+            raise WorkspaceError(
+                f"{manifest_path}: entry {i} lacks {', '.join(missing)}"
+            )
+        if (
+            entry["discipline"] not in [d.value for d in Discipline]
+            or entry["basis"] not in [b.value for b in Basis]
+            or type(entry["year"]) is not int
+            or type(entry.get("cap", 0)) is not int
+            or not isinstance(entry["source_path"], str)
+        ):
+            raise WorkspaceError(f"{manifest_path}: entry {i} names no valid dataset file")
+    return entries
 
 
 def _write_manifest(workspace_dir: Path, entries: list[dict]) -> None:

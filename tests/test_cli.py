@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citemetrics
 from citemetrics.cli import run
 
 
@@ -189,6 +194,69 @@ class TestErrorPaths:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         invoke(capsys, "frobnicate", expect=1)
 
+    def test_trend_without_defined_pairs_is_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "no_articles.csv"
+        rows = ["journal_id,year,citations,impact_factor,articles"]
+        rows += [f"J{i},2005,{100 - i},1.5,0" for i in range(20)]
+        csv.write_text("\n".join(rows) + "\n")
+        ws = tmp_path / "ws"
+        invoke(
+            capsys, "ingest", "--workspace", str(ws), "--input", str(csv),
+            "--discipline", "sci", "--basis", "citations", "--year", "2005",
+        )
+        captured = invoke(
+            capsys, "trend", "--workspace", str(ws), "--set", "sci:citations:2005",
+            "--x", "cr", "--y", "if", expect=2,
+        )
+        assert "no journal has both cr and if" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_impact_factor_is_exit_2_with_line(self, tmp_path, capsys, text):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(
+            "journal_id,year,citations,impact_factor,articles\n"
+            f"A,2005,10,1.0,2\nB,2005,9,{text},2\n"
+        )
+        captured = invoke(
+            capsys, "ingest", "--workspace", str(tmp_path / "ws"), "--input", str(csv),
+            "--discipline", "sci", "--basis", "citations", "--year", "2005", expect=2,
+        )
+        assert "line 3" in captured.err and "finite" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_non_numeric_fit_params_is_exit_2(self, workspace, tmp_path, capsys):
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"params": {"a": "x", "b": 1.0}}))
+        captured = invoke(
+            capsys, "ks", "--workspace", str(workspace), "--set", "sci:citations:2005",
+            "--fit", str(fit), expect=2,
+        )
+        assert "params.a and params.b" in captured.err
+
+    def test_undecodable_manifest_is_exit_2(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / "manifest.json").write_bytes(b"\xff{")
+        captured = invoke(capsys, "report", "--workspace", str(ws), expect=2)
+        assert "utf-8" in captured.err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [{"discipline": "sci", "basis": "citations", "year": 2005}],
+            {"entries": [{"discipline": "sci", "basis": "citations", "year": 2005}]},
+        ],
+    )
+    def test_malformed_manifest_is_exit_2(self, tmp_path, capsys, manifest):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        for argv in (["report"], ["rank", "--set", "sci:citations:2005", "--measure", "n"]):
+            captured = invoke(capsys, *argv, "--workspace", str(ws), expect=2)
+            assert "manifest.json" in captured.err
+            assert "Traceback" not in captured.err
+
 
 class TestReport:
     def test_report_runs_and_is_deterministic(self, workspace, tmp_path, capsys):
@@ -201,7 +269,56 @@ class TestReport:
         assert len(payload["datasets"]) == 2
         assert payload["consecutive_overlaps"][0]["count"] == 905
 
+    def test_tiny_dataset_degrades_only_its_own_section(self, workspace, tmp_path, capsys):
+        csv = tmp_path / "fix2007.csv"
+        invoke(
+            capsys, "synth", "--profile", "sci_set_i", "--year", "2007",
+            "--seed", "20001000", "--out", str(csv),
+        )
+        invoke(
+            capsys, "ingest", "--workspace", str(workspace), "--input", str(csv),
+            "--discipline", "sci", "--basis", "citations", "--year", "2007", "--top", "15",
+        )
+        captured = invoke(capsys, "report", "--workspace", str(workspace))
+        assert "Traceback" not in captured.err
+        by_year = {d["year"]: d for d in load_json(captured)["datasets"]}
+        assert by_year[2007]["rows"] == 15
+        assert "rank > 10" in by_year[2007]["zipf"]["error"]
+        assert by_year[2007]["pareto_predicted_gamma"] is None
+        for year in (2005, 2006):
+            assert "b" in by_year[year]["zipf"]["params"]
+            assert by_year[year]["pareto_predicted_gamma"] > 1
+
     def test_report_on_empty_workspace_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty_ws"
         empty.mkdir()
         invoke(capsys, "report", "--workspace", str(empty), expect=2)
+
+
+class TestColdImport:
+    def run_child(self, code, *args):
+        src = str(Path(citemetrics.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        )
+
+    def test_cli_import_does_not_load_scipy(self):
+        done = self.run_child("import sys, citemetrics.cli; assert 'scipy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    def test_default_commands_do_not_load_scipy(self, workspace):
+        code = (
+            "import sys\n"
+            "from citemetrics.cli import run\n"
+            "ws = sys.argv[1]\n"
+            "assert run(['report', '--workspace', ws]) == 0\n"
+            "assert run(['fit-gumbel', '--workspace', ws, '--set', 'sci:citations:2005']) == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+            "assert run(['fit-gumbel', '--workspace', ws, '--set', 'sci:citations:2005',\n"
+            "            '--method', 'lsq']) == 0\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        done = self.run_child(code, str(workspace))
+        assert done.returncode == 0, done.stderr
+

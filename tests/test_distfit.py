@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from citemetrics import distfit
 from citemetrics.distfit import (
     EmpiricalDistribution,
     GumbelParams,
@@ -20,7 +22,7 @@ from citemetrics.distfit import (
     pdf_peak_location,
     zipf_pareto_predict,
 )
-from citemetrics.errors import ValidationError
+from citemetrics.errors import FitConvergenceError, ValidationError
 from citemetrics.model import FitMethod
 from citemetrics.synthgen import sample_gumbel_log, sample_pareto
 
@@ -214,6 +216,14 @@ class TestGumbelPdf:
             values = gumbel_log_pdf(xs, p)
             np.testing.assert_allclose(values[kept], unscaled[kept] / p.b, rtol=1e-12, atol=0)
 
+    def test_limits_at_infinity_are_zero(self):
+        p = GumbelParams(-0.5, 0.7)
+        with np.errstate(all="raise"):
+            assert gumbel_log_pdf(-np.inf, p) == 0.0
+            assert gumbel_log_pdf(np.inf, p) == 0.0
+            np.testing.assert_array_equal(gumbel_log_pdf(np.array([-np.inf, np.inf]), p), 0.0)
+        assert math.isnan(gumbel_log_pdf(np.nan, p))
+
     def test_cdf_monotone(self):
         p = GumbelParams(0.0, 1.0)
         xs = np.linspace(-5, 8, 500)
@@ -261,6 +271,96 @@ class TestGumbelFit:
     def test_non_positive_rates_rejected(self):
         with pytest.raises(ValidationError):
             gumbel_fit([1.0] * 40 + [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            gumbel_fit([1.0, 2.0] * 20 + [bad])
+
+    def test_scale_non_convergence_is_fit_error(self, monkeypatch):
+        monkeypatch.setattr(distfit, "GUMBEL_MAX_ITER", 1)
+        with pytest.raises(FitConvergenceError, match="did not converge"):
+            gumbel_fit(sample_gumbel_log(-0.5, 0.7, 1_000, seed=5))
+
+
+def _gumbel_scale_problem(x):
+    """The MLE scale equation of ``_gumbel_mle`` and a bracket of its root."""
+    x_bar = float(x.mean())
+    xs = x - float(x.min())
+
+    def imbalance(b):
+        w = np.exp(-xs / b)
+        return b - x_bar + float((x * w).sum() / w.sum())
+
+    lo = hi = float(x.std()) * math.sqrt(6.0) / math.pi
+    while imbalance(lo) >= 0:
+        lo /= 2.0
+    while imbalance(hi) <= 0:
+        hi *= 2.0
+    return imbalance, lo, hi
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("xtol", [1e-10, 2e-12, 1e-6])
+    def test_identical_to_scipy(self, xtol):
+        rng = np.random.default_rng(20001000 + int(-math.log10(xtol)))
+        for i in range(300):
+            m = int(rng.integers(30, 2_000))
+            if i % 3 == 0:
+                x = rng.gumbel(rng.normal(), rng.uniform(0.05, 3.0), m)
+            elif i % 3 == 1:
+                x = rng.normal(rng.normal(), rng.uniform(0.05, 3.0), m)
+            else:
+                x = np.round(rng.gumbel(0.0, 1.0, m), 1)
+            f, lo, hi = _gumbel_scale_problem(x)
+            calls = {"scipy": 0, "port": 0}
+
+            def counted(who):
+                def g(b):
+                    calls[who] += 1
+                    return f(b)
+                return g
+
+            expected = brentq(counted("scipy"), lo, hi, xtol=xtol, maxiter=200)
+            assert distfit._brentq(counted("port"), lo, hi, xtol=xtol, maxiter=200) == expected
+            assert calls["port"] == calls["scipy"]
+
+    def test_identical_on_steep_and_flat_roots(self):
+        # Smooth monotone equations like the Gumbel one almost always take
+        # the interpolation step; steep, flat and kinked roots exercise the
+        # extrapolation, the short-step test and the bisection fallback.
+        rng = np.random.default_rng(20001003)
+        for i in range(400):
+            r = float(rng.uniform(-2.0, 2.0))
+            s = float(10 ** rng.uniform(-1.0, 2.0))
+            k = int(rng.choice([1, 3, 5, 7]))
+            f = (
+                lambda x, r=r, k=k: (x - r) ** k,
+                lambda x, r=r, s=s: math.atan(s * (x - r)),
+                lambda x, r=r, s=s: math.expm1(min(s * (x - r), 700.0)),
+                lambda x, r=r, s=s: math.tanh(s * (x - r)) + 0.01 * (x - r),
+            )[i % 4]
+            a, b = r - float(rng.uniform(0.01, 5.0)), r + float(rng.uniform(0.01, 5.0))
+            if i % 2:
+                a, b = b, a
+            xtol = float(10 ** rng.uniform(-14.0, -3.0))
+            try:
+                expected = brentq(f, a, b, xtol=xtol, maxiter=100)
+            except RuntimeError:
+                with pytest.raises(FitConvergenceError):
+                    distfit._brentq(f, a, b, xtol=xtol, maxiter=100)
+                continue
+            assert distfit._brentq(f, a, b, xtol=xtol, maxiter=100) == expected
+
+    def test_exhausted_iterations_raise_fit_error(self):
+        with pytest.raises(RuntimeError):
+            brentq(lambda x: (x - 1.0) ** 5, 0.0, 3.0, xtol=5e-324, maxiter=5)
+        with pytest.raises(FitConvergenceError, match="after 5 iterations"):
+            distfit._brentq(lambda x: (x - 1.0) ** 5, 0.0, 3.0, xtol=5e-324, maxiter=5)
+
+    def test_unbracketed_root_is_fit_error(self):
+        with pytest.raises(FitConvergenceError, match="not bracketed"):
+            distfit._brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12, maxiter=100)
 
 
 class TestKsStatistic:

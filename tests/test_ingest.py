@@ -59,6 +59,13 @@ class TestParseCsv:
         with pytest.raises(ValidationError, match="line 3"):
             parse_csv(f)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_impact_factor_reports_line(self, tmp_path, text):
+        f = tmp_path / "t.csv"
+        write_table(f, ["A,2000,1,1.0,1", f"B,2000,1,{text},1"])
+        with pytest.raises(ValidationError, match="line 3.*impact_factor.*finite"):
+            parse_csv(f)
+
     def test_non_numeric_citations_reports_line(self, tmp_path):
         f = tmp_path / "t.csv"
         write_table(f, ["A,2000,many,1.0,1"])
@@ -175,3 +182,23 @@ class TestWorkspace:
         store_dataset(tmp_path, self.make_set(rng))
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert "entries" in payload
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"entries": {}},
+            {"entries": ["sci_citations_2000.csv"]},
+            {"entries": [{"discipline": "sci", "basis": "citations", "year": 2000}]},
+            {"entries": [{"discipline": "art", "basis": "citations", "year": 2000,
+                          "source_path": "data/x.csv", "content_digest": "sha256:0"}]},
+            {"entries": [{"discipline": "sci", "basis": "citations", "year": "2000",
+                          "source_path": "data/x.csv", "content_digest": "sha256:0"}]},
+            {"entries": [{"discipline": "sci", "basis": "citations", "year": 2000, "cap": "x",
+                          "source_path": "data/x.csv", "content_digest": "sha256:0"}]},
+        ],
+    )
+    def test_malformed_manifest_is_workspace_error(self, tmp_path, payload):
+        (tmp_path / "manifest.json").write_text(json.dumps(payload))
+        with pytest.raises(WorkspaceError, match="manifest.json"):
+            read_manifest(tmp_path)
