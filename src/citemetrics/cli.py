@@ -36,7 +36,7 @@ from .distfit import (
     zipf_pareto_predict,
 )
 from .errors import CitemetricsError, FitConvergenceError, ValidationError, WorkspaceError
-from .indices import derive_rates
+from .indices import defined_rates
 from .ingest import load_dataset, parse_csv, read_manifest, store_dataset, write_csv
 from .model import Basis, Discipline, FitMethod, FitResult, RankedSet, build_ranked_set
 from .rankstats import (
@@ -60,6 +60,31 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _x_min(text: str) -> float | None:
+    """argparse type of ``fit-pareto --xmin``: ``auto`` (None) or a number."""
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
 
 
 def _round_floats(obj):
@@ -130,9 +155,8 @@ def _fit_json(measure: str, fit: FitResult, extra: dict | None = None) -> dict:
 
 
 def _scaled_rates(ranked: RankedSet) -> tuple[np.ndarray, int]:
-    derivation = derive_rates(ranked)
-    rates = np.array([r for _, r in derivation.rates])
-    return rates / rates.mean(), len(derivation.dropped)
+    rates, defined = defined_rates(ranked)
+    return rates / rates.mean(), int(defined.size - rates.size)
 
 
 def _curve_points(ranked: RankedSet) -> int:
@@ -190,8 +214,7 @@ def _cmd_dist(args) -> None:
     ranked = _load(args, args.set)
     measure = _MEASURES[args.measure]
     if measure is Measure.RATE:
-        derivation = derive_rates(ranked)
-        samples = [r for _, r in derivation.rates]
+        samples, _ = defined_rates(ranked)
     else:
         series = rank_series(ranked, measure)
         samples = list(series.values)
@@ -218,11 +241,10 @@ def _cmd_fit_pareto(args) -> None:
     ranked = _load(args, args.set)
     measure = _MEASURES[args.measure]
     if measure is Measure.RATE:
-        samples = [r for _, r in derive_rates(ranked).rates]
+        samples, _ = defined_rates(ranked)
     else:
         samples = list(rank_series(ranked, measure).values)
-    x_min = None if args.xmin == "auto" else float(args.xmin)
-    fit = pareto_tail_fit(samples, x_min=x_min)
+    fit = pareto_tail_fit(samples, x_min=args.xmin)
     _emit(
         _fit_json(args.measure, fit),
         f"pareto tail {args.set}:{args.measure}: gamma = "
@@ -306,21 +328,11 @@ def _cmd_overlap(args) -> None:
 
 def _cmd_trend(args) -> None:
     ranked = _load(args, args.set)
-    extract = {
-        "articles": lambda r: float(r.articles),
-        "n": lambda r: float(r.citations),
-        "if": lambda r: float(r.impact_factor),
-        "cr": lambda r: r.citations / r.articles if r.articles else None,
-    }
-    pairs = [
-        (extract[args.x](rec), extract[args.y](rec))
-        for rec in ranked.records
-    ]
-    pairs = [(x, y) for x, y in pairs if x is not None and y is not None]
-    if not pairs:
+    xs, ys = ranked.column(args.x), ranked.column(args.y)
+    defined = ~(np.isnan(xs) | np.isnan(ys))
+    if not defined.any():
         raise ValidationError(f"{args.set}: no journal has both {args.x} and {args.y} defined")
-    xs, ys = zip(*pairs)
-    rows = binned_trend(xs, ys, n_bins=args.bins)
+    rows = binned_trend(xs[defined], ys[defined], n_bins=args.bins)
     payload = {
         "set": args.set,
         "x": args.x,
@@ -388,7 +400,8 @@ def _cmd_report(args) -> None:
     for e in entries:
         key = (e["discipline"], e["basis"], e["year"])
         datasets[key] = load_dataset(
-            workspace, Discipline(e["discipline"]), Basis(e["basis"]), e["year"]
+            workspace, Discipline(e["discipline"]), Basis(e["basis"]), e["year"],
+            entries=entries,
         )
 
     report = {"datasets": [_dataset_report(ds) for ds in datasets.values()]}
@@ -450,9 +463,9 @@ def _cmd_report(args) -> None:
             cross.append(
                 {"discipline": disc, "basis": basis, "year": year, "error": str(exc)}
             )
-        xs = [float(r.articles) for r in ds.records if r.articles > 0]
-        ys = [r.impact_factor for r in ds.records if r.articles > 0]
-        rows = binned_trend(xs, ys)
+        articles = ds.column("articles")
+        has_articles = articles > 0
+        rows = binned_trend(articles[has_articles], ds.column("if")[has_articles])
         trends.append(
             {
                 "discipline": disc,
@@ -519,7 +532,7 @@ def _build_parser() -> _Parser:
     p = add("fit-pareto", _cmd_fit_pareto, help="maximum-likelihood tail exponent")
     p.add_argument("--set", required=True)
     p.add_argument("--measure", required=True, choices=list(_MEASURES))
-    p.add_argument("--xmin", default="auto")
+    p.add_argument("--xmin", type=_x_min, default="auto")
 
     p = add("fit-gumbel", _cmd_fit_gumbel, help="log-Gumbel fit of the citation-rate collapse")
     p.add_argument("--set", required=True)
@@ -546,12 +559,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--set", required=True)
     p.add_argument("--x", required=True, choices=["articles", "n", "if", "cr"])
     p.add_argument("--y", required=True, choices=["articles", "n", "if", "cr"])
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=_int_at_least(1), default=10)
 
     p = add("synth", _cmd_synth, help="generate a synthetic fixture dataset")
     p.add_argument("--profile", required=True, choices=[f.value for f in FixtureProfile])
     p.add_argument("--year", required=True, type=int)
-    p.add_argument("--seed", type=int, default=20001000)
+    p.add_argument("--seed", type=_int_at_least(0), default=20001000)
     p.add_argument("--out", required=True)
 
     p = add("report", _cmd_report, help="full analysis over every stored dataset")

@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import RankedSet
-from .rankstats import set_overlap
+from .model import RankedSet, join_rows
 
 MIN_PAIRS = 2
 
@@ -107,21 +106,6 @@ def pearson(
     )
 
 
-def _field_values(ranked: RankedSet, field_: CorrelationField) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for pos, rec in enumerate(ranked.records, start=1):
-        if field_ is CorrelationField.RANK:
-            values[rec.journal_id] = float(pos)
-        elif field_ is CorrelationField.CITATIONS:
-            values[rec.journal_id] = float(rec.citations)
-        elif field_ is CorrelationField.IMPACT_FACTOR:
-            values[rec.journal_id] = float(rec.impact_factor)
-        else:
-            if rec.articles > 0:
-                values[rec.journal_id] = rec.citations / rec.articles
-    return values
-
-
 def _label(ranked: RankedSet, field_name: str) -> str:
     return f"{ranked.discipline.value}:{ranked.basis.value}:{ranked.year}:{field_name}"
 
@@ -135,14 +119,13 @@ def dynamic_correlation(
     """
     if year_a.basis is not year_b.basis or year_a.discipline is not year_b.discipline:
         raise ValidationError("dynamic correlation requires matching discipline and basis")
-    common, count = set_overlap(year_a, year_b)
-    if count < MIN_PAIRS:
-        raise ValidationError(f"overlap of {count} journals is too small to correlate")
-    va = _field_values(year_a, field_)
-    vb = _field_values(year_b, field_)
-    ids = [j for j in common if j in va and j in vb]
-    xs = [va[j] for j in ids]
-    ys = [vb[j] for j in ids]
+    common, rows_a, rows_b = join_rows(year_a, year_b)
+    if common.size < MIN_PAIRS:
+        raise ValidationError(f"overlap of {common.size} journals is too small to correlate")
+    xs = year_a.column(field_)[rows_a]
+    ys = year_b.column(field_)[rows_b]
+    defined = ~(np.isnan(xs) | np.isnan(ys))
+    xs, ys = xs[defined], ys[defined]
     transform = (
         Transform.RANK_RANK if field_ is CorrelationField.RANK else Transform.LOG_LOG
     )
@@ -161,13 +144,12 @@ def cross_measure_correlation(
     """Correlation between two measures within one set, on log scale."""
     if measure_x is CorrelationField.RANK or measure_y is CorrelationField.RANK:
         raise ValidationError("cross-measure correlation is between value measures")
-    vx = _field_values(ranked, measure_x)
-    vy = _field_values(ranked, measure_y)
-    ids = [j for j in vx if j in vy]
-    if len(ids) < MIN_PAIRS:
+    xs = ranked.column(measure_x)
+    ys = ranked.column(measure_y)
+    defined = ~(np.isnan(xs) | np.isnan(ys))
+    if np.count_nonzero(defined) < MIN_PAIRS:
         raise ValidationError("fewer than 2 journals have both measures")
-    xs = [vx[j] for j in ids]
-    ys = [vy[j] for j in ids]
+    xs, ys = xs[defined], ys[defined]
     return pearson(
         xs,
         ys,

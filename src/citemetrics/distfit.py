@@ -197,8 +197,8 @@ def pareto_tail_fit(
         raise ValidationError("power-law tail fit requires positive samples")
 
     if x_min is not None:
-        if x_min <= 0:
-            raise ValidationError(f"x_min must be positive, got {x_min}")
+        if not (math.isfinite(x_min) and x_min > 0):
+            raise ValidationError(f"x_min must be positive and finite, got {x_min}")
         tail = x[x >= x_min]
         if tail.size < min_tail:
             raise ValidationError(
@@ -294,7 +294,13 @@ def gumbel_cdf(x, params: GumbelParams):
 
 
 def _brentq(
-    f: Callable[[float], float], xa: float, xb: float, xtol: float, maxiter: int
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    maxiter: int,
+    fa: float | None = None,
+    fb: float | None = None,
 ) -> float:
     """Root of f between xa and xb by Brent's method.
 
@@ -305,10 +311,14 @@ def _brentq(
     IEEE double arithmetic in the same order, so it returns the very float
     ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, maxiter=maxiter)`` does,
     after the same evaluations of f. The rtol is scipy's default, ``BRENTQ_RTOL``.
+
+    ``fa`` and ``fb`` are f(xa) and f(xb) when the caller already has them;
+    f is then not evaluated at the ends again.
     """
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -357,6 +367,21 @@ def _brentq(
     )
 
 
+def _gumbel_scale_equation(x: np.ndarray, xs: np.ndarray) -> Callable[[float], float]:
+    """g(b) = b - mean(x) + sum(x w)/sum(w), w = exp(-xs/b): the MLE scale is its root.
+
+    ``xs`` is x shifted by its minimum, which keeps the weights from
+    overflowing. Each evaluation makes three passes over the sample.
+    """
+    x_bar = float(x.mean())
+
+    def imbalance(b: float) -> float:
+        w = np.exp(-xs / b)
+        return b - x_bar + float((x * w).sum() / w.sum())
+
+    return imbalance
+
+
 def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
     """Solve the two Gumbel likelihood equations.
 
@@ -369,33 +394,35 @@ def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
     same b to the last bit. Any other root finder would stop at a different
     point inside the ``GUMBEL_TOL`` interval, which can change the ninth
     significant digit the CLI prints; with the port the package needs no
-    scipy import for this fit.
+    scipy import for this fit. The scale equation is evaluated once per
+    point: the bracket's end values are handed to the root finder.
     """
-    x_bar = float(x.mean())
     shift = float(x.min())
     xs = x - shift
-
-    def imbalance(b: float) -> float:
-        w = np.exp(-xs / b)
-        return b - x_bar + float((x * w).sum() / w.sum())
+    imbalance = _gumbel_scale_equation(x, xs)
 
     b0 = float(x.std(ddof=0)) * math.sqrt(6.0) / math.pi
-    lo, hi = b0, b0
+    f0 = imbalance(b0)
+    lo, f_lo = b0, f0
     for _ in range(64):
-        if imbalance(lo) < 0:
+        if f_lo < 0:
             break
         lo /= 2.0
+        f_lo = imbalance(lo)
+    hi, f_hi = b0, f0
     for _ in range(64):
-        if imbalance(hi) > 0:
+        if f_hi > 0:
             break
         hi *= 2.0
-    f_lo, f_hi = imbalance(lo), imbalance(hi)
+        f_hi = imbalance(hi)
     if not (f_lo < 0 < f_hi):
         raise FitConvergenceError(
             "could not bracket the Gumbel scale equation", residual=min(abs(f_lo), abs(f_hi))
         )
     try:
-        b = _brentq(imbalance, lo, hi, xtol=GUMBEL_TOL, maxiter=GUMBEL_MAX_ITER)
+        b = _brentq(
+            imbalance, lo, hi, xtol=GUMBEL_TOL, maxiter=GUMBEL_MAX_ITER, fa=f_lo, fb=f_hi
+        )
     except FitConvergenceError as exc:
         raise FitConvergenceError(
             f"Gumbel scale equation: {exc}", residual=exc.residual
@@ -432,6 +459,11 @@ def _gumbel_lsq(x: np.ndarray, bins: int) -> tuple[float, float, float]:
     return float(res.x[0]), float(math.exp(res.x[1])), float(np.sum(res.fun**2))
 
 
+def _check_log_base(log_base: float) -> None:
+    if not (math.isfinite(log_base) and log_base > 1):
+        raise ValidationError(f"log base must be finite and exceed 1, got {log_base}")
+
+
 def gumbel_fit(
     scaled_rates: Sequence[float],
     method: FitMethod = FitMethod.MAXIMUM_LIKELIHOOD,
@@ -455,8 +487,7 @@ def gumbel_fit(
         raise ValidationError("rates must be finite")
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
-    if not log_base > 1:
-        raise ValidationError(f"log base must exceed 1, got {log_base}")
+    _check_log_base(log_base)
     x = np.log(r) / math.log(log_base)
     if float(x.max()) - float(x.min()) < 1e-12:
         raise ValidationError("degenerate scale: all rates equal")
@@ -604,6 +635,7 @@ def gumbel_curve_ks(
     r = np.asarray(scaled_rates, dtype=float)
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
+    _check_log_base(log_base)
     if n_points < 2:
         raise ValidationError(f"need at least 2 curve points, got {n_points}")
     lo, hi = float(r.min()), float(r.max())

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import ValidationError
 from .model import RankedSet
 
@@ -90,19 +92,27 @@ class RateDerivation(NamedTuple):
     dropped: list[str]
 
 
+def defined_rates(ranked: RankedSet) -> tuple[np.ndarray, np.ndarray]:
+    """Citation rates of the journals with articles, in rank order.
+
+    Returns the rates and the boolean mask, over the whole set in rank order,
+    of the journals that have them. Raises if no journal has articles.
+    """
+    rate = ranked.column("cr")
+    defined = ~np.isnan(rate)
+    if not defined.any():
+        raise ValidationError("every record has zero articles: no rates derivable")
+    return rate[defined], defined
+
+
 def derive_rates(ranked: RankedSet) -> RateDerivation:
     """Citation rate for every journal in a RankedSet, in rank order.
 
     Journals with zero articles cannot have a rate; they are dropped and
     reported rather than aborting the whole set. Raises if nothing remains.
     """
-    rates: list[tuple[str, float]] = []
-    dropped: list[str] = []
-    for rec in ranked.records:
-        if rec.articles == 0:
-            dropped.append(rec.journal_id)
-        else:
-            rates.append((rec.journal_id, rec.citations / rec.articles))
-    if not rates:
-        raise ValidationError("every record has zero articles: no rates derivable")
-    return RateDerivation(rates, dropped)
+    rates, defined = defined_rates(ranked)
+    ids = np.array(ranked.journal_ids(), dtype=object)
+    return RateDerivation(
+        list(zip(ids[defined].tolist(), rates.tolist())), ids[~defined].tolist()
+    )

@@ -90,24 +90,37 @@ def parse_csv(path: str | Path) -> list[JournalYearRecord]:
                 f"{path}: ignoring extra column(s) {', '.join(extra)}", stacklevel=2
             )
         index = {c: header.index(c) for c in COLUMNS}
+        i_id, i_year, i_cit, i_if, i_art = (index[c] for c in COLUMNS)
+        width = len(header)
 
         records = []
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise ValidationError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
+            # Fast path: convert in place and check every range at once. A row
+            # that fails (blank, short, malformed or out of range) is parsed
+            # again field by field below, which raises the same error as ever.
+            try:
+                year, citations, articles = int(row[i_year]), int(row[i_cit]), int(row[i_art])
+                impact = float(row[i_if])
+                ok = (
+                    len(row) >= width
+                    and year >= 0 and citations >= 0 and articles >= 0
+                    and 0.0 <= impact < math.inf
                 )
-            cell = {c: row[index[c]].strip() for c in COLUMNS}
+            except (ValueError, IndexError):
+                ok = False
+            if not ok:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < width:
+                    raise ValidationError(
+                        f"line {line_no}: expected {width} fields, got {len(row)}"
+                    )
+                year = _parse_int(row[i_year].strip(), "year", line_no)
+                citations = _parse_int(row[i_cit].strip(), "citations", line_no)
+                impact = _parse_float(row[i_if].strip(), "impact_factor", line_no)
+                articles = _parse_int(row[i_art].strip(), "articles", line_no)
             records.append(
-                JournalYearRecord(
-                    journal_id=cell["journal_id"],
-                    year=_parse_int(cell["year"], "year", line_no),
-                    citations=_parse_int(cell["citations"], "citations", line_no),
-                    impact_factor=_parse_float(cell["impact_factor"], "impact_factor", line_no),
-                    articles=_parse_int(cell["articles"], "articles", line_no),
-                )
+                JournalYearRecord(row[i_id].strip(), year, citations, impact, articles)
             )
     return records
 
@@ -255,11 +268,21 @@ def store_dataset(
 
 
 def load_dataset(
-    workspace_dir: str | Path, discipline: Discipline, basis: Basis, year: int
+    workspace_dir: str | Path,
+    discipline: Discipline,
+    basis: Basis,
+    year: int,
+    entries: list[dict] | None = None,
 ) -> RankedSet:
-    """Reload a stored dataset, verifying its content digest first."""
+    """Reload a stored dataset, verifying its content digest first.
+
+    ``entries`` are the workspace's manifest entries as ``read_manifest``
+    returned them, for a caller that loads many sets and reads the manifest
+    once; by default the manifest is read here.
+    """
     workspace_dir = Path(workspace_dir)
-    entries = read_manifest(workspace_dir)
+    if entries is None:
+        entries = read_manifest(workspace_dir)
     key = (discipline.value, basis.value, year)
     matches = [e for e in entries if (e["discipline"], e["basis"], e["year"]) == key]
     if not matches:

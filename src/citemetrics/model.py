@@ -9,7 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -33,7 +36,7 @@ class FitMethod(str, Enum):
     MAXIMUM_LIKELIHOOD = "maximum_likelihood"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalYearRecord:
     """One journal in one calendar year.
 
@@ -77,6 +80,20 @@ class JournalYearRecord:
             )
 
 
+class _Columns(NamedTuple):
+    """Read-only numpy columns of a RankedSet."""
+
+    ids: np.ndarray  # rank order; object dtype keeps Python str (no NUL stripping)
+    sorted_ids: np.ndarray  # ids in ascending Python str order
+    id_order: np.ndarray  # 0-based rank positions of sorted_ids
+    values: dict[str, np.ndarray]  # measure value -> float column in rank order
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def basis_value(record: JournalYearRecord, basis: Basis) -> float:
     """Value of the ranking basis field for one record."""
     if basis is Basis.CITATIONS:
@@ -91,6 +108,11 @@ class RankedSet:
     Records are ordered non-increasing in the basis value; ties break by
     ascending journal_id so that ranking is deterministic. The rank of
     ``records[i]`` is ``i + 1``.
+
+    ``records`` is the stored field. The per-measure columns that analyses
+    read (``column``, ``journal_ids``, ``rank_of``, ``join_rows``) are built
+    from it once, on first use, and cached as read-only arrays; constructing
+    or writing a set never builds them.
     """
 
     discipline: Discipline
@@ -128,15 +150,57 @@ class RankedSet:
     def __len__(self) -> int:
         return len(self.records)
 
+    @cached_property
+    def _columns(self) -> _Columns:
+        recs = self.records
+        citations = [rec.citations for rec in recs]
+        articles = [rec.articles for rec in recs]
+        # Python int division is correctly rounded at any size, as before.
+        rates = [c / n if n else math.nan for c, n in zip(citations, articles)]
+        ids = np.array([rec.journal_id for rec in recs], dtype=object)
+        order = np.argsort(ids, kind="stable")
+        values = {
+            "rank": np.arange(1, len(recs) + 1, dtype=float),
+            "n": np.array(citations, dtype=float),
+            "if": np.array([rec.impact_factor for rec in recs], dtype=float),
+            "cr": np.array(rates, dtype=float),
+            "articles": np.array(articles, dtype=float),
+        }
+        return _Columns(
+            ids=_read_only(ids),
+            sorted_ids=_read_only(ids[order]),
+            id_order=_read_only(order),
+            values={key: _read_only(col) for key, col in values.items()},
+        )
+
+    def column(self, measure: str) -> np.ndarray:
+        """One per-journal measure as a read-only float array in rank order.
+
+        ``measure`` is ``"rank"``, ``"n"`` (annual citations), ``"if"``
+        (impact factor), ``"cr"`` (citation rate n/N) or ``"articles"``, or a
+        ``str`` enum member with one of these values (``Measure``,
+        ``CorrelationField``). The rate is NaN for journals with no
+        articles, where it is undefined; every other column is defined for
+        every journal.
+        """
+        key = getattr(measure, "value", measure)
+        try:
+            return self._columns.values[key]
+        except KeyError:
+            raise ValidationError(f"unknown measure {measure!r}") from None
+
     def rank_of(self, journal_id: str) -> int:
-        """1-based rank of a journal; raises if absent."""
-        for i, rec in enumerate(self.records):
-            if rec.journal_id == journal_id:
-                return i + 1
+        """1-based rank of a journal; raises KeyError if absent."""
+        cols = self._columns
+        if isinstance(journal_id, str):
+            i = int(np.searchsorted(cols.sorted_ids, journal_id))
+            if i < len(cols.sorted_ids) and cols.sorted_ids[i] == journal_id:
+                return int(cols.id_order[i]) + 1
         raise KeyError(journal_id)
 
     def journal_ids(self) -> tuple[str, ...]:
-        return tuple(rec.journal_id for rec in self.records)
+        """Journal ids in rank order."""
+        return tuple(self._columns.ids.tolist())
 
     def basis_values(self) -> tuple[float, ...]:
         return tuple(basis_value(rec, self.basis) for rec in self.records)
@@ -164,6 +228,20 @@ class FitResult:
         for name, err in self.stderr.items():
             if err < 0 or not math.isfinite(err):
                 raise ValidationError(f"stderr[{name!r}] must be finite and >= 0, got {err}")
+
+
+def join_rows(a: RankedSet, b: RankedSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Journals common to two sets, by ascending id, and their rows in each.
+
+    Returns the common ids (object array) and, aligned with them, their
+    0-based rank positions in ``a`` and in ``b``. Ids match as Python
+    strings, so ids that differ only by trailing NULs stay distinct.
+    """
+    ca, cb = a._columns, b._columns
+    common, ia, ib = np.intersect1d(
+        ca.sorted_ids, cb.sorted_ids, assume_unique=True, return_indices=True
+    )
+    return common, ca.id_order[ia], cb.id_order[ib]
 
 
 def build_ranked_set(

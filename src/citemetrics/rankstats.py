@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import Basis, Discipline, FitMethod, FitResult, RankedSet
+from .model import Basis, Discipline, FitMethod, FitResult, RankedSet, join_rows
 
 DEFAULT_K_MIN = 10
 BINS_PER_DECADE = 10
@@ -90,23 +90,13 @@ def rank_series(ranked: RankedSet, measure: Measure) -> RankSeries:
     Journals where the measure is undefined or non-positive (no articles for
     the rate, zero values that cannot sit on a log axis) are skipped.
     """
-    ranks, values = [], []
-    for pos, rec in enumerate(ranked.records, start=1):
-        if measure is Measure.CITATIONS:
-            value = float(rec.citations)
-        elif measure is Measure.IMPACT_FACTOR:
-            value = float(rec.impact_factor)
-        else:
-            if rec.articles == 0:
-                continue
-            value = rec.citations / rec.articles
-        if value > 0:
-            ranks.append(pos)
-            values.append(value)
-    if not ranks:
+    values = ranked.column(measure)
+    keep = values > 0  # also drops the NaN rate of journals without articles
+    if not keep.any():
         raise ValidationError(f"no positive {measure.value!r} values in set")
     label = SeriesLabel(ranked.discipline, ranked.basis, ranked.year, measure)
-    return RankSeries(tuple(ranks), tuple(values), label)
+    ranks = np.flatnonzero(keep) + 1
+    return RankSeries(tuple(ranks.tolist()), tuple(values[keep].tolist()), label)
 
 
 def scale_by_mean(series: RankSeries) -> RankSeries:
@@ -165,16 +155,14 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
 
 def set_overlap(a: RankedSet, b: RankedSet) -> tuple[tuple[str, ...], int]:
     """Journals common to two sets, in ascending id order, with their count."""
-    common = sorted(set(a.journal_ids()) & set(b.journal_ids()))
-    return tuple(common), len(common)
+    common, _, _ = join_rows(a, b)
+    return tuple(common.tolist()), len(common)
 
 
 def rank_scatter(a: RankedSet, b: RankedSet) -> list[tuple[str, int, int]]:
     """(journal_id, rank in a, rank in b) for the common journals, by ascending id."""
-    rank_a = {rec.journal_id: k for k, rec in enumerate(a.records, start=1)}
-    rank_b = {rec.journal_id: k for k, rec in enumerate(b.records, start=1)}
-    common, _ = set_overlap(a, b)
-    return [(jid, rank_a[jid], rank_b[jid]) for jid in common]
+    common, rows_a, rows_b = join_rows(a, b)
+    return list(zip(common.tolist(), (rows_a + 1).tolist(), (rows_b + 1).tolist()))
 
 
 def log_rank_bins(k_max: int, per_decade: int = BINS_PER_DECADE) -> np.ndarray:

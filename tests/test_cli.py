@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,11 @@ import pytest
 
 import citemetrics
 from citemetrics.cli import run
+from citemetrics.ingest import store_dataset
+from citemetrics.synthgen import PROFILES, build_fixture
+
+# sha256 of `report` stdout over every synthgen profile and year at seed 20001000.
+REPORT_SHA256 = "da56533e7dd93c084a7d03abf732a02e229d8af5e13fb0038b39b96415c4ca67"
 
 
 def invoke(capsys, *argv, expect=0):
@@ -225,6 +231,43 @@ class TestErrorPaths:
         assert "line 3" in captured.err and "finite" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trend", "--set", "sci:citations:2005", "--x", "n", "--y", "if", "--bins", "-3"],
+            ["trend", "--set", "sci:citations:2005", "--x", "n", "--y", "if", "--bins", "0"],
+            ["fit-pareto", "--set", "sci:citations:2005", "--measure", "n", "--xmin", "abc"],
+            ["synth", "--profile", "sci_set_i", "--year", "2005", "--seed", "-1"],
+        ],
+    )
+    def test_bad_argument_is_usage_error(self, workspace, tmp_path, capsys, argv):
+        if argv[0] == "synth":
+            argv = argv + ["--out", str(tmp_path / "s.csv")]
+        captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=1)
+        assert captured.err.startswith("usage error: argument")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("x_min", ["nan", "inf", "-inf"])
+    def test_non_finite_xmin_is_exit_2(self, workspace, capsys, x_min):
+        captured = invoke(
+            capsys, "fit-pareto", "--workspace", str(workspace), "--set", "sci:citations:2005",
+            "--measure", "n", f"--xmin={x_min}", expect=2,
+        )
+        assert "x_min must be positive and finite" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("log_base", [1, 0.5])
+    def test_bad_log_base_in_fit_is_exit_2(self, workspace, tmp_path, capsys, log_base):
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"params": {"a": -0.5, "b": 0.8, "log_base": log_base}}))
+        captured = invoke(
+            capsys, "ks", "--workspace", str(workspace), "--set", "sci:citations:2005",
+            "--fit", str(fit), expect=2,
+        )
+        assert "log base" in captured.err
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+
     def test_non_numeric_fit_params_is_exit_2(self, workspace, tmp_path, capsys):
         fit = tmp_path / "fit.json"
         fit.write_text(json.dumps({"params": {"a": "x", "b": 1.0}}))
@@ -288,6 +331,14 @@ class TestReport:
         for year in (2005, 2006):
             assert "b" in by_year[year]["zipf"]["params"]
             assert by_year[year]["pareto_predicted_gamma"] > 1
+
+    def test_report_bytes_pinned_on_full_fixture_workspace(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        for profile, spec in PROFILES.items():
+            for year in range(spec.base_year, spec.base_year + spec.n_years):
+                store_dataset(ws, build_fixture(profile, year, 20001000))
+        captured = invoke(capsys, "report", "--workspace", str(ws))
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == REPORT_SHA256
 
     def test_report_on_empty_workspace_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty_ws"

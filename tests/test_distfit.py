@@ -141,6 +141,12 @@ class TestParetoTailFit:
         with pytest.raises(ValidationError):
             pareto_tail_fit([1.0, -2.0, 3.0], x_min=0.5)
 
+    @pytest.mark.parametrize("x_min", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_x_min_rejected(self, x_min):
+        samples = sample_pareto(2.5, 1.0, 200, seed=10)
+        with pytest.raises(ValidationError, match="x_min must be positive and finite"):
+            pareto_tail_fit(samples, x_min=x_min)
+
 
 class TestZipfParetoPredict:
     def test_unit_exponent(self):
@@ -363,6 +369,47 @@ class TestBrentq:
             distfit._brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12, maxiter=100)
 
 
+class TestGumbelMleEvaluations:
+    def test_scale_equation_evaluated_once_per_point(self, monkeypatch):
+        points = []
+        original = distfit._gumbel_scale_equation
+
+        def recording(x, xs):
+            g = original(x, xs)
+
+            def wrapped(b):
+                points.append(b)
+                return g(b)
+
+            return wrapped
+
+        monkeypatch.setattr(distfit, "_gumbel_scale_equation", recording)
+        rng = np.random.default_rng(20001000)
+        for i in range(60):
+            m = int(rng.integers(30, 3_000))
+            if i % 2:
+                x = rng.gumbel(rng.normal(), rng.uniform(0.05, 3.0), m)
+            else:
+                x = np.round(rng.normal(0.0, rng.uniform(0.05, 3.0), m), 2)
+            points.clear()
+            a, b = distfit._gumbel_mle(x)
+            assert len(points) == len(set(points))
+
+            # The reference: bracket as before, then scipy's brentq, which
+            # evaluates both bracket ends once more.
+            f, lo, hi = _gumbel_scale_problem(x)
+            b_ref, info = brentq(
+                f, lo, hi, xtol=distfit.GUMBEL_TOL, maxiter=distfit.GUMBEL_MAX_ITER,
+                full_output=True,
+            )
+            assert b == b_ref
+            xs = x - float(x.min())
+            assert a == float(x.min()) - b_ref * math.log(float(np.exp(-xs / b_ref).mean()))
+            b0 = float(x.std()) * math.sqrt(6.0) / math.pi
+            bracket = round(math.log2(b0 / lo)) + round(math.log2(hi / b0)) + 1
+            assert len(points) == bracket + info.function_calls - 2
+
+
 class TestKsStatistic:
     def test_identical_sequences_give_zero(self):
         xs = np.linspace(0, 1, 30)
@@ -453,3 +500,11 @@ class TestGumbelCurveKs:
         result = gumbel_curve_ks(rates, GumbelParams(2.5, 0.1), 12)
         assert not result["pass"]
         assert result["D"] > 0.5
+
+    @pytest.mark.parametrize("log_base", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
+    def test_bad_log_base_rejected(self, log_base):
+        rates = sample_gumbel_log(-0.5, 0.65, 200, seed=6)
+        with pytest.raises(ValidationError, match="log base"):
+            gumbel_curve_ks(rates, GumbelParams(-0.5, 0.65), 12, log_base=log_base)
+        with pytest.raises(ValidationError, match="log base"):
+            gumbel_fit(rates, log_base=log_base)

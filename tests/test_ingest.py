@@ -1,11 +1,18 @@
+import csv
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citemetrics.errors import ValidationError, WorkspaceError
 from citemetrics.ingest import (
+    COLUMNS,
+    _parse_float,
+    _parse_int,
     load_dataset,
     parse_csv,
     read_manifest,
@@ -104,6 +111,74 @@ class TestParseCsv:
             f = tmp_path / f"round{trial}.csv"
             write_csv(f, records)
             assert parse_csv(f) == records
+
+
+def reference_parse_rows(path):
+    """parse_csv's row loop as it was before its fast path: every field alone."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        return _reference_rows(csv.reader(fh))
+
+
+def _reference_rows(reader):
+    header = [h.strip() for h in next(reader)]
+    index = {c: header.index(c) for c in COLUMNS}
+    records = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(header):
+            raise ValidationError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+        cell = {c: row[index[c]].strip() for c in COLUMNS}
+        records.append(
+            JournalYearRecord(
+                journal_id=cell["journal_id"],
+                year=_parse_int(cell["year"], "year", line_no),
+                citations=_parse_int(cell["citations"], "citations", line_no),
+                impact_factor=_parse_float(cell["impact_factor"], "impact_factor", line_no),
+                articles=_parse_int(cell["articles"], "articles", line_no),
+            )
+        )
+    return records
+
+
+# Valid, malformed, out-of-range and whitespace-padded cells, including
+# non-ASCII digits and whitespace that int() and float() also accept.
+CELLS = [
+    "0", "7", " 12 ", "2000", "-1", "1_000", "1.5", "-0.0", "0.0", "3e2", "nan", "inf",
+    "-inf", "abc", "", "  ", "\u0661\u0662", "\u2003 5\u2003", "\x1c4", "J\u00e9", "a\x00",
+]
+
+
+@st.composite
+def csv_rows(draw, width):
+    """A valid row with up to two cells replaced, sometimes cut short."""
+    row = ["J1", "2000", "5", "1.5", "3", "123"][:width]
+    for _ in range(draw(st.integers(0, 2))):
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(CELLS))
+    cut = draw(st.sampled_from([width, width, width, width - 1, 1, 0]))
+    return row[:cut]
+
+
+class TestParseFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), extra=st.booleans())
+    def test_matches_field_by_field_reference(self, tmp_path_factory, data, extra):
+        header = list(COLUMNS) + (["issn"] if extra else [])
+        rows = data.draw(st.lists(csv_rows(len(header)), max_size=5))
+        lines = [",".join(header)] + [",".join(row) for row in rows]
+        text = "\n".join(lines) + "\n"
+        f = tmp_path_factory.mktemp("fast") / "t.csv"
+        f.write_text(text, encoding="utf-8")
+
+        def outcome(parse, arg):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    return ("ok", parse(arg))
+            except ValidationError as exc:
+                return ("error", str(exc))
+
+        assert outcome(parse_csv, f) == outcome(reference_parse_rows, f)
 
 
 class TestWorkspace:
