@@ -36,7 +36,7 @@ from .distfit import (
     zipf_pareto_predict,
 )
 from .errors import CitemetricsError, FitConvergenceError, ValidationError, WorkspaceError
-from .indices import defined_rates
+from .indices import derive_rates
 from .ingest import load_dataset, parse_csv, read_manifest, store_dataset, write_csv
 from .model import Basis, Discipline, FitMethod, FitResult, RankedSet, build_ranked_set
 from .rankstats import (
@@ -155,8 +155,9 @@ def _fit_json(measure: str, fit: FitResult, extra: dict | None = None) -> dict:
 
 
 def _scaled_rates(ranked: RankedSet) -> tuple[np.ndarray, int]:
-    rates, defined = defined_rates(ranked)
-    return rates / rates.mean(), int(defined.size - rates.size)
+    derivation = derive_rates(ranked)
+    rates = np.array([r for _, r in derivation.rates])
+    return rates / rates.mean(), len(derivation.dropped)
 
 
 def _curve_points(ranked: RankedSet) -> int:
@@ -214,7 +215,8 @@ def _cmd_dist(args) -> None:
     ranked = _load(args, args.set)
     measure = _MEASURES[args.measure]
     if measure is Measure.RATE:
-        samples, _ = defined_rates(ranked)
+        derivation = derive_rates(ranked)
+        samples = [r for _, r in derivation.rates]
     else:
         series = rank_series(ranked, measure)
         samples = list(series.values)
@@ -241,7 +243,7 @@ def _cmd_fit_pareto(args) -> None:
     ranked = _load(args, args.set)
     measure = _MEASURES[args.measure]
     if measure is Measure.RATE:
-        samples, _ = defined_rates(ranked)
+        samples = [r for _, r in derive_rates(ranked).rates]
     else:
         samples = list(rank_series(ranked, measure).values)
     fit = pareto_tail_fit(samples, x_min=args.xmin)

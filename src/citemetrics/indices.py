@@ -92,27 +92,17 @@ class RateDerivation(NamedTuple):
     dropped: list[str]
 
 
-def defined_rates(ranked: RankedSet) -> tuple[np.ndarray, np.ndarray]:
-    """Citation rates of the journals with articles, in rank order.
-
-    Returns the rates and the boolean mask, over the whole set in rank order,
-    of the journals that have them. Raises if no journal has articles.
-    """
-    rate = ranked.column("cr")
-    defined = ~np.isnan(rate)
-    if not defined.any():
-        raise ValidationError("every record has zero articles: no rates derivable")
-    return rate[defined], defined
-
-
 def derive_rates(ranked: RankedSet) -> RateDerivation:
     """Citation rate for every journal in a RankedSet, in rank order.
 
     Journals with zero articles cannot have a rate; they are dropped and
     reported rather than aborting the whole set. Raises if nothing remains.
     """
-    rates, defined = defined_rates(ranked)
+    rate = ranked.column("cr")
+    defined = ~np.isnan(rate)
+    if not defined.any():
+        raise ValidationError("every record has zero articles: no rates derivable")
     ids = np.array(ranked.journal_ids(), dtype=object)
     return RateDerivation(
-        list(zip(ids[defined].tolist(), rates.tolist())), ids[~defined].tolist()
+        list(zip(ids[defined].tolist(), rate[defined].tolist())), ids[~defined].tolist()
     )

@@ -95,32 +95,22 @@ def parse_csv(path: str | Path) -> list[JournalYearRecord]:
 
         records = []
         for line_no, row in enumerate(reader, start=2):
-            # Fast path: convert in place and check every range at once. A row
-            # that fails (blank, short, malformed or out of range) is parsed
-            # again field by field below, which raises the same error as ever.
-            try:
-                year, citations, articles = int(row[i_year]), int(row[i_cit]), int(row[i_art])
-                impact = float(row[i_if])
-                ok = (
-                    len(row) >= width
-                    and year >= 0 and citations >= 0 and articles >= 0
-                    and 0.0 <= impact < math.inf
-                )
-            except (ValueError, IndexError):
-                ok = False
-            if not ok:
+            # A full-width row with an id can be neither blank nor short.
+            if len(row) < width or not row[i_id].strip():
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) < width:
                     raise ValidationError(
                         f"line {line_no}: expected {width} fields, got {len(row)}"
                     )
-                year = _parse_int(row[i_year].strip(), "year", line_no)
-                citations = _parse_int(row[i_cit].strip(), "citations", line_no)
-                impact = _parse_float(row[i_if].strip(), "impact_factor", line_no)
-                articles = _parse_int(row[i_art].strip(), "articles", line_no)
             records.append(
-                JournalYearRecord(row[i_id].strip(), year, citations, impact, articles)
+                JournalYearRecord(
+                    row[i_id].strip(),
+                    _parse_int(row[i_year].strip(), "year", line_no),
+                    _parse_int(row[i_cit].strip(), "citations", line_no),
+                    _parse_float(row[i_if].strip(), "impact_factor", line_no),
+                    _parse_int(row[i_art].strip(), "articles", line_no),
+                )
             )
     return records
 

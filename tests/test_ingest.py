@@ -114,7 +114,7 @@ class TestParseCsv:
 
 
 def reference_parse_rows(path):
-    """parse_csv's row loop as it was before its fast path: every field alone."""
+    """parse_csv's former row loop, with a dict of stripped cells per row."""
     with path.open(newline="", encoding="utf-8") as fh:
         return _reference_rows(csv.reader(fh))
 
@@ -159,15 +159,15 @@ def csv_rows(draw, width):
     return row[:cut]
 
 
-class TestParseFastPath:
+class TestParseRows:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), extra=st.booleans())
-    def test_matches_field_by_field_reference(self, tmp_path_factory, data, extra):
+    def test_matches_per_row_dict_reference(self, tmp_path_factory, data, extra):
         header = list(COLUMNS) + (["issn"] if extra else [])
         rows = data.draw(st.lists(csv_rows(len(header)), max_size=5))
         lines = [",".join(header)] + [",".join(row) for row in rows]
         text = "\n".join(lines) + "\n"
-        f = tmp_path_factory.mktemp("fast") / "t.csv"
+        f = tmp_path_factory.mktemp("cells") / "t.csv"
         f.write_text(text, encoding="utf-8")
 
         def outcome(parse, arg):
