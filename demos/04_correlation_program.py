@@ -8,7 +8,7 @@ article count.
 """
 
 from citemetrics import (
-    CorrelationField,
+    Measure,
     binned_trend,
     correlation_matrix,
     cross_measure_correlation,
@@ -18,19 +18,19 @@ from citemetrics import (
 from citemetrics.synthgen import build_fixture
 
 # Strength of year-to-year ordering for both rankings.
-for profile, field in (("sci_set_i", CorrelationField.CITATIONS),
-                       ("sci_set_ii", CorrelationField.IMPACT_FACTOR)):
+for profile, field in (("sci_set_i", Measure.CITATIONS),
+                       ("sci_set_ii", Measure.IMPACT_FACTOR)):
     a = build_fixture(profile, 2005)
     b = build_fixture(profile, 2006)
     _, common = set_overlap(a, b)
-    rank_r = dynamic_correlation(a, b, CorrelationField.RANK).r_value
+    rank_r = dynamic_correlation(a, b, Measure.RANK).r_value
     value_r = dynamic_correlation(a, b, field).r_value
     print(f"{profile} 2005~2006: {common} common journals, "
           f"rank R = {rank_r:.3f}, value R = {value_r:.3f}")
 
 # All-pairs matrix over a span of years (citations basis).
 sets = [build_fixture("sci_set_i", year) for year in range(2004, 2008)]
-years, cells = correlation_matrix(sets, CorrelationField.RANK)
+years, cells = correlation_matrix(sets, Measure.RANK)
 print("\nrank-correlation matrix (citations basis):")
 header = "      " + "  ".join(f"{y}" for y in years)
 print(header)
@@ -42,8 +42,8 @@ for yi in years:
 # correlate; raw citation totals do not track the rate nearly as well.
 set_i = build_fixture("sci_set_i", 2005)
 set_ii = build_fixture("sci_set_ii", 2005)
-r_if = cross_measure_correlation(set_i, CorrelationField.IMPACT_FACTOR, CorrelationField.RATE)
-r_n = cross_measure_correlation(set_ii, CorrelationField.CITATIONS, CorrelationField.RATE)
+r_if = cross_measure_correlation(set_i, Measure.IMPACT_FACTOR, Measure.RATE)
+r_n = cross_measure_correlation(set_ii, Measure.CITATIONS, Measure.RATE)
 print(f"\nIF vs rate within the citation ranking:   R = {r_if.r_value:.4f}")
 print(f"citations vs rate within the IF ranking:  R = {r_n.r_value:.4f}")
 

@@ -12,6 +12,7 @@ from .model import (
     FitMethod,
     FitResult,
     JournalYearRecord,
+    Measure,
     RankedSet,
     build_ranked_set,
 )
@@ -24,7 +25,6 @@ from .indices import (
 )
 from .ingest import load_dataset, parse_csv, read_manifest, store_dataset, write_csv
 from .rankstats import (
-    Measure,
     RankSeries,
     SeriesLabel,
     binned_rank_average,
@@ -51,7 +51,6 @@ from .distfit import (
     zipf_pareto_predict,
 )
 from .correlate import (
-    CorrelationField,
     CorrelationReport,
     Transform,
     binned_trend,

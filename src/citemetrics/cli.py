@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .correlate import (
-    CorrelationField,
     binned_trend,
     correlation_matrix,
     cross_measure_correlation,
@@ -38,10 +37,10 @@ from .distfit import (
 from .errors import CitemetricsError, FitConvergenceError, ValidationError, WorkspaceError
 from .indices import derive_rates
 from .ingest import load_dataset, parse_csv, read_manifest, store_dataset, write_csv
-from .model import Basis, Discipline, FitMethod, FitResult, RankedSet, build_ranked_set
+from .model import (
+    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, build_ranked_set,
+)
 from .rankstats import (
-    Measure,
-    basis_measure,
     rank_series,
     scale_by_mean,
     set_overlap,
@@ -132,15 +131,6 @@ def _load(args, spec: str) -> RankedSet:
     return load_dataset(_workspace(args), discipline, basis, year)
 
 
-_MEASURES = {"n": Measure.CITATIONS, "if": Measure.IMPACT_FACTOR, "cr": Measure.RATE}
-_FIELDS = {
-    "rank": CorrelationField.RANK,
-    "n": CorrelationField.CITATIONS,
-    "if": CorrelationField.IMPACT_FACTOR,
-    "cr": CorrelationField.RATE,
-}
-
-
 def _fit_json(measure: str, fit: FitResult, extra: dict | None = None) -> dict:
     payload = {
         "measure": measure,
@@ -158,6 +148,14 @@ def _scaled_rates(ranked: RankedSet) -> tuple[np.ndarray, int]:
     derivation = derive_rates(ranked)
     rates = np.array([r for _, r in derivation.rates])
     return rates / rates.mean(), len(derivation.dropped)
+
+
+def _samples(ranked: RankedSet, measure: Measure) -> list[float]:
+    """Values of a measure for ``dist`` and ``fit-pareto``: every defined rate,
+    or the positive values of another measure."""
+    if measure is Measure.RATE:
+        return [r for _, r in derive_rates(ranked).rates]
+    return list(rank_series(ranked, measure).values)
 
 
 def _curve_points(ranked: RankedSet) -> int:
@@ -183,7 +181,7 @@ def _cmd_ingest(args) -> None:
 
 def _cmd_rank(args) -> None:
     ranked = _load(args, args.set)
-    series = rank_series(ranked, _MEASURES[args.measure])
+    series = rank_series(ranked, Measure(args.measure))
     if args.collapse:
         series = scale_by_mean(series)
     payload = {
@@ -200,7 +198,7 @@ def _cmd_rank(args) -> None:
 
 def _cmd_fit_zipf(args) -> None:
     ranked = _load(args, args.set)
-    series = rank_series(ranked, _MEASURES[args.measure])
+    series = rank_series(ranked, Measure(args.measure))
     fit = zipf_fit(series, k_min=args.kmin)
     payload = _fit_json(args.measure, fit)
     payload["pareto_prediction"] = zipf_pareto_predict(fit.params["b"]) if fit.params["b"] > 0 else None
@@ -212,14 +210,7 @@ def _cmd_fit_zipf(args) -> None:
 
 
 def _cmd_dist(args) -> None:
-    ranked = _load(args, args.set)
-    measure = _MEASURES[args.measure]
-    if measure is Measure.RATE:
-        derivation = derive_rates(ranked)
-        samples = [r for _, r in derivation.rates]
-    else:
-        series = rank_series(ranked, measure)
-        samples = list(series.values)
+    samples = _samples(_load(args, args.set), Measure(args.measure))
     scaling = Scaling.MEAN_SCALED if args.collapse else Scaling.RAW
     dist = empirical_pdf(samples, binning=args.binning, scaling=scaling)
     centers = [float(c) for c in dist.centers()]
@@ -240,12 +231,7 @@ def _cmd_dist(args) -> None:
 
 
 def _cmd_fit_pareto(args) -> None:
-    ranked = _load(args, args.set)
-    measure = _MEASURES[args.measure]
-    if measure is Measure.RATE:
-        samples = [r for _, r in derive_rates(ranked).rates]
-    else:
-        samples = list(rank_series(ranked, measure).values)
+    samples = _samples(_load(args, args.set), Measure(args.measure))
     fit = pareto_tail_fit(samples, x_min=args.xmin)
     _emit(
         _fit_json(args.measure, fit),
@@ -305,13 +291,13 @@ def _cmd_correlate(args) -> None:
         if not (args.a and args.b and args.field):
             raise UsageError("pair correlation needs --a, --b and --field")
         report = dynamic_correlation(
-            _load(args, args.a), _load(args, args.b), _FIELDS[args.field]
+            _load(args, args.a), _load(args, args.b), Measure(args.field)
         )
     else:
         if not (args.set and args.x and args.y):
             raise UsageError("cross-measure correlation needs --set, --x and --y")
         report = cross_measure_correlation(
-            _load(args, args.set), _FIELDS[args.x], _FIELDS[args.y]
+            _load(args, args.set), Measure(args.x), Measure(args.y)
         )
     _emit(
         report.as_dict(),
@@ -417,13 +403,8 @@ def _cmd_report(args) -> None:
     for (disc, basis), sets in sorted(groups.items()):
         if len(sets) < 2:
             continue
-        value_field = (
-            CorrelationField.CITATIONS
-            if Basis(basis) is Basis.CITATIONS
-            else CorrelationField.IMPACT_FACTOR
-        )
-        years, rank_cells = correlation_matrix(sets, CorrelationField.RANK)
-        _, value_cells = correlation_matrix(sets, value_field)
+        years, rank_cells = correlation_matrix(sets, Measure.RANK)
+        _, value_cells = correlation_matrix(sets, basis_measure(Basis(basis)))
         for i, yi in enumerate(years):
             for yj in years[i + 1:]:
                 rank_cell = rank_cells[(yi, yj)]
@@ -451,13 +432,10 @@ def _cmd_report(args) -> None:
     cross = []
     trends = []
     for (disc, basis, year), ds in sorted(datasets.items()):
-        other = (
-            CorrelationField.IMPACT_FACTOR
-            if Basis(basis) is Basis.CITATIONS
-            else CorrelationField.CITATIONS
-        )
+        # the rate against the measure the set is not ranked by
+        (other,) = {Measure.CITATIONS, Measure.IMPACT_FACTOR} - {basis_measure(ds.basis)}
         try:
-            rep = cross_measure_correlation(ds, other, CorrelationField.RATE)
+            rep = cross_measure_correlation(ds, other, Measure.RATE)
             cross.append(
                 {"discipline": disc, "basis": basis, "year": year, **rep.as_dict()}
             )
@@ -498,6 +476,8 @@ def _cmd_report(args) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="citemetrics", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    fields = [m.value for m in Measure]
+    values = [m.value for m in Measure if m is not Measure.RANK]
 
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -515,25 +495,25 @@ def _build_parser() -> _Parser:
 
     p = add("rank", _cmd_rank, help="rank series of a measure")
     p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=list(_MEASURES))
+    p.add_argument("--measure", required=True, choices=values)
     p.add_argument("--collapse", action="store_true")
     p.add_argument("--emit", default=None)
 
     p = add("fit-zipf", _cmd_fit_zipf, help="log-log rank-law fit")
     p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=list(_MEASURES))
+    p.add_argument("--measure", required=True, choices=values)
     p.add_argument("--kmin", type=int, default=10)
 
     p = add("dist", _cmd_dist, help="binned probability density of a measure")
     p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=list(_MEASURES))
+    p.add_argument("--measure", required=True, choices=values)
     p.add_argument("--binning", default="log", choices=["log", "linear"])
     p.add_argument("--collapse", action="store_true")
     p.add_argument("--emit", default=None)
 
     p = add("fit-pareto", _cmd_fit_pareto, help="maximum-likelihood tail exponent")
     p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=list(_MEASURES))
+    p.add_argument("--measure", required=True, choices=values)
     p.add_argument("--xmin", type=_x_min, default="auto")
 
     p = add("fit-gumbel", _cmd_fit_gumbel, help="log-Gumbel fit of the citation-rate collapse")
@@ -548,10 +528,10 @@ def _build_parser() -> _Parser:
     p = add("correlate", _cmd_correlate, help="year-pair or cross-measure correlation")
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
-    p.add_argument("--field", default=None, choices=list(_FIELDS))
+    p.add_argument("--field", default=None, choices=fields)
     p.add_argument("--set", default=None)
-    p.add_argument("--x", default=None, choices=["n", "if", "cr"])
-    p.add_argument("--y", default=None, choices=["n", "if", "cr"])
+    p.add_argument("--x", default=None, choices=values)
+    p.add_argument("--y", default=None, choices=values)
 
     p = add("overlap", _cmd_overlap, help="journals common to two datasets")
     p.add_argument("--a", required=True)
@@ -559,8 +539,8 @@ def _build_parser() -> _Parser:
 
     p = add("trend", _cmd_trend, help="binned mean of one measure over another")
     p.add_argument("--set", required=True)
-    p.add_argument("--x", required=True, choices=["articles", "n", "if", "cr"])
-    p.add_argument("--y", required=True, choices=["articles", "n", "if", "cr"])
+    p.add_argument("--x", required=True, choices=["articles", *values])
+    p.add_argument("--y", required=True, choices=["articles", *values])
     p.add_argument("--bins", type=_int_at_least(1), default=10)
 
     p = add("synth", _cmd_synth, help="generate a synthetic fixture dataset")

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import RankedSet, join_rows
+from .model import Measure, RankedSet, finite_samples, join_rows
+from .rankstats import binned_mean
 
 MIN_PAIRS = 2
 
@@ -29,15 +30,6 @@ class Transform(str, Enum):
     LOG_LOG = "log_log"
     RANK_RANK = "rank_rank"
     IDENTITY = "identity"
-
-
-class CorrelationField(str, Enum):
-    """Per-journal quantities available for year-to-year correlation."""
-
-    RANK = "rank"
-    CITATIONS = "n"
-    IMPACT_FACTOR = "if"
-    RATE = "cr"
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ def _label(ranked: RankedSet, field_name: str) -> str:
 
 
 def dynamic_correlation(
-    year_a: RankedSet, year_b: RankedSet, field_: CorrelationField
+    year_a: RankedSet, year_b: RankedSet, field_: Measure
 ) -> CorrelationReport:
     """Correlation of one field across two years, over the common journals.
 
@@ -127,7 +119,7 @@ def dynamic_correlation(
     defined = ~(np.isnan(xs) | np.isnan(ys))
     xs, ys = xs[defined], ys[defined]
     transform = (
-        Transform.RANK_RANK if field_ is CorrelationField.RANK else Transform.LOG_LOG
+        Transform.RANK_RANK if field_ is Measure.RANK else Transform.LOG_LOG
     )
     report = pearson(
         xs,
@@ -139,10 +131,10 @@ def dynamic_correlation(
 
 
 def cross_measure_correlation(
-    ranked: RankedSet, measure_x: CorrelationField, measure_y: CorrelationField
+    ranked: RankedSet, measure_x: Measure, measure_y: Measure
 ) -> CorrelationReport:
     """Correlation between two measures within one set, on log scale."""
-    if measure_x is CorrelationField.RANK or measure_y is CorrelationField.RANK:
+    if measure_x is Measure.RANK or measure_y is Measure.RANK:
         raise ValidationError("cross-measure correlation is between value measures")
     xs = ranked.column(measure_x)
     ys = ranked.column(measure_y)
@@ -172,6 +164,8 @@ def binned_trend(
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
         raise ValidationError("xs and ys must be equally long 1-d series")
+    finite_samples(x, "xs")
+    finite_samples(y, "ys")
     if bin_edges is None:
         lo, hi = float(x.min()), float(x.max())
         if not hi > lo:
@@ -179,28 +173,13 @@ def binned_trend(
         edges = np.linspace(lo, hi, n_bins + 1)
     else:
         edges = np.asarray(bin_edges, dtype=float)
-        if edges.size < 2 or np.any(np.diff(edges) <= 0):
+        if edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValidationError("bin edges must be strictly increasing")
-
-    idx = np.searchsorted(edges, x, side="right") - 1
-    idx[x == edges[-1]] = edges.size - 2
-    out = []
-    for i in range(edges.size - 1):
-        sel = y[(idx == i) & (x >= edges[0]) & (x <= edges[-1])]
-        if sel.size == 0:
-            continue
-        center = 0.5 * (edges[i] + edges[i + 1])
-        mean = float(sel.mean())
-        if sel.size < 2 or np.all(sel == sel[0]):
-            stderr = 0.0
-        else:
-            stderr = float(sel.std(ddof=1) / math.sqrt(sel.size))
-        out.append((center, mean, stderr))
-    return out
+    return binned_mean(x, y, edges, 0.5 * (edges[:-1] + edges[1:]))
 
 
 def correlation_matrix(
-    ranked_sets: Sequence[RankedSet], field_: CorrelationField
+    ranked_sets: Sequence[RankedSet], field_: Measure
 ) -> tuple[tuple[int, ...], dict[tuple[int, int], CorrelationReport | str]]:
     """All-pairs year correlation matrix for one discipline+basis.
 
@@ -226,7 +205,7 @@ def correlation_matrix(
                     r_value=1.0,
                     n_pairs=len(rs),
                     transform=Transform.RANK_RANK
-                    if field_ is CorrelationField.RANK
+                    if field_ is Measure.RANK
                     else Transform.LOG_LOG,
                     subjects=(_label(rs, field_.value), _label(rs, field_.value)),
                 )

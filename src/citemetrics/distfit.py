@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError, ValidationError
-from .model import FitMethod, FitResult
+from .model import FitMethod, FitResult, finite_samples
 
 EULER_GAMMA = 0.5772156649015329
 MIN_TAIL_SAMPLES = 50
@@ -74,13 +74,6 @@ class EmpiricalDistribution:
             return np.sqrt(edges[:-1] * edges[1:])
         return 0.5 * (edges[:-1] + edges[1:])
 
-    def cdf_points(self) -> list[tuple[float, float]]:
-        """Cumulative (right edge, F) pairs of the binned density."""
-        edges = np.asarray(self.bin_edges)
-        cum = np.cumsum(np.asarray(self.densities) * np.diff(edges))
-        cum = np.minimum(cum, 1.0)
-        return [(float(x), float(f)) for x, f in zip(edges[1:], cum)]
-
 
 def empirical_pdf(
     samples: Sequence[float],
@@ -97,9 +90,7 @@ def empirical_pdf(
     only by a positive factor onto identical bins. ``bounds`` overrides the
     (min, max) support; samples outside are discarded.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValidationError("cannot bin an empty sample")
+    x = finite_samples(samples, "samples")
     if scaling is Scaling.MEAN_SCALED:
         mean = float(x.mean())
         if mean <= 0:
@@ -168,15 +159,6 @@ def _pareto_mle(tail: np.ndarray, x_min: float) -> float:
     return 1.0 + tail.size / total
 
 
-def _pareto_ks(tail: np.ndarray, x_min: float, gamma: float) -> float:
-    x = np.sort(tail)
-    n = x.size
-    model = 1.0 - (x_min / x) ** (gamma - 1.0)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(max(np.max(upper - model), np.max(model - lower)))
-
-
 def pareto_tail_fit(
     samples: Sequence[float],
     x_min: float | None = None,
@@ -192,7 +174,7 @@ def pareto_tail_fit(
     the KS distance between the tail sample and its fitted power law over
     logarithmically spaced candidate cutoffs.
     """
-    x = np.asarray(samples, dtype=float)
+    x = finite_samples(samples, "samples")
     if np.any(x <= 0):
         raise ValidationError("power-law tail fit requires positive samples")
 
@@ -214,14 +196,14 @@ def pareto_tail_fit(
         n_candidates = max(2, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
         candidates = np.logspace(math.log10(lo), math.log10(hi), n_candidates + 1)[:-1]
         best = None
-        for cand in candidates:
+        for cand in candidates.tolist():
             tail = x[x >= cand]
             if tail.size < min_tail:
                 continue
-            g = _pareto_mle(tail, float(cand))
-            d = _pareto_ks(tail, float(cand), g)
+            g = _pareto_mle(tail, cand)
+            d = ks_statistic_samples(tail, lambda t: 1.0 - (cand / t) ** (g - 1.0))
             if best is None or d < best[0]:
-                best = (d, float(cand), g, tail)
+                best = (d, cand, g, tail)
         if best is None:
             raise ValidationError(
                 f"no candidate x_min leaves {min_tail} tail samples"
@@ -483,8 +465,7 @@ def gumbel_fit(
         raise ValidationError(
             f"need at least {MIN_GUMBEL_SAMPLES} rates, have {r.size}"
         )
-    if not np.all(np.isfinite(r)):
-        raise ValidationError("rates must be finite")
+    finite_samples(r, "rates")
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
     _check_log_base(log_base)
@@ -632,7 +613,7 @@ def gumbel_curve_ks(
     compared with the model CDF at the bin boundaries. Returns the deviation
     D together with the small-sample critical value at ``significance``.
     """
-    r = np.asarray(scaled_rates, dtype=float)
+    r = finite_samples(scaled_rates, "rates")
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
     _check_log_base(log_base)

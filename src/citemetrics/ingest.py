@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import fcntl
 import hashlib
+import io
 import json
 import math
 import os
@@ -115,20 +116,25 @@ def parse_csv(path: str | Path) -> list[JournalYearRecord]:
     return records
 
 
-def write_csv(path: str | Path, records: Iterable[JournalYearRecord]) -> None:
-    """Write records in the canonical column order.
+def _csv_text(records: Iterable[JournalYearRecord]) -> str:
+    """Records as CSV text in the canonical column order, with CRLF line ends.
 
     Floats use shortest round-trip formatting so parse(write(x)) == x
     bit-exactly.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.journal_id, rec.year, rec.citations, repr(rec.impact_factor), rec.articles]
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(COLUMNS)
+    for rec in records:
+        writer.writerow(
+            [rec.journal_id, rec.year, rec.citations, repr(rec.impact_factor), rec.articles]
+        )
+    return buf.getvalue()
+
+
+def write_csv(path: str | Path, records: Iterable[JournalYearRecord]) -> None:
+    """Write records as CSV in the canonical column order (see ``_csv_text``)."""
+    Path(path).write_text(_csv_text(records), encoding="utf-8", newline="")
 
 
 # --- workspace -------------------------------------------------------------
@@ -156,9 +162,10 @@ def _workspace_lock(workspace_dir: Path):
 
 
 def _atomic_write(path: Path, data: str) -> None:
+    """Replace ``path`` with ``data``, written as is (no newline translation)."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -233,15 +240,7 @@ def store_dataset(
         data_dir = workspace_dir / DATA_DIR
         data_dir.mkdir(exist_ok=True)
         target = data_dir / _dataset_filename(ranked.discipline, ranked.basis, ranked.year)
-        fd, tmp = tempfile.mkstemp(dir=data_dir, prefix=target.name, suffix=".tmp")
-        os.close(fd)
-        try:
-            write_csv(tmp, ranked.records)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(target, _csv_text(ranked.records))
 
         entry = {
             "discipline": ranked.discipline.value,

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,21 @@ class Basis(str, Enum):
 
     CITATIONS = "citations"
     IMPACT_FACTOR = "if"
+
+
+class Measure(str, Enum):
+    """Per-journal measures: the 1-based rank k, annual citations n, impact
+    factor I and citation rate r = n/N."""
+
+    RANK = "rank"
+    CITATIONS = "n"
+    IMPACT_FACTOR = "if"
+    RATE = "cr"
+
+
+def basis_measure(basis: Basis) -> Measure:
+    """The measure a set is ranked by."""
+    return Measure.CITATIONS if basis is Basis.CITATIONS else Measure.IMPACT_FACTOR
 
 
 class FitMethod(str, Enum):
@@ -94,11 +109,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def basis_value(record: JournalYearRecord, basis: Basis) -> float:
-    """Value of the ranking basis field for one record."""
-    if basis is Basis.CITATIONS:
-        return float(record.citations)
-    return float(record.impact_factor)
+def _rank_key(record: JournalYearRecord, basis: Basis) -> tuple[float, str]:
+    """Sort key of the ranking rule: basis value descending, ties by ascending id."""
+    value = record.citations if basis is Basis.CITATIONS else record.impact_factor
+    return (-float(value), record.journal_id)
 
 
 @dataclass(frozen=True)
@@ -139,11 +153,11 @@ class RankedSet:
             if rec.journal_id in seen:
                 raise ValidationError(f"duplicate journal_id {rec.journal_id!r}")
             seen.add(rec.journal_id)
-        for prev, cur in zip(self.records, self.records[1:]):
-            pv, cv = basis_value(prev, self.basis), basis_value(cur, self.basis)
-            if cv > pv or (cv == pv and cur.journal_id < prev.journal_id):
+        keys = [_rank_key(rec, self.basis) for rec in self.records]
+        for prev, cur in zip(keys, keys[1:]):
+            if cur < prev:
                 raise ValidationError(
-                    f"records out of order at {cur.journal_id!r}: "
+                    f"records out of order at {cur[1]!r}: "
                     "must be non-increasing in basis value, ties by ascending id"
                 )
 
@@ -173,15 +187,13 @@ class RankedSet:
             values={key: _read_only(col) for key, col in values.items()},
         )
 
-    def column(self, measure: str) -> np.ndarray:
+    def column(self, measure: Measure | str) -> np.ndarray:
         """One per-journal measure as a read-only float array in rank order.
 
-        ``measure`` is ``"rank"``, ``"n"`` (annual citations), ``"if"``
-        (impact factor), ``"cr"`` (citation rate n/N) or ``"articles"``, or a
-        ``str`` enum member with one of these values (``Measure``,
-        ``CorrelationField``). The rate is NaN for journals with no
-        articles, where it is undefined; every other column is defined for
-        every journal.
+        ``measure`` is a ``Measure`` or its value (``"rank"``, ``"n"``,
+        ``"if"``, ``"cr"``), or ``"articles"`` for the article count N. The
+        rate is NaN for journals with no articles, where it is undefined;
+        every other column is defined for every journal.
         """
         key = getattr(measure, "value", measure)
         try:
@@ -201,9 +213,6 @@ class RankedSet:
     def journal_ids(self) -> tuple[str, ...]:
         """Journal ids in rank order."""
         return tuple(self._columns.ids.tolist())
-
-    def basis_values(self) -> tuple[float, ...]:
-        return tuple(basis_value(rec, self.basis) for rec in self.records)
 
 
 @dataclass(frozen=True)
@@ -244,6 +253,16 @@ def join_rows(a: RankedSet, b: RankedSet) -> tuple[np.ndarray, np.ndarray, np.nd
     return common, ca.id_order[ia], cb.id_order[ib]
 
 
+def finite_samples(values: Sequence[float], what: str) -> np.ndarray:
+    """``values`` as a float array; ValidationError if it is empty or holds NaN or inf."""
+    x = np.asarray(values, dtype=float)
+    if x.size == 0:
+        raise ValidationError(f"no {what} given")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{what} must be finite")
+    return x
+
+
 def build_ranked_set(
     records: Iterable[JournalYearRecord],
     discipline: Discipline,
@@ -277,9 +296,7 @@ def build_ranked_set(
                 f"duplicate journal_id {rec.journal_id!r} with conflicting values"
             )
 
-    ordered = sorted(
-        by_id.values(), key=lambda r: (-basis_value(r, basis), r.journal_id)
-    )
+    ordered = sorted(by_id.values(), key=lambda r: _rank_key(r, basis))
     return RankedSet(
         discipline=discipline,
         basis=basis,

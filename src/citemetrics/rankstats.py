@@ -10,30 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import Basis, Discipline, FitMethod, FitResult, RankedSet, join_rows
+from .model import (
+    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, join_rows,
+)
 
 DEFAULT_K_MIN = 10
 BINS_PER_DECADE = 10
-
-
-class Measure(str, Enum):
-    """Plottable per-journal measures."""
-
-    CITATIONS = "n"
-    IMPACT_FACTOR = "if"
-    RATE = "cr"
-
-
-def basis_measure(basis: Basis) -> Measure:
-    """The measure a set is ranked by."""
-    return Measure.CITATIONS if basis is Basis.CITATIONS else Measure.IMPACT_FACTOR
 
 
 class SeriesLabel(NamedTuple):
@@ -176,6 +164,31 @@ def log_rank_bins(k_max: int, per_decade: int = BINS_PER_DECADE) -> np.ndarray:
     return edges
 
 
+def binned_mean(
+    x: np.ndarray, y: np.ndarray, edges: np.ndarray, centers: np.ndarray
+) -> list[tuple[float, float, float]]:
+    """(center, mean, standard error) of y over the x-bins, empty bins omitted.
+
+    Bin i holds edges[i] <= x < edges[i + 1]; the last bin also holds
+    x == edges[-1]. An x outside the edges, or NaN, falls in no bin.
+    ``centers`` labels bin i with ``centers[i]``.
+    """
+    idx = np.searchsorted(edges, x, side="right") - 1
+    idx[x == edges[-1]] = edges.size - 2
+    out = []
+    for i in range(edges.size - 1):
+        sel = y[idx == i]
+        if sel.size == 0:
+            continue
+        mean = float(sel.mean())
+        if sel.size < 2 or np.all(sel == sel[0]):
+            stderr = 0.0
+        else:
+            stderr = float(sel.std(ddof=1) / math.sqrt(sel.size))
+        out.append((float(centers[i]), mean, stderr))
+    return out
+
+
 def binned_rank_average(
     series: RankSeries, bin_edges: Sequence[float] | None = None
 ) -> list[tuple[float, float, float]]:
@@ -191,29 +204,14 @@ def binned_rank_average(
         edges = log_rank_bins(int(ranks.max()))
     else:
         edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValidationError("bin edges must be a strictly increasing 1-d sequence")
     if edges[0] > ranks.min() or edges[-1] < ranks.max():
         raise ValidationError(
             f"bins [{edges[0]}, {edges[-1]}] do not cover rank range "
             f"[{ranks.min():g}, {ranks.max():g}]"
         )
-
-    idx = np.searchsorted(edges, ranks, side="right") - 1
-    idx[ranks == edges[-1]] = edges.size - 2  # top edge belongs to the last bin
-    out = []
-    for i in range(edges.size - 1):
-        sel = values[idx == i]
-        if sel.size == 0:
-            continue
-        center = math.sqrt(edges[i] * edges[i + 1])
-        mean = float(sel.mean())
-        if sel.size < 2 or np.all(sel == sel[0]):
-            stderr = 0.0
-        else:
-            stderr = float(sel.std(ddof=1) / math.sqrt(sel.size))
-        out.append((center, mean, stderr))
-    return out
+    return binned_mean(ranks, values, edges, np.sqrt(edges[:-1] * edges[1:]))
 
 
 def write_series_csv(

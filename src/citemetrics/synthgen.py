@@ -241,7 +241,6 @@ def build_fixture(
     scaled_rates = _scaled_rate_draws(spec, count, rate_rng)
     rates = spec.rate_scale * scaled_rates
 
-    records = []
     if spec.basis is Basis.CITATIONS:
         citations = np.maximum(1, np.rint(basis_values).astype(np.int64))
         articles = np.maximum(1, np.rint(citations / rates).astype(np.int64))
@@ -252,16 +251,6 @@ def build_fixture(
             + spec.rate_coupling_sigma * side_rng.standard_normal(count)
         )
         impact = np.exp(ln_if)
-        for i in range(count):
-            records.append(
-                JournalYearRecord(
-                    journal_id=_journal_id(spec.discipline, int(members[i])),
-                    year=year,
-                    citations=int(citations[i]),
-                    impact_factor=float(impact[i]),
-                    articles=int(articles[i]),
-                )
-            )
     else:
         impact = basis_values
         articles = np.maximum(
@@ -274,16 +263,17 @@ def build_fixture(
             ).astype(np.int64),
         )
         citations = np.maximum(1, np.rint(articles * rates).astype(np.int64))
-        for i in range(count):
-            records.append(
-                JournalYearRecord(
-                    journal_id=_journal_id(spec.discipline, int(members[i])),
-                    year=year,
-                    citations=int(citations[i]),
-                    impact_factor=float(impact[i]),
-                    articles=int(articles[i]),
-                )
-            )
+
+    records = [
+        JournalYearRecord(
+            journal_id=_journal_id(spec.discipline, int(members[i])),
+            year=year,
+            citations=int(citations[i]),
+            impact_factor=float(impact[i]),
+            articles=int(articles[i]),
+        )
+        for i in range(count)
+    ]
 
     return build_ranked_set(
         records, spec.discipline, spec.basis, year, cap=_CAP

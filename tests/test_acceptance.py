@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from citemetrics.cli import run as cli_run
-from citemetrics.correlate import CorrelationField, cross_measure_correlation, dynamic_correlation, pearson
+from citemetrics.correlate import cross_measure_correlation, dynamic_correlation, pearson
 from citemetrics.distfit import (
     Scaling,
     empirical_pdf,
@@ -233,25 +233,25 @@ def test_criterion_7_correlation_suite():
 
     results = {}
     pair_targets = (
-        (FixtureProfile.SCI_SET_I, CorrelationField.CITATIONS, 0.996, 0.986, 0.01),
-        (FixtureProfile.SCI_SET_II, CorrelationField.IMPACT_FACTOR, 0.944, 0.923, 0.02),
+        (FixtureProfile.SCI_SET_I, Measure.CITATIONS, 0.996, 0.986, 0.01),
+        (FixtureProfile.SCI_SET_II, Measure.IMPACT_FACTOR, 0.944, 0.923, 0.02),
     )
     for profile, value_field, rank_target, value_target, tol in pair_targets:
         a = build_fixture(profile, 2005)
         b = build_fixture(profile, 2006)
-        rank_r = dynamic_correlation(a, b, CorrelationField.RANK).r_value
+        rank_r = dynamic_correlation(a, b, Measure.RANK).r_value
         value_r = dynamic_correlation(a, b, value_field).r_value
         assert abs(rank_r - rank_target) < tol, (profile, rank_r)
         assert abs(value_r - value_target) < tol, (profile, value_r)
         results[profile.value] = (rank_r, value_r)
 
     cross_targets = (
-        (FixtureProfile.SCI_SET_I, CorrelationField.IMPACT_FACTOR, 0.7187),
-        (FixtureProfile.SCI_SET_II, CorrelationField.CITATIONS, 0.4526),
+        (FixtureProfile.SCI_SET_I, Measure.IMPACT_FACTOR, 0.7187),
+        (FixtureProfile.SCI_SET_II, Measure.CITATIONS, 0.4526),
     )
     for profile, other, target in cross_targets:
         fixture = build_fixture(profile, 2005)
-        rep = cross_measure_correlation(fixture, other, CorrelationField.RATE)
+        rep = cross_measure_correlation(fixture, other, Measure.RATE)
         assert abs(rep.r_value - target) < 0.05, (profile, rep.r_value)
         results[f"{profile.value}:cross"] = rep.r_value
 

@@ -13,14 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetrics.correlate import (
-    CorrelationField,
     Transform,
     cross_measure_correlation,
     dynamic_correlation,
     pearson,
 )
 from citemetrics.errors import ValidationError
-from citemetrics.model import Basis, Discipline, JournalYearRecord, RankedSet, build_ranked_set
+from citemetrics.model import (
+    Basis,
+    Discipline,
+    JournalYearRecord,
+    Measure,
+    RankedSet,
+    build_ranked_set,
+)
 from citemetrics.rankstats import rank_scatter, set_overlap
 
 # Ids that differ only by trailing NULs, non-ASCII ids and a combining mark.
@@ -54,11 +60,11 @@ def ranked_pair(draw):
 def ref_values(ranked, field_):
     values = {}
     for pos, rec in enumerate(ranked.records, start=1):
-        if field_ is CorrelationField.RANK:
+        if field_ is Measure.RANK:
             values[rec.journal_id] = float(pos)
-        elif field_ is CorrelationField.CITATIONS:
+        elif field_ is Measure.CITATIONS:
             values[rec.journal_id] = float(rec.citations)
-        elif field_ is CorrelationField.IMPACT_FACTOR:
+        elif field_ is Measure.IMPACT_FACTOR:
             values[rec.journal_id] = float(rec.impact_factor)
         elif rec.articles > 0:
             values[rec.journal_id] = rec.citations / rec.articles
@@ -88,7 +94,7 @@ def ref_dynamic(a, b, field_):
         raise ValidationError(f"overlap of {count} journals is too small to correlate")
     va, vb = ref_values(a, field_), ref_values(b, field_)
     ids = [j for j in common if j in va and j in vb]
-    transform = Transform.RANK_RANK if field_ is CorrelationField.RANK else Transform.LOG_LOG
+    transform = Transform.RANK_RANK if field_ is Measure.RANK else Transform.LOG_LOG
     return pearson(
         [va[j] for j in ids], [vb[j] for j in ids], transform=transform,
         subjects=(ref_label(a, field_.value), ref_label(b, field_.value)),
@@ -113,7 +119,7 @@ def outcome(fn, *args):
         return ("error", str(exc))
 
 
-VALUE_FIELDS = [f for f in CorrelationField if f is not CorrelationField.RANK]
+VALUE_FIELDS = [f for f in Measure if f is not Measure.RANK]
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,7 +128,7 @@ def test_joins_and_correlations_match_dict_reference(pair):
     a, b = pair
     assert set_overlap(a, b) == ref_overlap(a, b)
     assert rank_scatter(a, b) == ref_rank_scatter(a, b)
-    for field_ in CorrelationField:
+    for field_ in Measure:
         assert outcome(dynamic_correlation, a, b, field_) == outcome(ref_dynamic, a, b, field_)
     for ranked in (a, b):
         for mx in VALUE_FIELDS:
@@ -167,7 +173,7 @@ class TestColumns:
     def test_values_in_rank_order(self):
         ranked = make_set()
         assert ranked.column("rank").tolist() == [1.0, 2.0, 3.0]
-        assert ranked.column(CorrelationField.CITATIONS).tolist() == [30.0, 20.0, 0.0]
+        assert ranked.column(Measure.CITATIONS).tolist() == [30.0, 20.0, 0.0]
         assert ranked.column("if").tolist() == [2.5, 0.0, 1.0]
         assert ranked.column("articles").tolist() == [10.0, 0.0, 3.0]
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from citemetrics.correlate import (
-    CorrelationField,
     CorrelationReport,
     Transform,
     binned_trend,
@@ -14,7 +13,7 @@ from citemetrics.correlate import (
     pearson,
 )
 from citemetrics.errors import ValidationError
-from citemetrics.model import Basis, Discipline, JournalYearRecord, build_ranked_set
+from citemetrics.model import Basis, Discipline, JournalYearRecord, Measure, build_ranked_set
 
 
 def naive_r(xs, ys):
@@ -103,7 +102,7 @@ class TestDynamicCorrelation:
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(65)
         ranked = make_set(rng.integers(100, 10**6, 300))
-        for field in CorrelationField:
+        for field in Measure:
             rep = dynamic_correlation(ranked, ranked, field)
             assert rep.r_value == pytest.approx(1.0, abs=1e-12)
 
@@ -111,16 +110,16 @@ class TestDynamicCorrelation:
         a = make_set(range(100, 50, -1), basis=Basis.CITATIONS)
         b = make_set(range(100, 50, -1), basis=Basis.IMPACT_FACTOR)
         with pytest.raises(ValidationError, match="matching"):
-            dynamic_correlation(a, b, CorrelationField.RANK)
+            dynamic_correlation(a, b, Measure.RANK)
 
     def test_rank_field_uses_rank_transform(self):
         ranked = make_set(range(500, 400, -1))
-        rep = dynamic_correlation(ranked, ranked, CorrelationField.RANK)
+        rep = dynamic_correlation(ranked, ranked, Measure.RANK)
         assert rep.transform is Transform.RANK_RANK
 
     def test_value_fields_use_log_transform(self):
         ranked = make_set(range(500, 400, -1))
-        rep = dynamic_correlation(ranked, ranked, CorrelationField.CITATIONS)
+        rep = dynamic_correlation(ranked, ranked, Measure.CITATIONS)
         assert rep.transform is Transform.LOG_LOG
 
 
@@ -129,14 +128,14 @@ class TestCrossMeasure:
         rng = np.random.default_rng(66)
         ranked = make_set(rng.integers(100, 10**6, 200))
         rep = cross_measure_correlation(
-            ranked, CorrelationField.CITATIONS, CorrelationField.CITATIONS
+            ranked, Measure.CITATIONS, Measure.CITATIONS
         )
         assert rep.r_value == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_not_a_measure_here(self):
         ranked = make_set(range(100, 50, -1))
         with pytest.raises(ValidationError):
-            cross_measure_correlation(ranked, CorrelationField.RANK, CorrelationField.RATE)
+            cross_measure_correlation(ranked, Measure.RANK, Measure.RATE)
 
 
 class TestBinnedTrend:
@@ -171,6 +170,18 @@ class TestBinnedTrend:
         rows = binned_trend([1.0, 9.0], [5.0, 6.0], bin_edges=[0, 2, 4, 6, 8, 10])
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("edges", [None, [0.0, 5.0, 10.0]])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad, edges):
+        with pytest.raises(ValidationError, match="xs must be finite"):
+            binned_trend([1.0, bad, 9.0], [5.0, 6.0, 7.0], bin_edges=edges)
+        with pytest.raises(ValidationError, match="ys must be finite"):
+            binned_trend([1.0, 2.0, 9.0], [5.0, bad, 7.0], bin_edges=edges)
+
+    def test_nan_edges_rejected(self):
+        with pytest.raises(ValidationError, match="increasing"):
+            binned_trend([1.0, 9.0], [5.0, 6.0], bin_edges=[0.0, math.nan, 10.0])
+
 
 class TestCorrelationMatrix:
     def make_years(self, years, seed=69):
@@ -183,20 +194,20 @@ class TestCorrelationMatrix:
 
     def test_two_years_reduce_to_dynamic_correlation(self):
         sets = self.make_years([2000, 2001])
-        years, cells = correlation_matrix(sets, CorrelationField.CITATIONS)
-        direct = dynamic_correlation(sets[0], sets[1], CorrelationField.CITATIONS)
+        years, cells = correlation_matrix(sets, Measure.CITATIONS)
+        direct = dynamic_correlation(sets[0], sets[1], Measure.CITATIONS)
         assert years == (2000, 2001)
         assert cells[(2000, 2001)].r_value == pytest.approx(direct.r_value, abs=1e-15)
 
     def test_diagonal_is_unit(self):
         sets = self.make_years([2000, 2001, 2002])
-        _, cells = correlation_matrix(sets, CorrelationField.RANK)
+        _, cells = correlation_matrix(sets, Measure.RANK)
         for year in (2000, 2001, 2002):
             assert cells[(year, year)].r_value == 1.0
 
     def test_symmetry(self):
         sets = self.make_years([2000, 2001, 2002])
-        years, cells = correlation_matrix(sets, CorrelationField.CITATIONS)
+        years, cells = correlation_matrix(sets, Measure.CITATIONS)
         for yi in years:
             for yj in years:
                 a, b = cells[(yi, yj)], cells[(yj, yi)]
@@ -206,14 +217,14 @@ class TestCorrelationMatrix:
         a = make_set(range(100, 90, -1), year=2000)
         records = [JournalYearRecord(f"K{i}", 2001, 10 + i, 1.0, 5) for i in range(10)]
         b = build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2001)
-        _, cells = correlation_matrix([a, b], CorrelationField.RANK)
+        _, cells = correlation_matrix([a, b], Measure.RANK)
         assert isinstance(cells[(2000, 2001)], str)
 
     def test_needs_two_years(self):
         with pytest.raises(ValidationError):
-            correlation_matrix(self.make_years([2000]), CorrelationField.RANK)
+            correlation_matrix(self.make_years([2000]), Measure.RANK)
 
     def test_duplicate_years_rejected(self):
         sets = self.make_years([2000, 2000])
         with pytest.raises(ValidationError, match="duplicate"):
-            correlation_matrix(sets, CorrelationField.RANK)
+            correlation_matrix(sets, Measure.RANK)

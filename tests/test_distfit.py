@@ -62,6 +62,12 @@ class TestEmpiricalPdf:
         with pytest.raises(ValidationError, match="degenerate"):
             empirical_pdf([3.0] * 10)
 
+    @pytest.mark.parametrize("binning", ["log", "linear"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, bad, binning):
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            empirical_pdf([1.0, 2.0, bad, 3.0], binning=binning)
+
     def test_unknown_binning_rejected(self):
         with pytest.raises(ValidationError, match="binning"):
             empirical_pdf([1.0, 2.0], binning="sqrt")
@@ -140,6 +146,16 @@ class TestParetoTailFit:
     def test_non_positive_samples_rejected(self):
         with pytest.raises(ValidationError):
             pareto_tail_fit([1.0, -2.0, 3.0], x_min=0.5)
+
+    @pytest.mark.parametrize("x_min", [None, 1.0])
+    @pytest.mark.parametrize(
+        "samples, message",
+        [([], "no samples given"), ([1.0, 2.0, math.inf], "finite"), ([1.0, math.nan, 2.0], "finite")],
+        ids=["empty", "inf", "nan"],
+    )
+    def test_empty_or_non_finite_samples_rejected(self, samples, message, x_min):
+        with pytest.raises(ValidationError, match=message):
+            pareto_tail_fit(samples, x_min=x_min)
 
     @pytest.mark.parametrize("x_min", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_or_non_positive_x_min_rejected(self, x_min):
@@ -500,6 +516,15 @@ class TestGumbelCurveKs:
         result = gumbel_curve_ks(rates, GumbelParams(2.5, 0.1), 12)
         assert not result["pass"]
         assert result["D"] > 0.5
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [([], "no rates given"), ([0.5, 1.0, math.inf], "finite"), ([0.5, math.nan, 2.0], "finite")],
+        ids=["empty", "inf", "nan"],
+    )
+    def test_empty_or_non_finite_rates_rejected(self, rates, message):
+        with pytest.raises(ValidationError, match=message):
+            gumbel_curve_ks(rates, GumbelParams(-0.5, 0.65), 12)
 
     @pytest.mark.parametrize("log_base", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
     def test_bad_log_base_rejected(self, log_base):

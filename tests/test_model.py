@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citemetrics.errors import ValidationError
 from citemetrics.model import (
@@ -120,6 +122,36 @@ class TestRankingProperties:
         for _ in range(5):
             shuffled = [records[i] for i in rng.permutation(len(records))]
             assert build_ranked_set(shuffled, Discipline.SCI, Basis.CITATIONS, 2000) == baseline
+
+
+@st.composite
+def record_lists(draw):
+    """Unique-id records of one year with tied and untied basis values."""
+    ids = draw(st.lists(st.sampled_from(["a", "a\x00", "b", "B", "J01", "J1", "\u00e9", "z"]),
+                        min_size=2, max_size=8, unique=True))
+    return [
+        rec(jid, citations=draw(st.integers(0, 4) | st.integers(0, 2**60)),
+            impact=draw(st.sampled_from([0.0, 1.5, 2.0]) | st.floats(0, 1e6)))
+        for jid in ids
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=record_lists(), basis=st.sampled_from(Basis), data=st.data())
+def test_built_sets_validate_and_any_adjacent_swap_is_rejected(records, basis, data):
+    ranked = build_ranked_set(records, Discipline.SCI, basis, 2000)
+    assert RankedSet(Discipline.SCI, basis, 2000, ranked.records) == ranked
+    i = data.draw(st.integers(0, len(ranked) - 2))
+    swapped = list(ranked.records)
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    # ids are unique, so adjacent sort keys always differ
+    message = (
+        f"records out of order at {ranked.records[i].journal_id!r}: "
+        "must be non-increasing in basis value, ties by ascending id"
+    )
+    with pytest.raises(ValidationError) as err:
+        RankedSet(Discipline.SCI, basis, 2000, tuple(swapped))
+    assert str(err.value) == message
 
 
 class TestRankedSetInvariants:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from citemetrics.correlate import CorrelationField, dynamic_correlation
+from citemetrics.correlate import dynamic_correlation
 from citemetrics.distfit import (
     Scaling,
     empirical_pdf,
@@ -174,7 +174,7 @@ class TestBuildFixture:
     def test_citations_basis_rank_correlation_is_strong(self):
         a = build_fixture(FixtureProfile.SCI_SET_I, 2005)
         b = build_fixture(FixtureProfile.SCI_SET_I, 2006)
-        rep = dynamic_correlation(a, b, CorrelationField.RANK)
+        rep = dynamic_correlation(a, b, Measure.RANK)
         assert rep.r_value >= 0.98
 
     def test_metadata_fields(self):
