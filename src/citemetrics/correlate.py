@@ -173,8 +173,8 @@ def binned_trend(
         edges = np.linspace(lo, hi, n_bins + 1)
     else:
         edges = np.asarray(bin_edges, dtype=float)
-        if edges.size < 2 or not np.all(np.diff(edges) > 0):
-            raise ValidationError("bin edges must be strictly increasing")
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValidationError("bin edges must be a strictly increasing 1-d sequence")
     return binned_mean(x, y, edges, 0.5 * (edges[:-1] + edges[1:]))
 
 

@@ -195,13 +195,18 @@ def pareto_tail_fit(
             raise ValidationError("degenerate sample: all values equal")
         n_candidates = max(2, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
         candidates = np.logspace(math.log10(lo), math.log10(hi), n_candidates + 1)[:-1]
+        # Candidates ascend, so each tail is filtered from the one before: the
+        # same elements in the same order as x[x >= cand], hence the same MLE
+        # sum. Its sorted copy is the matching suffix of x sorted once.
+        xs = np.sort(x)
+        tail = x
         best = None
         for cand in candidates.tolist():
-            tail = x[x >= cand]
+            tail = tail[tail >= cand]
             if tail.size < min_tail:
-                continue
+                break
             g = _pareto_mle(tail, cand)
-            d = ks_statistic_samples(tail, lambda t: 1.0 - (cand / t) ** (g - 1.0))
+            d = _ks_sorted(xs[xs.size - tail.size:], lambda t: 1.0 - (cand / t) ** (g - 1.0))
             if best is None or d < best[0]:
                 best = (d, cand, g, tail)
         if best is None:
@@ -586,16 +591,21 @@ def ks_statistic(
     return float(np.max(np.abs(np.asarray(f_e) - np.asarray(f_m))))
 
 
-def ks_statistic_samples(samples: Sequence[float], model_cdf: Callable) -> float:
-    """KS distance of raw samples against a model CDF callable."""
-    x = np.sort(np.asarray(samples, dtype=float))
+def _ks_sorted(x: np.ndarray, model_cdf: Callable) -> float:
+    """KS distance of a non-empty, ascending, finite sample against a model CDF."""
     n = x.size
-    if n == 0:
-        raise ValidationError("empty sample")
     f = np.asarray(model_cdf(x), dtype=float)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(max(np.max(upper - f), np.max(f - lower)))
+
+
+def ks_statistic_samples(samples: Sequence[float], model_cdf: Callable) -> float:
+    """KS distance of raw samples against a model CDF callable.
+
+    ValidationError if the sample is empty or holds NaN or inf.
+    """
+    return _ks_sorted(np.sort(finite_samples(samples, "samples")), model_cdf)
 
 
 def gumbel_curve_ks(

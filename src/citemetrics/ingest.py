@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ValidationError, WorkspaceError
-from .model import Basis, Discipline, JournalYearRecord, RankedSet
+from .model import MAX_FLOAT_INT, Basis, Discipline, JournalYearRecord, RankedSet
 
 COLUMNS = ("journal_id", "year", "citations", "impact_factor", "articles")
 MANIFEST_NAME = "manifest.json"
@@ -48,6 +48,11 @@ def _parse_int(text: str, column: str, line_no: int) -> int:
         ) from None
     if value < 0:
         raise ValidationError(f"line {line_no}: column {column!r} must be >= 0, got {value}")
+    if value > MAX_FLOAT_INT:
+        raise ValidationError(
+            f"line {line_no}: column {column!r} exceeds the float range (about 1.8e308), "
+            f"got a {len(str(value))}-digit integer"
+        )
     return value
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_CAP = 1000
+# The largest integer whose float is finite: 2**1024 - 2**970 rounds up to 2**1024.
+MAX_FLOAT_INT = 2**1024 - 2**970 - 1
 
 
 class Discipline(str, Enum):
@@ -87,6 +89,11 @@ class JournalYearRecord:
             raise ValidationError(
                 f"{self.journal_id!r}: articles must be a non-negative integer, "
                 f"got {self.articles!r}"
+            )
+        if self.citations > MAX_FLOAT_INT or self.articles > MAX_FLOAT_INT:
+            name = "citations" if self.citations > MAX_FLOAT_INT else "articles"
+            raise ValidationError(
+                f"{self.journal_id!r}: {name} exceeds the float range (about 1.8e308)"
             )
         if not math.isfinite(self.impact_factor) or self.impact_factor < 0:
             raise ValidationError(

@@ -22,6 +22,7 @@ from .model import (
 
 DEFAULT_K_MIN = 10
 BINS_PER_DECADE = 10
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class SeriesLabel(NamedTuple):
@@ -34,6 +35,21 @@ class SeriesLabel(NamedTuple):
         return f"{self.discipline.value}:{self.basis.value}:{self.year}:{self.measure.value}"
 
 
+def _ranks_ok(ranks: Sequence[int]) -> bool:
+    """True if ``ranks`` are strictly increasing integers in 1..int64 max."""
+    try:
+        k = np.asarray(ranks)
+    except ValueError:  # ragged nesting
+        return False
+    return (
+        k.dtype.kind in "biu"
+        and k.ndim == 1
+        and k[0] >= 1
+        and k[-1] <= _INT64_MAX
+        and bool(np.all(k[1:] > k[:-1]))
+    )
+
+
 @dataclass(frozen=True)
 class RankSeries:
     """Aligned (rank, value) pairs for one labelled measure.
@@ -42,6 +58,11 @@ class RankSeries:
     undefined may be absent). When the measure is the one the set was ranked
     by, values must be non-increasing in rank; other measures scattered
     against the same ranks are free to fluctuate.
+
+    Both fields are checked as arrays. Ranks may be Python or numpy integers
+    (or bools, as Python counts them) up to the int64 maximum; values are
+    compared as floats. Neither array is kept: at n = 1e6 the tuples and a
+    cached copy would both stay alive as long as the series does.
     """
 
     ranks: tuple[int, ...]
@@ -49,24 +70,22 @@ class RankSeries:
     label: SeriesLabel
 
     def __post_init__(self):
-        if len(self.ranks) != len(self.values):
+        n = len(self.ranks)
+        if n != len(self.values):
             raise ValidationError("ranks and values must have equal length")
-        if not self.ranks:
+        if not n:
             raise ValidationError("a RankSeries cannot be empty")
-        prev = 0
-        for k in self.ranks:
-            if not isinstance(k, int) or k <= prev:
-                raise ValidationError("ranks must be strictly increasing integers >= 1")
-            prev = k
-        for v in self.values:
-            if not (v > 0) or not math.isfinite(v):
-                raise ValidationError(f"series values must be positive and finite, got {v!r}")
-        if self.label.measure is basis_measure(self.label.basis):
-            vals = self.values
-            if any(b > a for a, b in zip(vals, vals[1:])):
-                raise ValidationError(
-                    "values of the ranking measure must be non-increasing in rank"
-                )
+        if not _ranks_ok(self.ranks):
+            raise ValidationError("ranks must be strictly increasing integers >= 1")
+        v = np.fromiter(self.values, float, count=n)
+        ok = (v > 0) & np.isfinite(v)
+        if not ok.all():
+            bad = self.values[int(np.argmin(ok))]
+            raise ValidationError(f"series values must be positive and finite, got {bad!r}")
+        if self.label.measure is basis_measure(self.label.basis) and np.any(v[1:] > v[:-1]):
+            raise ValidationError(
+                "values of the ranking measure must be non-increasing in rank"
+            )
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -108,8 +127,8 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
     ordinary least-squares standard error of the slope. Small ranks are
     excluded because the top of the ranking is nearly rank-independent.
     """
-    ranks = np.asarray(series.ranks, dtype=float)
-    values = np.asarray(series.values, dtype=float)
+    ranks = np.fromiter(series.ranks, dtype=float, count=len(series))
+    values = np.fromiter(series.values, dtype=float, count=len(series))
     keep = ranks > k_min
     if int(keep.sum()) < 10:
         raise ValidationError(

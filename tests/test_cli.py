@@ -231,6 +231,20 @@ class TestErrorPaths:
         assert "line 3" in captured.err and "finite" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("basis", ["citations", "if"])
+    def test_citations_beyond_float_range_is_exit_2_with_line(self, tmp_path, capsys, basis):
+        csv = tmp_path / "big.csv"
+        csv.write_text(
+            "journal_id,year,citations,impact_factor,articles\n"
+            f"A,2005,10,1.0,2\nB,2005,{'9' * 400},0.5,2\n"
+        )
+        captured = invoke(
+            capsys, "ingest", "--workspace", str(tmp_path / "ws"), "--input", str(csv),
+            "--discipline", "sci", "--basis", basis, "--year", "2005", expect=2,
+        )
+        assert "line 3" in captured.err and "float range" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -166,6 +166,10 @@ class TestBinnedTrend:
             assert mean == pytest.approx(sel.mean(), abs=1e-12)
             assert stderr == pytest.approx(sel.std(ddof=1) / math.sqrt(sel.size), abs=1e-12)
 
+    def test_two_dimensional_edges_rejected(self):
+        with pytest.raises(ValidationError, match="1-d"):
+            binned_trend([0.5, 2.5], [1.0, 2.0], bin_edges=[[0, 1], [2, 3]])
+
     def test_empty_bins_omitted(self):
         rows = binned_trend([1.0, 9.0], [5.0, 6.0], bin_edges=[0, 2, 4, 6, 8, 10])
         assert len(rows) == 2

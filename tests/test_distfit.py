@@ -477,6 +477,11 @@ class TestKsStatistic:
         d = ks_statistic_samples(samples, lambda x: np.clip(x, 0, 1))
         assert 0 < d < 0.03
 
+    @pytest.mark.parametrize("samples", [[1.0, math.nan], [math.inf, 1.0], []])
+    def test_sample_mode_rejects_non_finite_and_empty(self, samples):
+        with pytest.raises(ValidationError):
+            ks_statistic_samples(samples, lambda x: np.clip(x, 0, 1))
+
 
 class TestKsCriticalValue:
     def test_reference_small_sample_values(self):

@@ -79,6 +79,16 @@ class TestParseCsv:
         with pytest.raises(ValidationError, match="line 2.*citations"):
             parse_csv(f)
 
+    @pytest.mark.parametrize("column", ["year", "citations", "articles"])
+    def test_integer_beyond_float_range_reports_line(self, tmp_path, column):
+        cells = {"year": "2000", "citations": "1", "articles": "1"}
+        cells[column] = "9" * 400
+        f = tmp_path / "t.csv"
+        row = f"B,{cells['year']},{cells['citations']},1.0,{cells['articles']}"
+        write_table(f, ["A,2000,1,1.0,1", row])
+        with pytest.raises(ValidationError, match=f"line 3: column '{column}' exceeds the float range"):
+            parse_csv(f)
+
     def test_missing_column_named(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("journal_id,year,citations,impact_factor\nA,2000,1,1.0\n")

@@ -1,21 +1,24 @@
 """Shared numeric kernels against test-local copies of the loops they replaced.
 
-``binned_rank_average`` and ``binned_trend`` share ``rankstats.binned_mean``,
-and the Pareto auto-``x_min`` scan measures each candidate with
-``ks_statistic_samples``. The references below are the former per-function
-loops, copied unchanged; every property requires equal results (``==``).
+``binned_rank_average`` and ``binned_trend`` share ``rankstats.binned_mean``;
+the Pareto auto-``x_min`` scan sorts the sample once and measures each
+candidate on a suffix of it; ``RankSeries`` checks its fields as arrays. The
+references below are the former loops, copied unchanged; every property
+requires equal results (``==``) or the same error message.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citemetrics import distfit
 from citemetrics.correlate import binned_trend
 from citemetrics.distfit import pareto_tail_fit
 from citemetrics.errors import ValidationError
-from citemetrics.model import Basis, Discipline, Measure
+from citemetrics.model import Basis, Discipline, Measure, basis_measure
 from citemetrics.rankstats import (
     RankSeries,
     SeriesLabel,
@@ -225,3 +228,128 @@ def test_pareto_auto_xmin_equals_former_scan(gamma, x_min, count, seed, min_tail
     if decimals is not None:  # ties, and tails that sit on a candidate
         samples = np.maximum(np.round(samples, decimals), 10.0**-decimals)
     assert outcome(fit_triple, samples, min_tail) == outcome(former_pareto_auto, samples, min_tail)
+
+
+def scan_candidates(samples):
+    lo, hi = float(np.min(samples)), float(np.max(samples))
+    n_candidates = max(2, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
+    return np.logspace(math.log10(lo), math.log10(hi), n_candidates + 1)[:-1]
+
+
+pareto_samples = st.builds(
+    lambda gamma, x_min, count, seed, decimals: (
+        sample_pareto(gamma, x_min, count, seed) if decimals is None
+        else np.maximum(np.round(sample_pareto(gamma, x_min, count, seed), decimals),
+                        10.0**-decimals)
+    ),
+    st.floats(1.3, 4.0), st.floats(0.01, 100.0), st.integers(20, 600),
+    st.integers(0, 2**32 - 1), st.none() | st.integers(0, 2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=pareto_samples, min_tail=st.sampled_from([5, 20, 50]))
+def test_pareto_scan_ks_distances_lie_in_unit_interval(samples, min_tail):
+    seen = []
+    measure = distfit._ks_sorted
+
+    def record(x, model_cdf):
+        seen.append(measure(x, model_cdf))
+        return seen[-1]
+
+    with mock.patch.object(distfit, "_ks_sorted", record):
+        outcome(pareto_tail_fit, samples, min_tail=min_tail)
+    assert all(0.0 <= d <= 1.0 for d in seen)
+
+
+def test_pareto_scan_equals_former_scan_at_1e5_with_ties_and_early_stop():
+    samples = sample_pareto(2.43, 1.0, 100_000, 20101000)
+    candidates = scan_candidates(samples)
+    # Put 40 samples exactly on each of five candidate cutoffs, away from the
+    # sample's minimum and maximum so the candidates stay the same.
+    inner = np.flatnonzero((samples > samples.min()) & (samples < samples.max()))
+    for j, cand in enumerate(candidates[[1, 5, 10, 20, 30]]):
+        samples[inner[40 * j:40 * (j + 1)]] = cand
+    assert np.array_equal(scan_candidates(samples), candidates)
+    assert all(np.any(samples == c) for c in candidates[[1, 5, 10, 20, 30]])
+    for min_tail in (50, 20_000):
+        assert outcome(fit_triple, samples, min_tail) == outcome(
+            former_pareto_auto, samples, min_tail
+        )
+    # with 20 000 the last candidates leave too few samples and end the scan
+    assert np.sum(samples >= candidates[-1]) < 20_000 <= np.sum(samples >= candidates[1])
+
+
+# --- former RankSeries loops ------------------------------------------------------
+
+
+def former_rank_series_check(ranks, values, label):
+    if len(ranks) != len(values):
+        raise ValidationError("ranks and values must have equal length")
+    if not ranks:
+        raise ValidationError("a RankSeries cannot be empty")
+    prev = 0
+    for k in ranks:
+        if not isinstance(k, int) or k <= prev:
+            raise ValidationError("ranks must be strictly increasing integers >= 1")
+        prev = k
+    for v in values:
+        if not (v > 0) or not math.isfinite(v):
+            raise ValidationError(f"series values must be positive and finite, got {v!r}")
+    if label.measure is basis_measure(label.basis):
+        vals = values
+        if any(b > a for a, b in zip(vals, vals[1:])):
+            raise ValidationError(
+                "values of the ranking measure must be non-increasing in rank"
+            )
+    return "ok"
+
+
+def new_rank_series_check(ranks, values, label):
+    RankSeries(ranks, values, label)
+    return "ok"
+
+
+# Mostly increasing ranks, with a bool, a float or a repeat mixed in; integer
+# values stay below 2**53, where Python and float comparisons agree.
+rank_items = st.integers(-2, 40) | st.booleans() | st.sampled_from([1.0, 2.0, 2.5])
+rank_tuples = (
+    st.sets(st.integers(1, 40), max_size=12).map(lambda r: tuple(sorted(r)))
+    | st.lists(rank_items, max_size=8).map(tuple)
+    | st.tuples(st.booleans(), st.integers(-1, 4), st.integers(2, 6))
+)
+value_items = (
+    st.integers(-3, 2**53)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0, 0.0, -0.0, -1, math.nan, math.inf, -math.inf, 1, 1.0, True])
+)
+series_labels = st.sampled_from([
+    LABEL,
+    SeriesLabel(Discipline.SCI, Basis.CITATIONS, 2000, Measure.CITATIONS),
+    SeriesLabel(Discipline.SCI, Basis.IMPACT_FACTOR, 2000, Measure.IMPACT_FACTOR),
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(ranks=rank_tuples, data=st.data(), label=series_labels)
+def test_rank_series_checks_equal_former_loops(ranks, data, label):
+    n = len(ranks) + data.draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    values = data.draw(
+        st.lists(value_items, min_size=max(n, 0), max_size=max(n, 0))
+        | st.lists(st.floats(1e-3, 1e6) | st.integers(1, 10**6),
+                   min_size=max(n, 0), max_size=max(n, 0)).map(
+            lambda v: sorted(v, reverse=True))
+    )
+    values = tuple(values)
+    assert outcome(new_rank_series_check, ranks, values, label) == outcome(
+        former_rank_series_check, ranks, values, label
+    )
+
+
+def test_rank_series_accepts_numpy_integers_and_rejects_beyond_int64():
+    series = RankSeries((np.int64(1), np.uint8(2), 3), (3.0, 2.0, 1.0), LABEL)
+    assert len(series) == 3
+    for ranks in [(2**63,), (1, 2**63), (1, 2**64)]:
+        assert outcome(new_rank_series_check, ranks, (1.0,) * len(ranks), LABEL) == (
+            "error", "ranks must be strictly increasing integers >= 1"
+        )

@@ -9,6 +9,7 @@ from citemetrics.model import (
     Discipline,
     FitMethod,
     FitResult,
+    MAX_FLOAT_INT,
     JournalYearRecord,
     RankedSet,
     build_ranked_set,
@@ -42,6 +43,14 @@ class TestRecordValidation:
     def test_rejects_non_integer_counts(self):
         with pytest.raises(ValidationError):
             rec("J", citations=1.5)
+
+    @pytest.mark.parametrize("field", ["citations", "articles"])
+    def test_counts_must_fit_a_float(self, field):
+        assert np.isfinite(float(getattr(rec("J", **{field: MAX_FLOAT_INT}), field)))
+        with pytest.raises(ValidationError, match=f"{field} exceeds the float range"):
+            rec("J", **{field: MAX_FLOAT_INT + 1})
+        with pytest.raises(OverflowError):
+            float(MAX_FLOAT_INT + 1)
 
 
 class TestBuildRankedSet:
