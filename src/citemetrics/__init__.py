@@ -11,6 +11,7 @@ from .model import (
     Discipline,
     FitMethod,
     FitResult,
+    JournalTable,
     JournalYearRecord,
     Measure,
     RankedSet,

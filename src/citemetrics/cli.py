@@ -167,7 +167,7 @@ def _curve_points(ranked: RankedSet) -> int:
 
 
 def _cmd_ingest(args) -> None:
-    records = parse_csv(args.input)
+    records = parse_csv(args.input).records()
     discipline = Discipline(args.discipline)
     basis = Basis(args.basis)
     ranked = build_ranked_set(records, discipline, basis, args.year, cap=args.top)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import Measure, RankedSet, finite_samples, join_rows
+from .model import Measure, RankedSet, finite_samples, id_positions, join_codes, join_rows
 from .rankstats import binned_mean
 
 MIN_PAIRS = 2
@@ -103,17 +103,23 @@ def _label(ranked: RankedSet, field_name: str) -> str:
 
 
 def dynamic_correlation(
-    year_a: RankedSet, year_b: RankedSet, field_: Measure
+    year_a: RankedSet,
+    year_b: RankedSet,
+    field_: Measure,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CorrelationReport:
     """Correlation of one field across two years, over the common journals.
 
-    Ranks correlate as rank pairs; values correlate on log scale.
+    Ranks correlate as rank pairs; values correlate on log scale. ``rows``
+    are the common journals' rank positions in each year, by ascending id,
+    for a caller that has joined the pair already; by default the pair is
+    joined here.
     """
     if year_a.basis is not year_b.basis or year_a.discipline is not year_b.discipline:
         raise ValidationError("dynamic correlation requires matching discipline and basis")
-    common, rows_a, rows_b = join_rows(year_a, year_b)
-    if common.size < MIN_PAIRS:
-        raise ValidationError(f"overlap of {common.size} journals is too small to correlate")
+    rows_a, rows_b = join_rows(year_a, year_b)[1:] if rows is None else rows
+    if rows_a.size < MIN_PAIRS:
+        raise ValidationError(f"overlap of {rows_a.size} journals is too small to correlate")
     xs = year_a.column(field_)[rows_a]
     ys = year_b.column(field_)[rows_b]
     defined = ~(np.isnan(xs) | np.isnan(ys))
@@ -186,6 +192,7 @@ def correlation_matrix(
     Returns the sorted years and a cell map keyed by (year_i, year_j).
     Diagonal cells are exact R = 1 reports; failed cells carry the error
     message instead of a report. The matrix is symmetric by construction.
+    Each pair is joined on integer id codes numbered once for all the sets.
     """
     if len(ranked_sets) < 2:
         raise ValidationError("need at least two years for a correlation matrix")
@@ -193,6 +200,8 @@ def correlation_matrix(
     if len(by_year) != len(ranked_sets):
         raise ValidationError("duplicate years in correlation matrix input")
     years = tuple(sorted(by_year))
+    _, positions = id_positions([by_year[y] for y in years])
+    rows_of = dict(zip(years, positions))
     cells: dict[tuple[int, int], CorrelationReport | str] = {}
     for yi in years:
         for yj in years:
@@ -211,7 +220,8 @@ def correlation_matrix(
                 )
                 continue
             try:
-                cells[(yi, yj)] = dynamic_correlation(by_year[yi], by_year[yj], field_)
+                rows = join_codes(rows_of[yi], rows_of[yj])[1:]
+                cells[(yi, yj)] = dynamic_correlation(by_year[yi], by_year[yj], field_, rows)
             except ValidationError as exc:
                 cells[(yi, yj)] = str(exc)
     return years, cells

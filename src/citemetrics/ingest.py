@@ -30,7 +30,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ValidationError, WorkspaceError
-from .model import MAX_FLOAT_INT, Basis, Discipline, JournalYearRecord, RankedSet
+from .model import (
+    MAX_FLOAT_INT, Basis, Discipline, JournalTable, JournalYearRecord, RankedSet,
+)
 
 COLUMNS = ("journal_id", "year", "citations", "impact_factor", "articles")
 MANIFEST_NAME = "manifest.json"
@@ -70,59 +72,104 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
     return value
 
 
-def parse_csv(path: str | Path) -> list[JournalYearRecord]:
-    """Parse a journal-year CSV into records, validating every field.
+def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
+    """Parse a journal-year CSV into a table, validating every field.
 
     Fields are whitespace-trimmed; numerics use the dot decimal separator
-    regardless of locale. Unknown extra columns are ignored with a warning.
-    Errors carry the 1-based line number of the offending row.
+    regardless of locale. Blank rows are skipped. Unknown extra columns are
+    ignored with a warning. Errors carry the 1-based line number of the
+    offending row. ``data`` is the file's content when the caller has read
+    it already; ``path`` then only names the file in messages.
     """
     path = Path(path)
+    if data is not None:
+        return _parse_lines(path, io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in COLUMNS if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
-        extra = [h for h in header if h not in COLUMNS]
-        if extra:
-            warnings.warn(
-                f"{path}: ignoring extra column(s) {', '.join(extra)}", stacklevel=2
-            )
-        index = {c: header.index(c) for c in COLUMNS}
-        i_id, i_year, i_cit, i_if, i_art = (index[c] for c in COLUMNS)
-        width = len(header)
+        return _parse_lines(path, fh)
 
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            # A full-width row with an id can be neither blank nor short.
-            if len(row) < width or not row[i_id].strip():
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < width:
-                    raise ValidationError(
-                        f"line {line_no}: expected {width} fields, got {len(row)}"
-                    )
-            records.append(
-                JournalYearRecord(
-                    row[i_id].strip(),
-                    _parse_int(row[i_year].strip(), "year", line_no),
-                    _parse_int(row[i_cit].strip(), "citations", line_no),
-                    _parse_float(row[i_if].strip(), "impact_factor", line_no),
-                    _parse_int(row[i_art].strip(), "articles", line_no),
+
+def _parse_lines(path: Path, lines: Iterable[str]) -> JournalTable:
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file, header row required") from None
+    except csv.Error as exc:  # a field beyond csv.field_size_limit()
+        raise ValidationError(f"line 1: {exc}") from None
+    header = [h.strip() for h in header]
+    missing = [c for c in COLUMNS if c not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
+    extra = [h for h in header if h not in COLUMNS]
+    if extra:
+        warnings.warn(
+            f"{path}: ignoring extra column(s) {', '.join(extra)}", stacklevel=3
+        )
+    index = [header.index(c) for c in COLUMNS]
+    width = len(header)
+
+    rows = []
+    try:
+        rows.extend(reader)
+    except csv.Error as exc:
+        _parse_rows(rows, index, width)  # an error in an earlier row comes first
+        raise ValidationError(f"line {len(rows) + 2}: {exc}") from None
+    except UnicodeDecodeError:
+        _parse_rows(rows, index, width)
+        raise
+    try:
+        return _table_of(rows, index, width)
+    except (ValueError, ValidationError):
+        return JournalTable.from_records(_parse_rows(rows, index, width))
+
+
+def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
+    """The rows as a table, each column converted and checked as a whole.
+
+    Raises ValueError or ValidationError, without a line number, if any row
+    is blank, short or invalid; ``_parse_rows`` then finds the first.
+    """
+    if not rows or min(map(len, rows)) < width:
+        raise ValueError("blank or short row")
+    columns = list(zip(*rows))
+    ids, years, citations, impact, articles = (list(map(str.strip, columns[i])) for i in index)
+    years = list(map(int, years))
+    if min(years) < 0 or max(years) > MAX_FLOAT_INT:
+        raise ValueError("year out of range")
+    return JournalTable(
+        ids, years, list(map(int, citations)), list(map(float, impact)), list(map(int, articles))
+    )
+
+
+def _parse_rows(rows: list[list[str]], index: list[int], width: int) -> list[JournalYearRecord]:
+    """The rows as records, converted and checked row by row in file order."""
+    i_id, i_year, i_cit, i_if, i_art = index
+    records = []
+    for line_no, row in enumerate(rows, start=2):
+        # A full-width row with an id can be neither blank nor short.
+        if len(row) < width or not row[i_id].strip():
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < width:
+                raise ValidationError(
+                    f"line {line_no}: expected {width} fields, got {len(row)}"
                 )
+        records.append(
+            JournalYearRecord(
+                row[i_id].strip(),
+                _parse_int(row[i_year].strip(), "year", line_no),
+                _parse_int(row[i_cit].strip(), "citations", line_no),
+                _parse_float(row[i_if].strip(), "impact_factor", line_no),
+                _parse_int(row[i_art].strip(), "articles", line_no),
             )
+        )
     return records
 
 
-def _csv_text(records: Iterable[JournalYearRecord]) -> str:
-    """Records as CSV text in the canonical column order, with CRLF line ends.
+def _csv_text(table: JournalTable) -> str:
+    """A table as CSV text in the canonical column order, with CRLF line ends.
 
     Floats use shortest round-trip formatting so parse(write(x)) == x
     bit-exactly.
@@ -130,23 +177,25 @@ def _csv_text(records: Iterable[JournalYearRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(COLUMNS)
-    for rec in records:
-        writer.writerow(
-            [rec.journal_id, rec.year, rec.citations, repr(rec.impact_factor), rec.articles]
-        )
+    writer.writerows(
+        zip(table.journal_id, table.year, table.citations, map(repr, table.impact_factor),
+            table.articles)
+    )
     return buf.getvalue()
 
 
 def write_csv(path: str | Path, records: Iterable[JournalYearRecord]) -> None:
     """Write records as CSV in the canonical column order (see ``_csv_text``)."""
-    Path(path).write_text(_csv_text(records), encoding="utf-8", newline="")
+    Path(path).write_text(
+        _csv_text(JournalTable.from_records(records)), encoding="utf-8", newline=""
+    )
 
 
 # --- workspace -------------------------------------------------------------
 
 
-def _digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _dataset_filename(discipline: Discipline, basis: Basis, year: int) -> str:
@@ -245,7 +294,8 @@ def store_dataset(
         data_dir = workspace_dir / DATA_DIR
         data_dir.mkdir(exist_ok=True)
         target = data_dir / _dataset_filename(ranked.discipline, ranked.basis, ranked.year)
-        _atomic_write(target, _csv_text(ranked.records))
+        text = _csv_text(ranked.table)
+        _atomic_write(target, text)
 
         entry = {
             "discipline": ranked.discipline.value,
@@ -254,7 +304,7 @@ def store_dataset(
             "row_count": len(ranked),
             "cap": ranked.cap,
             "source_path": f"{DATA_DIR}/{target.name}",
-            "content_digest": _digest(target),
+            "content_digest": _digest(text.encode("utf-8")),
         }
         entries.append(entry)
         _write_manifest(workspace_dir, entries)
@@ -269,6 +319,9 @@ def load_dataset(
     entries: list[dict] | None = None,
 ) -> RankedSet:
     """Reload a stored dataset, verifying its content digest first.
+
+    The file is read once: the rows returned are parsed from the bytes whose
+    digest was checked.
 
     ``entries`` are the workspace's manifest entries as ``read_manifest``
     returned them, for a caller that loads many sets and reads the manifest
@@ -291,17 +344,14 @@ def load_dataset(
     data_path = workspace_dir / entry["source_path"]
     if not data_path.exists():
         raise WorkspaceError(f"manifest references missing file {data_path}")
-    actual = _digest(data_path)
+    data = data_path.read_bytes()
+    actual = _digest(data)
     if actual != entry["content_digest"]:
         raise WorkspaceError(
             f"digest mismatch for {data_path.name}: stored {entry['content_digest']}, "
             f"actual {actual}; file is corrupt"
         )
-    records = parse_csv(data_path)
+    table = parse_csv(data_path, data)
     return RankedSet(
-        discipline=discipline,
-        basis=basis,
-        year=year,
-        records=tuple(records),
-        cap=entry.get("cap", max(len(records), 1)),
+        discipline, basis, year, cap=entry.get("cap", max(len(table), 1)), table=table
     )

@@ -7,10 +7,11 @@ All types are immutable after construction and validate their invariants in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,13 +103,65 @@ class JournalYearRecord:
             )
 
 
-class _Columns(NamedTuple):
-    """Read-only numpy columns of a RankedSet."""
+@dataclass(frozen=True, slots=True)
+class JournalTable:
+    """Journal-year rows stored as one list per field, in row order.
 
-    ids: np.ndarray  # rank order; object dtype keeps Python str (no NUL stripping)
-    sorted_ids: np.ndarray  # ids in ascending Python str order
-    id_order: np.ndarray  # 0-based rank positions of sorted_ids
-    values: dict[str, np.ndarray]  # measure value -> float column in rank order
+    A table holds what a list of ``JournalYearRecord`` holds, and accepts
+    exactly the values a record accepts, but checks them column by column.
+    Counts stay Python ints, so they are exact at any size. ``records()``
+    gives the rows as records.
+    """
+
+    journal_id: list[str]
+    year: list[int]
+    citations: list[int]
+    impact_factor: list[float]
+    articles: list[int]
+
+    def __post_init__(self):
+        n = len(self.journal_id)
+        if any(len(col) != n for col in (self.year, self.citations, self.impact_factor,
+                                         self.articles)):
+            raise ValidationError("table columns must be equally long")
+        try:
+            valid = (
+                all(self.journal_id)
+                and all(_counts_valid(col) for col in (self.citations, self.articles))
+                and all(map(math.isfinite, self.impact_factor))
+                and min(self.impact_factor, default=0) >= 0
+            )
+        except TypeError:
+            valid = False
+        if not valid:
+            self.records()  # raises the first invalid row's error, as its record would
+
+    @classmethod
+    def from_records(cls, records: Iterable[JournalYearRecord]) -> JournalTable:
+        records = list(records)
+        return cls(
+            [rec.journal_id for rec in records],
+            [rec.year for rec in records],
+            [rec.citations for rec in records],
+            [rec.impact_factor for rec in records],
+            [rec.articles for rec in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.journal_id)
+
+    def records(self) -> list[JournalYearRecord]:
+        return list(map(JournalYearRecord, self.journal_id, self.year, self.citations,
+                        self.impact_factor, self.articles))
+
+
+def _counts_valid(col: list[int]) -> bool:
+    """True if every count is an int in 0..MAX_FLOAT_INT, as a record requires."""
+    return (
+        all(map(isinstance, col, repeat(int)))
+        and min(col, default=0) >= 0
+        and max(col, default=0) <= MAX_FLOAT_INT
+    )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -122,77 +175,107 @@ def _rank_key(record: JournalYearRecord, basis: Basis) -> tuple[float, str]:
     return (-float(value), record.journal_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RankedSet:
     """A discipline+basis+year labelled collection, sorted by the basis field.
 
-    Records are ordered non-increasing in the basis value; ties break by
-    ascending journal_id so that ranking is deterministic. The rank of
-    ``records[i]`` is ``i + 1``.
+    Journals are ordered non-increasing in the basis value; ties break by
+    ascending journal_id so that ranking is deterministic. The journal in
+    row ``i`` has rank ``i + 1``.
 
-    ``records`` is the stored field. The per-measure columns that analyses
-    read (``column``, ``journal_ids``, ``rank_of``, ``join_rows``) are built
-    from it once, on first use, and cached as read-only arrays; constructing
-    or writing a set never builds them.
+    The stored field is ``table``, a validated ``JournalTable``. A set is
+    built from records, as ``RankedSet(discipline, basis, year, records,
+    cap)``, or straight from a table with ``table=``, as ``load_dataset``
+    does; ``records`` is then built on first use. The per-measure columns
+    that analyses read (``column``) are built from the table once, on first
+    use, and cached as read-only arrays.
     """
 
     discipline: Discipline
     basis: Basis
     year: int
-    records: tuple[JournalYearRecord, ...]
+    table: JournalTable = field(hash=False, repr=False)
     cap: int = DEFAULT_CAP
 
+    def __init__(
+        self,
+        discipline: Discipline,
+        basis: Basis,
+        year: int,
+        records: Iterable[JournalYearRecord] | None = None,
+        cap: int = DEFAULT_CAP,
+        *,
+        table: JournalTable | None = None,
+    ):
+        if (records is None) == (table is None):
+            raise TypeError("a RankedSet is built from either records or a table")
+        attrs = vars(self)  # frozen: set once, here
+        if table is None:
+            records = tuple(records)
+            table = JournalTable.from_records(records)
+            attrs["records"] = records
+        attrs.update(discipline=discipline, basis=basis, year=year, table=table, cap=cap)
+        self.__post_init__()
+
     def __post_init__(self):
+        table = self.table
         if self.cap < 1:
             raise ValidationError(f"cap must be >= 1, got {self.cap}")
-        if not self.records:
+        if not len(table):
             raise ValidationError("a RankedSet cannot be empty")
-        if len(self.records) > self.cap:
+        if len(table) > self.cap:
+            raise ValidationError(f"{len(table)} records exceed cap {self.cap}")
+        ids = table.journal_id
+        if table.year.count(self.year) != len(ids) or len(set(ids)) != len(ids):
+            seen = set()
+            for journal_id, year in zip(ids, table.year):
+                if year != self.year:
+                    raise ValidationError(
+                        f"{journal_id!r}: record year {year} != set year {self.year}"
+                    )
+                if journal_id in seen:
+                    raise ValidationError(f"duplicate journal_id {journal_id!r}")
+                seen.add(journal_id)
+        # _rank_key's order: each value no larger than the one before, and
+        # equal values in ascending id order.
+        values = table.citations if self.basis is Basis.CITATIONS else table.impact_factor
+        value = np.array(values, dtype=float)
+        out_of_order = value[1:] > value[:-1]
+        tie = value[1:] == value[:-1]
+        if tie.any():
+            id_array = np.array(ids, dtype=object)
+            out_of_order[tie] = id_array[1:][tie] < id_array[:-1][tie]
+        if out_of_order.any():
             raise ValidationError(
-                f"{len(self.records)} records exceed cap {self.cap}"
+                f"records out of order at {ids[int(np.argmax(out_of_order)) + 1]!r}: "
+                "must be non-increasing in basis value, ties by ascending id"
             )
-        seen = set()
-        for rec in self.records:
-            if rec.year != self.year:
-                raise ValidationError(
-                    f"{rec.journal_id!r}: record year {rec.year} != set year {self.year}"
-                )
-            if rec.journal_id in seen:
-                raise ValidationError(f"duplicate journal_id {rec.journal_id!r}")
-            seen.add(rec.journal_id)
-        keys = [_rank_key(rec, self.basis) for rec in self.records]
-        for prev, cur in zip(keys, keys[1:]):
-            if cur < prev:
-                raise ValidationError(
-                    f"records out of order at {cur[1]!r}: "
-                    "must be non-increasing in basis value, ties by ascending id"
-                )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table)
 
     @cached_property
-    def _columns(self) -> _Columns:
-        recs = self.records
-        citations = [rec.citations for rec in recs]
-        articles = [rec.articles for rec in recs]
+    def records(self) -> tuple[JournalYearRecord, ...]:
+        """The journals as records, in rank order."""
+        return tuple(self.table.records())
+
+    @cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        table = self.table
         # Python int division is correctly rounded at any size, as before.
-        rates = [c / n if n else math.nan for c, n in zip(citations, articles)]
-        ids = np.array([rec.journal_id for rec in recs], dtype=object)
-        order = np.argsort(ids, kind="stable")
-        values = {
-            "rank": np.arange(1, len(recs) + 1, dtype=float),
-            "n": np.array(citations, dtype=float),
-            "if": np.array([rec.impact_factor for rec in recs], dtype=float),
+        rates = [c / n if n else math.nan for c, n in zip(table.citations, table.articles)]
+        columns = {
+            "rank": np.arange(1, len(table) + 1, dtype=float),
+            "n": np.array(table.citations, dtype=float),
+            "if": np.array(table.impact_factor, dtype=float),
             "cr": np.array(rates, dtype=float),
-            "articles": np.array(articles, dtype=float),
+            "articles": np.array(table.articles, dtype=float),
         }
-        return _Columns(
-            ids=_read_only(ids),
-            sorted_ids=_read_only(ids[order]),
-            id_order=_read_only(order),
-            values={key: _read_only(col) for key, col in values.items()},
-        )
+        return {key: _read_only(col) for key, col in columns.items()}
+
+    @cached_property
+    def _ranks(self) -> dict[str, int]:
+        return dict(zip(self.table.journal_id, range(1, len(self) + 1)))
 
     def column(self, measure: Measure | str) -> np.ndarray:
         """One per-journal measure as a read-only float array in rank order.
@@ -204,22 +287,19 @@ class RankedSet:
         """
         key = getattr(measure, "value", measure)
         try:
-            return self._columns.values[key]
+            return self._columns[key]
         except KeyError:
             raise ValidationError(f"unknown measure {measure!r}") from None
 
     def rank_of(self, journal_id: str) -> int:
         """1-based rank of a journal; raises KeyError if absent."""
-        cols = self._columns
-        if isinstance(journal_id, str):
-            i = int(np.searchsorted(cols.sorted_ids, journal_id))
-            if i < len(cols.sorted_ids) and cols.sorted_ids[i] == journal_id:
-                return int(cols.id_order[i]) + 1
+        if isinstance(journal_id, str) and journal_id in self._ranks:
+            return self._ranks[journal_id]
         raise KeyError(journal_id)
 
     def journal_ids(self) -> tuple[str, ...]:
         """Journal ids in rank order."""
-        return tuple(self._columns.ids.tolist())
+        return tuple(self.table.journal_id)
 
 
 @dataclass(frozen=True)
@@ -246,6 +326,31 @@ class FitResult:
                 raise ValidationError(f"stderr[{name!r}] must be finite and >= 0, got {err}")
 
 
+def id_positions(sets: Sequence[RankedSet]) -> tuple[list[str], list[np.ndarray]]:
+    """Integer id codes shared by several sets, and each set's rows by code.
+
+    Code ``c`` is the ``c``-th id of the sets' sorted id union, so codes
+    ascend in Python string order. Element ``c`` of a set's array is that
+    id's 0-based rank position in the set, or -1 where the set lacks it.
+    """
+    union = sorted(set().union(*(rs.table.journal_id for rs in sets)))
+    code = dict(zip(union, range(len(union))))
+    positions = []
+    for rs in sets:
+        ids = rs.table.journal_id
+        rows = np.full(len(union), -1, dtype=np.intp)
+        rows[np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))] = np.arange(len(ids))
+        positions.append(rows)
+    return union, positions
+
+
+def join_codes(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The codes two sets share, ascending, and their rows in each, from
+    ``id_positions`` arrays of the same code table."""
+    codes = np.flatnonzero((rows_a >= 0) & (rows_b >= 0))
+    return codes, rows_a[codes], rows_b[codes]
+
+
 def join_rows(a: RankedSet, b: RankedSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Journals common to two sets, by ascending id, and their rows in each.
 
@@ -253,11 +358,9 @@ def join_rows(a: RankedSet, b: RankedSet) -> tuple[np.ndarray, np.ndarray, np.nd
     0-based rank positions in ``a`` and in ``b``. Ids match as Python
     strings, so ids that differ only by trailing NULs stay distinct.
     """
-    ca, cb = a._columns, b._columns
-    common, ia, ib = np.intersect1d(
-        ca.sorted_ids, cb.sorted_ids, assume_unique=True, return_indices=True
-    )
-    return common, ca.id_order[ia], cb.id_order[ib]
+    union, (rows_a, rows_b) = id_positions((a, b))
+    codes, in_a, in_b = join_codes(rows_a, rows_b)
+    return np.array(union, dtype=object)[codes], in_a, in_b
 
 
 def finite_samples(values: Sequence[float], what: str) -> np.ndarray:

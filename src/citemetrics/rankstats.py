@@ -9,6 +9,7 @@ value ~ A * k**(-b).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -61,8 +62,9 @@ class RankSeries:
 
     Both fields are checked as arrays. Ranks may be Python or numpy integers
     (or bools, as Python counts them) up to the int64 maximum; values are
-    compared as floats. Neither array is kept: at n = 1e6 the tuples and a
-    cached copy would both stay alive as long as the series does.
+    compared as floats, and str or bytes values are rejected. Neither array
+    is kept: at n = 1e6 the tuples and a cached copy would both stay alive as
+    long as the series does.
     """
 
     ranks: tuple[int, ...]
@@ -77,7 +79,15 @@ class RankSeries:
             raise ValidationError("a RankSeries cannot be empty")
         if not _ranks_ok(self.ranks):
             raise ValidationError("ranks must be strictly increasing integers >= 1")
-        v = np.fromiter(self.values, float, count=n)
+        try:
+            # array("d") converts numbers as np.fromiter does but rejects
+            # str and bytes, which fromiter would parse as numbers.
+            v = np.frombuffer(array("d", self.values))
+        except TypeError:
+            # NaN stands in for each str or bytes value, so the check below names it.
+            v = np.fromiter(
+                (math.nan if isinstance(x, (str, bytes)) else x for x in self.values), float, n
+            )
         ok = (v > 0) & np.isfinite(v)
         if not ok.all():
             bad = self.values[int(np.argmin(ok))]
@@ -162,8 +172,8 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
 
 def set_overlap(a: RankedSet, b: RankedSet) -> tuple[tuple[str, ...], int]:
     """Journals common to two sets, in ascending id order, with their count."""
-    common, _, _ = join_rows(a, b)
-    return tuple(common.tolist()), len(common)
+    common = sorted(set(a.journal_ids()).intersection(b.journal_ids()))
+    return tuple(common), len(common)
 
 
 def rank_scatter(a: RankedSet, b: RankedSet) -> list[tuple[str, int, int]]:

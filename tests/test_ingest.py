@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citemetrics import ingest
 from citemetrics.errors import ValidationError, WorkspaceError
 from citemetrics.ingest import (
     COLUMNS,
@@ -50,13 +53,13 @@ class TestParseCsv:
     def test_parses_plain_row(self, tmp_path):
         f = tmp_path / "t.csv"
         write_table(f, ["PHYS REV B,2000,154983,3.065,5410"])
-        (record,) = parse_csv(f)
+        (record,) = parse_csv(f).records()
         assert record == JournalYearRecord("PHYS REV B", 2000, 154983, 3.065, 5410)
 
     def test_trims_whitespace(self, tmp_path):
         f = tmp_path / "t.csv"
         write_table(f, [" PHYS REV B , 2000 , 10 , 1.5 , 3 "])
-        (record,) = parse_csv(f)
+        (record,) = parse_csv(f).records()
         assert record.journal_id == "PHYS REV B"
         assert record.articles == 3
 
@@ -87,6 +90,15 @@ class TestParseCsv:
         row = f"B,{cells['year']},{cells['citations']},1.0,{cells['articles']}"
         write_table(f, ["A,2000,1,1.0,1", row])
         with pytest.raises(ValidationError, match=f"line 3: column '{column}' exceeds the float range"):
+            parse_csv(f)
+
+    def test_oversized_field_is_a_validation_error_with_line(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_table(f, ["A,2000,1,1.0,1", "B,2000,1,1.0," + "1" * 200_000])
+        with pytest.raises(ValidationError, match="line 3: field larger than field limit"):
+            parse_csv(f)
+        write_table(f, ["A,2000,x,1.0,1", "B,2000,1,1.0," + "1" * 200_000])
+        with pytest.raises(ValidationError, match="line 2: column 'citations'"):
             parse_csv(f)
 
     def test_missing_column_named(self, tmp_path):
@@ -120,7 +132,7 @@ class TestParseCsv:
             records = random_records(rng, int(rng.integers(1, 200)))
             f = tmp_path / f"round{trial}.csv"
             write_csv(f, records)
-            assert parse_csv(f) == records
+            assert parse_csv(f).records() == records
 
 
 def reference_parse_rows(path):
@@ -156,6 +168,7 @@ def _reference_rows(reader):
 CELLS = [
     "0", "7", " 12 ", "2000", "-1", "1_000", "1.5", "-0.0", "0.0", "3e2", "nan", "inf",
     "-inf", "abc", "", "  ", "\u0661\u0662", "\u2003 5\u2003", "\x1c4", "J\u00e9", "a\x00",
+    '"7"', '" 8,9"', "9" * 400, "1e400",
 ]
 
 
@@ -188,7 +201,7 @@ class TestParseRows:
             except ValidationError as exc:
                 return ("error", str(exc))
 
-        assert outcome(parse_csv, f) == outcome(reference_parse_rows, f)
+        assert outcome(lambda p: parse_csv(p).records(), f) == outcome(reference_parse_rows, f)
 
 
 class TestWorkspace:
@@ -217,6 +230,31 @@ class TestWorkspace:
         store_dataset(tmp_path, second, overwrite=True)
         assert load_dataset(tmp_path, Discipline.SCI, Basis.CITATIONS, 2000) == second
         assert len(read_manifest(tmp_path)) == 1
+
+    def test_load_parses_the_bytes_it_digested_reading_the_file_once(self, tmp_path, monkeypatch):
+        stored = self.make_set(np.random.default_rng(8))
+        replacement = self.make_set(np.random.default_rng(9))
+        entry = store_dataset(tmp_path, stored)
+        data_file = tmp_path / entry["source_path"]
+        reads = []
+        real_open, real_parse = Path.open, ingest.parse_csv
+
+        def counting_open(path, *args, **kwargs):
+            if path == data_file:
+                reads.append(path)
+            return real_open(path, *args, **kwargs)
+
+        def replace_then_parse(*args, **kwargs):
+            # an `ingest --overwrite` of the same dataset lands between the reads
+            write_csv(tmp_path / "new.csv", replacement.records)
+            os.replace(tmp_path / "new.csv", data_file)
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        monkeypatch.setattr(ingest, "parse_csv", replace_then_parse)
+        loaded = load_dataset(tmp_path, Discipline.SCI, Basis.CITATIONS, 2000)
+        assert loaded == stored
+        assert len(reads) == 1
 
     def test_digest_detects_single_byte_corruption(self, tmp_path):
         rng = np.random.default_rng(4)

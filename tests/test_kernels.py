@@ -3,7 +3,8 @@
 ``binned_rank_average`` and ``binned_trend`` share ``rankstats.binned_mean``;
 the Pareto auto-``x_min`` scan sorts the sample once and measures each
 candidate on a suffix of it; ``RankSeries`` checks its fields as arrays. The
-references below are the former loops, copied unchanged; every property
+references below are the former loops, copied unchanged except that the
+``RankSeries`` loop also rejects str and bytes values; every property
 requires equal results (``==``) or the same error message.
 """
 
@@ -294,7 +295,8 @@ def former_rank_series_check(ranks, values, label):
             raise ValidationError("ranks must be strictly increasing integers >= 1")
         prev = k
     for v in values:
-        if not (v > 0) or not math.isfinite(v):
+        # str and bytes are rejected too; the former loop raised TypeError on them.
+        if isinstance(v, (str, bytes)) or not (v > 0) or not math.isfinite(v):
             raise ValidationError(f"series values must be positive and finite, got {v!r}")
     if label.measure is basis_measure(label.basis):
         vals = values
@@ -322,6 +324,8 @@ value_items = (
     st.integers(-3, 2**53)
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.sampled_from([0, 0.0, -0.0, -1, math.nan, math.inf, -math.inf, 1, 1.0, True])
+    | st.sampled_from(["1.5", b"2", "-1", "abc", "", b"inf"])
+    | st.text(max_size=3)
 )
 series_labels = st.sampled_from([
     LABEL,
@@ -344,6 +348,13 @@ def test_rank_series_checks_equal_former_loops(ranks, data, label):
     assert outcome(new_rank_series_check, ranks, values, label) == outcome(
         former_rank_series_check, ranks, values, label
     )
+
+
+def test_rank_series_names_the_first_str_or_bytes_value():
+    for values, bad in [(("1.5", b"2"), "'1.5'"), ((3.0, b"2"), "b'2'"), ((3.0, "x"), "'x'")]:
+        assert outcome(new_rank_series_check, (1, 2), values, LABEL) == (
+            "error", f"series values must be positive and finite, got {bad}"
+        )
 
 
 def test_rank_series_accepts_numpy_integers_and_rejects_beyond_int64():

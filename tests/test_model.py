@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from citemetrics.model import (
     FitMethod,
     FitResult,
     MAX_FLOAT_INT,
+    JournalTable,
     JournalYearRecord,
     RankedSet,
     build_ranked_set,
@@ -192,3 +196,112 @@ class TestFitResult:
     def test_requires_matching_names(self):
         with pytest.raises(ValidationError):
             FitResult({"b": 1.0}, {"c": 0.1}, (1.0, 5.0), FitMethod.MAXIMUM_LIKELIHOOD)
+
+
+# --- columnar validation against the former record loop -------------------------
+
+
+def former_ranked_set_check(basis, year, records, cap=1000):
+    """RankedSet's former per-record checks, copied unchanged."""
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
+    if not records:
+        raise ValidationError("a RankedSet cannot be empty")
+    if len(records) > cap:
+        raise ValidationError(f"{len(records)} records exceed cap {cap}")
+    seen = set()
+    for r in records:
+        if r.year != year:
+            raise ValidationError(f"{r.journal_id!r}: record year {r.year} != set year {year}")
+        if r.journal_id in seen:
+            raise ValidationError(f"duplicate journal_id {r.journal_id!r}")
+        seen.add(r.journal_id)
+    keys = [
+        (-float(r.citations if basis is Basis.CITATIONS else r.impact_factor), r.journal_id)
+        for r in records
+    ]
+    for prev, cur in zip(keys, keys[1:]):
+        if cur < prev:
+            raise ValidationError(
+                f"records out of order at {cur[1]!r}: "
+                "must be non-increasing in basis value, ties by ascending id"
+            )
+    return "ok"
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+        return "ok"
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+# Repeated ids, a stray year and tied values are all frequent; citations reach
+# past 2**53, where float comparisons tie distinct integers.
+loose_records = st.lists(
+    st.builds(
+        JournalYearRecord,
+        st.sampled_from(["a", "a\x00", "b", "B", "J1", "\u00e9"]),
+        st.sampled_from([2000, 2000, 2000, 1999]),
+        st.integers(0, 3) | st.integers(2**53, 2**53 + 4) | st.just(10**300),
+        st.sampled_from([0.0, -0.0, 1.5, 2.0]) | st.floats(0, 1e300),
+        st.integers(0, 3),
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=loose_records, basis=st.sampled_from(Basis), cap=st.sampled_from([1, 5, 1000]))
+def test_columnar_checks_equal_former_record_loop(records, basis, cap):
+    table = JournalTable.from_records(records)
+    expected = outcome(former_ranked_set_check, basis, 2000, records, cap)
+    assert outcome(RankedSet, Discipline.SCI, basis, 2000, cap=cap, table=table) == expected
+    assert outcome(RankedSet, Discipline.SCI, basis, 2000, tuple(records), cap) == expected
+
+
+class TestColumnarSet:
+    def test_table_and_records_builds_agree(self):
+        records = (rec("b", citations=9, impact=2.5), rec("a", citations=5, articles=0))
+        from_records = RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, records)
+        from_table = RankedSet(
+            Discipline.SCI, Basis.CITATIONS, 2000, table=JournalTable.from_records(records)
+        )
+        assert from_table == from_records
+        assert hash(from_table) == hash(from_records)
+        assert "records" not in vars(from_table)
+        assert from_table.records == records
+        assert from_table.journal_ids() == ("b", "a")
+        assert from_table.column("cr")[0] == 9 / 5 and math.isnan(from_table.column("cr")[1])
+
+    def test_is_immutable(self):
+        ranked = RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, (rec("a"),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ranked.year = 2001
+
+    def test_needs_records_or_table(self):
+        with pytest.raises(TypeError):
+            RankedSet(Discipline.SCI, Basis.CITATIONS, 2000)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("journal_id", "", "journal_id must be a non-empty string"),
+            ("citations", -1, "'b': citations must be a non-negative integer, got -1"),
+            ("citations", 2.0, "'b': citations must be a non-negative integer, got 2.0"),
+            ("articles", MAX_FLOAT_INT + 1, "'b': articles exceeds the float range"),
+            ("impact_factor", math.inf, "'b': impact_factor must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_table_rejects_what_a_record_rejects(self, column, value, message):
+        columns = {"journal_id": ["a", "b"], "year": [2000, 2000], "citations": [3, 2],
+                   "impact_factor": [1.0, 1.0], "articles": [1, 1]}
+        columns[column][1] = value
+        with pytest.raises(ValidationError) as err:
+            JournalTable(**columns)
+        assert str(err.value).startswith(message)
+
+    def test_table_columns_must_be_equally_long(self):
+        with pytest.raises(ValidationError, match="equally long"):
+            JournalTable(["a"], [2000], [1], [1.0], [])
