@@ -167,10 +167,9 @@ def _curve_points(ranked: RankedSet) -> int:
 
 
 def _cmd_ingest(args) -> None:
-    records = parse_csv(args.input).records()
     discipline = Discipline(args.discipline)
     basis = Basis(args.basis)
-    ranked = build_ranked_set(records, discipline, basis, args.year, cap=args.top)
+    ranked = build_ranked_set(parse_csv(args.input), discipline, basis, args.year, cap=args.top)
     entry = store_dataset(_workspace(args), ranked, overwrite=args.overwrite)
     _emit(
         {"stored": entry},
@@ -260,16 +259,14 @@ def _cmd_fit_gumbel(args) -> None:
 
 def _cmd_ks(args) -> None:
     ranked = _load(args, args.set)
-    fit_payload = json.loads(Path(args.fit).read_text(encoding="utf-8"))
+    # integers read as floats: a literal of any length converts (past 1e308 to inf)
+    fit_payload = json.loads(Path(args.fit).read_text(encoding="utf-8"), parse_int=float)
     try:
-        params = GumbelParams(
-            a=float(fit_payload["params"]["a"]), b=float(fit_payload["params"]["b"])
-        )
+        a, b = float(fit_payload["params"]["a"]), float(fit_payload["params"]["b"])
         log_base = float(fit_payload["params"].get("log_base", math.e))
     except (KeyError, TypeError, ValueError):
-        raise ValidationError(
-            f"{args.fit}: expected a fit report with params.a and params.b"
-        ) from None
+        raise ValidationError(f"{args.fit}: expected a fit report with params.a and params.b") from None
+    params = GumbelParams(a, b)
     scaled, _ = _scaled_rates(ranked)
     ks = gumbel_curve_ks(
         scaled, params, _curve_points(ranked),
@@ -332,7 +329,7 @@ def _cmd_trend(args) -> None:
 
 def _cmd_synth(args) -> None:
     fixture = build_fixture(args.profile, args.year, args.seed)
-    write_csv(args.out, fixture.records)
+    write_csv(args.out, fixture.table)
     meta = fixture_metadata(args.profile, args.year, args.seed)
     meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")

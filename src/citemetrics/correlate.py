@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import Measure, RankedSet, finite_samples, id_positions, join_codes, join_rows
+from .model import Measure, RankedSet, finite_samples, id_positions, join_rows
 from .rankstats import binned_mean
 
 MIN_PAIRS = 2
@@ -219,9 +219,11 @@ def correlation_matrix(
                     subjects=(_label(rs, field_.value), _label(rs, field_.value)),
                 )
                 continue
+            codes = np.flatnonzero((rows_of[yi] >= 0) & (rows_of[yj] >= 0))
             try:
-                rows = join_codes(rows_of[yi], rows_of[yj])[1:]
-                cells[(yi, yj)] = dynamic_correlation(by_year[yi], by_year[yj], field_, rows)
+                cells[(yi, yj)] = dynamic_correlation(
+                    by_year[yi], by_year[yj], field_, (rows_of[yi][codes], rows_of[yj][codes])
+                )
             except ValidationError as exc:
                 cells[(yi, yj)] = str(exc)
     return years, cells

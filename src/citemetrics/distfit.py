@@ -244,6 +244,8 @@ class GumbelParams:
     def __post_init__(self):
         if not self.b > 0:
             raise ValidationError(f"Gumbel scale must be positive, got {self.b}")
+        if not math.isfinite(self.b):
+            raise ValidationError(f"Gumbel scale must be finite, got {self.b}")
         if not math.isfinite(self.a):
             raise ValidationError(f"Gumbel location must be finite, got {self.a}")
 

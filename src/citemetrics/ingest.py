@@ -122,7 +122,7 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> JournalTable:
     try:
         return _table_of(rows, index, width)
     except (ValueError, ValidationError):
-        return JournalTable.from_records(_parse_rows(rows, index, width))
+        return _parse_rows(rows, index, width)
 
 
 def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
@@ -143,10 +143,10 @@ def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTab
     )
 
 
-def _parse_rows(rows: list[list[str]], index: list[int], width: int) -> list[JournalYearRecord]:
-    """The rows as records, converted and checked row by row in file order."""
+def _parse_rows(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
+    """The rows as a table, converted and checked row by row in file order."""
     i_id, i_year, i_cit, i_if, i_art = index
-    records = []
+    parsed = []
     for line_no, row in enumerate(rows, start=2):
         # A full-width row with an id can be neither blank nor short.
         if len(row) < width or not row[i_id].strip():
@@ -156,16 +156,16 @@ def _parse_rows(rows: list[list[str]], index: list[int], width: int) -> list[Jou
                 raise ValidationError(
                     f"line {line_no}: expected {width} fields, got {len(row)}"
                 )
-        records.append(
-            JournalYearRecord(
-                row[i_id].strip(),
-                _parse_int(row[i_year].strip(), "year", line_no),
-                _parse_int(row[i_cit].strip(), "citations", line_no),
-                _parse_float(row[i_if].strip(), "impact_factor", line_no),
-                _parse_int(row[i_art].strip(), "articles", line_no),
-            )
-        )
-    return records
+        parsed.append((
+            row[i_id].strip(),
+            _parse_int(row[i_year].strip(), "year", line_no),
+            _parse_int(row[i_cit].strip(), "citations", line_no),
+            _parse_float(row[i_if].strip(), "impact_factor", line_no),
+            _parse_int(row[i_art].strip(), "articles", line_no),
+        ))
+        if not parsed[-1][0]:
+            JournalYearRecord(*parsed[-1])  # raises the blank id's error
+    return JournalTable.from_rows(parsed)
 
 
 def _csv_text(table: JournalTable) -> str:
@@ -184,8 +184,8 @@ def _csv_text(table: JournalTable) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: str | Path, records: Iterable[JournalYearRecord]) -> None:
-    """Write records as CSV in the canonical column order (see ``_csv_text``)."""
+def write_csv(path: str | Path, records: JournalTable | Iterable[JournalYearRecord]) -> None:
+    """Write a table, or records, as CSV in the canonical column order (see ``_csv_text``)."""
     Path(path).write_text(
         _csv_text(JournalTable.from_records(records)), encoding="utf-8", newline=""
     )
@@ -234,12 +234,18 @@ def read_manifest(workspace_dir: str | Path) -> list[dict]:
     Raises WorkspaceError unless the manifest is an object whose ``entries``
     is a list of objects, each carrying every key in ``ENTRY_KEYS`` with a
     known discipline and basis, an integer year (and cap, if given) and a
-    string source path.
+    string source path inside the workspace: relative, with no ``..`` part.
     """
     manifest_path = Path(workspace_dir) / MANIFEST_NAME
     if not manifest_path.exists():
         return []
-    payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+    text = manifest_path.read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise WorkspaceError(f"{manifest_path}: {exc}") from None
     entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, list):
         raise WorkspaceError(f"{manifest_path}: expected an object with a list of entries")
@@ -259,6 +265,9 @@ def read_manifest(workspace_dir: str | Path) -> list[dict]:
             or not isinstance(entry["source_path"], str)
         ):
             raise WorkspaceError(f"{manifest_path}: entry {i} names no valid dataset file")
+        source = entry["source_path"]
+        if Path(source).is_absolute() or ".." in Path(source).parts:
+            raise WorkspaceError(f"{manifest_path}: entry {i} path {source!r} leaves the workspace")
     return entries
 
 
@@ -352,6 +361,4 @@ def load_dataset(
             f"actual {actual}; file is corrupt"
         )
     table = parse_csv(data_path, data)
-    return RankedSet(
-        discipline, basis, year, cap=entry.get("cap", max(len(table), 1)), table=table
-    )
+    return RankedSet(discipline, basis, year, table, entry.get("cap", max(len(table), 1)))

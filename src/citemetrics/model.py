@@ -1,7 +1,11 @@
-"""Core domain types: journal-year records, ranked journal sets, fit results.
+"""Core domain types: journal-year tables and records, ranked journal sets,
+fit results.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``, so a constructed object can be shared freely.
+``__post_init__``, so a constructed object can be shared freely. Inside the
+package journal-year rows travel as a ``JournalTable``: a ``RankedSet`` stores
+one, and ``JournalYearRecord`` objects are built only for a caller that passes
+or reads records, or to name a bad row.
 """
 
 from __future__ import annotations
@@ -137,15 +141,19 @@ class JournalTable:
             self.records()  # raises the first invalid row's error, as its record would
 
     @classmethod
-    def from_records(cls, records: Iterable[JournalYearRecord]) -> JournalTable:
-        records = list(records)
-        return cls(
-            [rec.journal_id for rec in records],
-            [rec.year for rec in records],
-            [rec.citations for rec in records],
-            [rec.impact_factor for rec in records],
-            [rec.articles for rec in records],
+    def from_records(cls, records: JournalTable | Iterable[JournalYearRecord]) -> JournalTable:
+        """Records as a table; a table is returned as it is."""
+        if isinstance(records, JournalTable):
+            return records
+        return cls.from_rows(
+            (r.journal_id, r.year, r.citations, r.impact_factor, r.articles) for r in records
         )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> JournalTable:
+        """A table of ``(journal_id, year, citations, impact_factor, articles)`` rows."""
+        columns = [list(col) for col in zip(*rows)]
+        return cls(*columns) if columns else cls([], [], [], [], [])
 
     def __len__(self) -> int:
         return len(self.journal_id)
@@ -169,13 +177,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _rank_key(record: JournalYearRecord, basis: Basis) -> tuple[float, str]:
-    """Sort key of the ranking rule: basis value descending, ties by ascending id."""
-    value = record.citations if basis is Basis.CITATIONS else record.impact_factor
-    return (-float(value), record.journal_id)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RankedSet:
     """A discipline+basis+year labelled collection, sorted by the basis field.
 
@@ -183,12 +185,12 @@ class RankedSet:
     ascending journal_id so that ranking is deterministic. The journal in
     row ``i`` has rank ``i + 1``.
 
-    The stored field is ``table``, a validated ``JournalTable``. A set is
-    built from records, as ``RankedSet(discipline, basis, year, records,
-    cap)``, or straight from a table with ``table=``, as ``load_dataset``
-    does; ``records`` is then built on first use. The per-measure columns
-    that analyses read (``column``) are built from the table once, on first
-    use, and cached as read-only arrays.
+    The stored field is ``table``, a validated ``JournalTable`` already in
+    rank order: ``RankedSet(discipline, basis, year, table, cap)``, as
+    ``load_dataset`` does. ``build_ranked_set`` sorts, deduplicates and
+    truncates a table or records into one. ``records`` and the per-measure
+    columns that analyses read (``column``) are built from the table on
+    first use; the columns are cached as read-only arrays.
     """
 
     discipline: Discipline
@@ -196,26 +198,6 @@ class RankedSet:
     year: int
     table: JournalTable = field(hash=False, repr=False)
     cap: int = DEFAULT_CAP
-
-    def __init__(
-        self,
-        discipline: Discipline,
-        basis: Basis,
-        year: int,
-        records: Iterable[JournalYearRecord] | None = None,
-        cap: int = DEFAULT_CAP,
-        *,
-        table: JournalTable | None = None,
-    ):
-        if (records is None) == (table is None):
-            raise TypeError("a RankedSet is built from either records or a table")
-        attrs = vars(self)  # frozen: set once, here
-        if table is None:
-            records = tuple(records)
-            table = JournalTable.from_records(records)
-            attrs["records"] = records
-        attrs.update(discipline=discipline, basis=basis, year=year, table=table, cap=cap)
-        self.__post_init__()
 
     def __post_init__(self):
         table = self.table
@@ -236,7 +218,7 @@ class RankedSet:
                 if journal_id in seen:
                     raise ValidationError(f"duplicate journal_id {journal_id!r}")
                 seen.add(journal_id)
-        # _rank_key's order: each value no larger than the one before, and
+        # build_ranked_set's order: each value no larger than the one before, and
         # equal values in ascending id order.
         values = table.citations if self.basis is Basis.CITATIONS else table.impact_factor
         value = np.array(values, dtype=float)
@@ -344,13 +326,6 @@ def id_positions(sets: Sequence[RankedSet]) -> tuple[list[str], list[np.ndarray]
     return union, positions
 
 
-def join_codes(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The codes two sets share, ascending, and their rows in each, from
-    ``id_positions`` arrays of the same code table."""
-    codes = np.flatnonzero((rows_a >= 0) & (rows_b >= 0))
-    return codes, rows_a[codes], rows_b[codes]
-
-
 def join_rows(a: RankedSet, b: RankedSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Journals common to two sets, by ascending id, and their rows in each.
 
@@ -358,9 +333,12 @@ def join_rows(a: RankedSet, b: RankedSet) -> tuple[np.ndarray, np.ndarray, np.nd
     0-based rank positions in ``a`` and in ``b``. Ids match as Python
     strings, so ids that differ only by trailing NULs stay distinct.
     """
-    union, (rows_a, rows_b) = id_positions((a, b))
-    codes, in_a, in_b = join_codes(rows_a, rows_b)
-    return np.array(union, dtype=object)[codes], in_a, in_b
+    common = sorted(a._ranks.keys() & b._ranks.keys())
+    rows_a, rows_b = (
+        np.fromiter(map(rs._ranks.__getitem__, common), np.intp, len(common)) - 1
+        for rs in (a, b)
+    )
+    return np.array(common, dtype=object), rows_a, rows_b
 
 
 def finite_samples(values: Sequence[float], what: str) -> np.ndarray:
@@ -374,43 +352,37 @@ def finite_samples(values: Sequence[float], what: str) -> np.ndarray:
 
 
 def build_ranked_set(
-    records: Iterable[JournalYearRecord],
+    records: JournalTable | Iterable[JournalYearRecord],
     discipline: Discipline,
     basis: Basis,
     year: int,
     cap: int = DEFAULT_CAP,
 ) -> RankedSet:
-    """Sort, deduplicate and truncate records into a RankedSet.
+    """Sort, deduplicate and truncate a table, or records, into a RankedSet.
 
-    Records sort non-increasing by the basis field, ties broken by ascending
-    journal_id. Exact duplicate records collapse silently; the same id with
-    conflicting values is rejected. Only the top ``cap`` records are kept.
+    Rows sort non-increasing by the basis field, ties broken by ascending
+    journal_id. Exact duplicate rows collapse silently into the first; the
+    same id with conflicting values is rejected. Only the top ``cap`` rows
+    are kept.
     """
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    records = list(records)
-    if not records:
+    table = JournalTable.from_records(records)
+    if not len(table):
         raise ValidationError("cannot rank an empty record list")
 
-    by_id: dict[str, JournalYearRecord] = {}
-    for rec in records:
-        if rec.year != year:
+    rows = list(zip(table.journal_id, table.year, table.citations, table.impact_factor,
+                    table.articles))
+    first: dict[str, int] = {}
+    for i, (journal_id, row_year, *_) in enumerate(rows):
+        if row_year != year:
             raise ValidationError(
-                f"{rec.journal_id!r}: record year {rec.year} does not match set year {year}"
+                f"{journal_id!r}: record year {row_year} does not match set year {year}"
             )
-        prior = by_id.get(rec.journal_id)
-        if prior is None:
-            by_id[rec.journal_id] = rec
-        elif prior != rec:
-            raise ValidationError(
-                f"duplicate journal_id {rec.journal_id!r} with conflicting values"
-            )
+        if rows[first.setdefault(journal_id, i)] != rows[i]:
+            raise ValidationError(f"duplicate journal_id {journal_id!r} with conflicting values")
 
-    ordered = sorted(by_id.values(), key=lambda r: _rank_key(r, basis))
-    return RankedSet(
-        discipline=discipline,
-        basis=basis,
-        year=year,
-        records=tuple(ordered[:cap]),
-        cap=cap,
-    )
+    values = table.citations if basis is Basis.CITATIONS else table.impact_factor
+    keep = sorted(first.values(), key=lambda i: (-float(values[i]), table.journal_id[i]))
+    kept = JournalTable.from_rows(rows[i] for i in keep[:cap])
+    return RankedSet(discipline, basis, year, kept, cap)

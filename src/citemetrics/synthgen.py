@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .model import Basis, Discipline, JournalYearRecord, RankedSet, build_ranked_set
+from .model import Basis, Discipline, JournalTable, RankedSet, build_ranked_set
 
 RNG_ALGORITHM = "philox4x64"
 DEFAULT_SEED = 20001000
@@ -264,20 +264,14 @@ def build_fixture(
         )
         citations = np.maximum(1, np.rint(articles * rates).astype(np.int64))
 
-    records = [
-        JournalYearRecord(
-            journal_id=_journal_id(spec.discipline, int(members[i])),
-            year=year,
-            citations=int(citations[i]),
-            impact_factor=float(impact[i]),
-            articles=int(articles[i]),
-        )
-        for i in range(count)
-    ]
-
-    return build_ranked_set(
-        records, spec.discipline, spec.basis, year, cap=_CAP
+    table = JournalTable(
+        [_journal_id(spec.discipline, m) for m in members.tolist()],
+        [year] * count,
+        citations.tolist(),
+        impact.tolist(),
+        articles.tolist(),
     )
+    return build_ranked_set(table, spec.discipline, spec.basis, year, cap=_CAP)
 
 
 def _journal_id(discipline: Discipline, index: int) -> str:

@@ -10,6 +10,7 @@ import pytest
 import citemetrics
 from citemetrics.cli import run
 from citemetrics.ingest import store_dataset
+from citemetrics.model import JournalYearRecord
 from citemetrics.synthgen import PROFILES, build_fixture
 
 # sha256 of `report` stdout over every synthgen profile and year at seed 20001000.
@@ -291,6 +292,43 @@ class TestErrorPaths:
         )
         assert "params.a and params.b" in captured.err
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ('"a": -0.5, "b": 1e400', "Gumbel scale must be finite, got inf"),
+            ('"a": NaN, "b": 0.8', "Gumbel location must be finite, got nan"),
+            # past int()'s digit limit, read as a float
+            ('"a": %s, "b": 0.8' % ("9" * 5000), "Gumbel location must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_fit_params_is_exit_2(self, workspace, tmp_path, capsys, params, message):
+        fit = tmp_path / "fit.json"
+        fit.write_text('{"params": {%s}}' % params)
+        captured = invoke(
+            capsys, "ks", "--workspace", str(workspace), "--set", "sci:citations:2005",
+            "--fit", str(fit), expect=2,
+        )
+        assert captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("where", ["absolute", "dotdot"])
+    def test_manifest_path_outside_workspace_is_exit_2(self, workspace, tmp_path, capsys, where):
+        # A readable copy of a stored set, outside the workspace, with a matching digest:
+        # only the path check keeps it from loading.
+        outside = tmp_path / "outside.csv"
+        outside.write_bytes((workspace / "data" / "sci_citations_2005.csv").read_bytes())
+        source = str(outside) if where == "absolute" else "data/../../outside.csv"
+        manifest = workspace / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        for entry in payload["entries"]:
+            if entry["year"] == 2005:
+                entry["source_path"] = source
+        manifest.write_text(json.dumps(payload))
+        for argv in (["report"], ["rank", "--set", "sci:citations:2005", "--measure", "n"]):
+            captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=2)
+            assert f"path {source!r} leaves the workspace" in captured.err
+            assert "Traceback" not in captured.err
+
     def test_undecodable_manifest_is_exit_2(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         ws.mkdir()
@@ -358,6 +396,32 @@ class TestReport:
         empty = tmp_path / "empty_ws"
         empty.mkdir()
         invoke(capsys, "report", "--workspace", str(empty), expect=2)
+
+
+class TestRowType:
+    def test_package_paths_build_no_records(self, tmp_path, capsys, monkeypatch):
+        """Fixtures, ingest, synth and report pass tables; no JournalYearRecord is built."""
+        built = []
+        check = JournalYearRecord.__post_init__
+
+        def counted(record):
+            built.append(record.journal_id)
+            check(record)
+
+        monkeypatch.setattr(JournalYearRecord, "__post_init__", counted)
+        ws = tmp_path / "ws"
+        for profile, spec in PROFILES.items():
+            store_dataset(ws, build_fixture(profile, spec.base_year))
+        csv = tmp_path / "f.csv"
+        invoke(capsys, "synth", "--profile", "sci_set_i", "--year", "2001", "--out", str(csv))
+        invoke(
+            capsys, "ingest", "--workspace", str(ws), "--input", str(csv),
+            "--discipline", "sci", "--basis", "citations", "--year", "2001",
+        )
+        invoke(capsys, "report", "--workspace", str(ws))
+        assert built == []
+        JournalYearRecord("J", 2001, 1, 1.0, 1)
+        assert built == ["J"]
 
 
 class TestColdImport:

@@ -1,23 +1,28 @@
-"""`ingest` fed fuzzed CSV text: exit 0 or 2 with a message, never a traceback.
+"""The CLI fed fuzzed input files: exit 0 or 2 with a message, never a traceback.
 
-Every outcome must equal that of the per-row parser the columnar loader
+`ingest` of fuzzed CSV text must match the per-row parser the columnar loader
 replaced (``per_row_parse_csv``, a test-local copy) followed by the same
-ranking step, so each rejection keeps its message and line number.
+ranking step, so each rejection keeps its message and line number. `report`
+and `rank` run over fuzzed manifests, and `ks` over fuzzed fit reports.
 """
 
 import contextlib
 import csv
 import io
+import json
+import math
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetrics.cli import run
 from citemetrics.errors import ValidationError
-from citemetrics.ingest import COLUMNS, _parse_float, _parse_int
+from citemetrics.ingest import COLUMNS, _parse_float, _parse_int, store_dataset
 from citemetrics.model import Basis, Discipline, JournalYearRecord, build_ranked_set
+from citemetrics.synthgen import build_fixture
 
 
 def per_row_parse_csv(path):
@@ -122,3 +127,139 @@ def test_ingest_of_fuzzed_csv_matches_per_row_parser(tmp_path_factory, text, bas
     assert code in (0, 2)
     assert "Traceback" not in err
     assert (code, err) == reference_outcome(source, basis)
+
+
+# --- fuzzed manifests and fit reports ----------------------------------------------
+
+SOURCE = "data/sci_citations_2000.csv"
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """A workspace ``ws`` holding one 40-journal set, and its manifest entry; copies of
+    its CSV in ``fuzzed``, a workspace for fuzzed manifests, and outside both."""
+    root = tmp_path_factory.mktemp("stored")
+    ranked = build_ranked_set(build_fixture("sci_set_i", 2000).table, Discipline.SCI,
+                              Basis.CITATIONS, 2000, cap=40)
+    entry = store_dataset(root / "ws", ranked)
+    data = (root / "ws" / SOURCE).read_bytes()
+    (root / "fuzzed" / "data").mkdir(parents=True)
+    (root / "fuzzed" / SOURCE).write_bytes(data)
+    (root / "outside.csv").write_bytes(data)
+    return root, entry
+
+
+def quiet_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: "), err
+
+
+# "<huge>" stands for an integer literal past int()'s digit limit (see as_json).
+junk = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(max_size=3) | st.just([]) | st.just({}) | st.just("<huge>")
+)
+
+
+def as_json(payload):
+    return json.dumps(payload).replace('"<huge>"', "9" * 5000)
+
+
+def mostly(likely, other=junk):
+    """Draws from ``likely`` three times in four and from ``other`` otherwise."""
+    return st.sampled_from([likely] * 3 + [other]).flatmap(lambda strategy: strategy)
+
+
+# Each names the stored CSV or its copy outside the workspace.
+ESCAPING = ["data/../" + SOURCE, "../outside.csv", "data/../../outside.csv", "<outside>"]
+ENTRY_VALUES = {
+    "discipline": mostly(st.sampled_from(["sci", "socsci", "art", "SCI"])),
+    "basis": mostly(st.sampled_from(["citations", "if", "x"])),
+    "year": mostly(st.sampled_from([2000, 2001, 1999, -1, 10**30, "<huge>"])),
+    "source_path": mostly(st.sampled_from([
+        SOURCE, "data/missing.csv", "", ".", "data", "data/", "manifest.json", "data/\x00.csv",
+    ])),
+    "content_digest": mostly(st.sampled_from(["<digest>", "sha256:0", ""])),
+    "cap": mostly(st.sampled_from([1, 39, 40, 1000, 0, -1, 10**30, "<huge>"])),
+    "row_count": junk,
+}
+
+
+@st.composite
+def manifests(draw):
+    """Manifest payloads: mostly entries near the stored one, each key kept, replaced
+    or dropped, and in half of them a path outside the workspace; sometimes a payload
+    of the wrong shape."""
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        entry = {}
+        for key, values in ENTRY_VALUES.items():
+            choice = draw(st.sampled_from(["keep"] * 6 + ["fuzz", "drop"]))
+            if choice != "drop":
+                entry[key] = f"<{key}>" if choice == "keep" else draw(values)
+        entries.append(entry)
+    escape = draw(st.sampled_from(ESCAPING + [None] * 4))
+    if escape:
+        entries[draw(st.integers(0, len(entries) - 1))]["source_path"] = escape
+    return draw(mostly(st.sampled_from([{"entries": entries}] * 8 + [entries, {}])))
+
+
+def concrete(payload, root, entry):
+    """A drawn manifest with its placeholders filled from the stored entry."""
+    fill = {f"<{key}>": value for key, value in entry.items()}
+    fill["<outside>"] = str(root / "outside.csv")
+    fill["<digest>"] = entry["content_digest"]
+    if isinstance(payload, dict) and isinstance(payload.get("entries"), list):
+        payload["entries"] = [
+            {k: fill.get(v, v) if isinstance(v, str) else v for k, v in e.items()}
+            for e in payload["entries"]
+        ]
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=manifests(), argv=st.sampled_from([
+    ["report"],
+    ["rank", "--set", "sci:citations:2000", "--measure", "n"],
+    ["rank", "--set", "socsci:if:2001", "--measure", "if"],
+]))
+def test_fuzzed_manifest_exits_cleanly(stored, payload, argv):
+    root, entry = stored
+    payload = concrete(payload, root, entry)
+    (root / "fuzzed" / "manifest.json").write_text(as_json(payload), encoding="utf-8")
+    code, err = quiet_run(argv + ["--workspace", str(root / "fuzzed")])
+    assert_clean_exit(code, err)
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    paths = [e.get("source_path") for e in entries or () if isinstance(e, dict)]
+    if any(isinstance(p, str) and (p.startswith("/") or ".." in p.split("/")) for p in paths):
+        assert code == 2, "a manifest path outside the workspace was loaded"
+
+
+fit_values = mostly(st.sampled_from([
+    -0.5, 0.8, math.e, 10, 1, 0, -1, 1e308, math.inf, -math.inf, math.nan, 10**400, -10**309,
+    "1.5", "nan", "1e400", "x", True, None, "<huge>",
+]))
+fit_params = mostly(
+    st.fixed_dictionaries({"a": fit_values, "b": fit_values}, optional={"log_base": fit_values}),
+    st.fixed_dictionaries({}, optional={"a": fit_values, "b": fit_values}) | junk,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=mostly(st.fixed_dictionaries({"params": fit_params}), junk))
+def test_fuzzed_fit_report_exits_cleanly(stored, payload):
+    root, _ = stored
+    fit = root / "fit.json"
+    fit.write_text(as_json(payload), encoding="utf-8")
+    code, err = quiet_run(["ks", "--set", "sci:citations:2000", "--fit", str(fit),
+                           "--workspace", str(root / "ws")])
+    assert_clean_exit(code, err)

@@ -22,6 +22,7 @@ from citemetrics.errors import ValidationError
 from citemetrics.model import (
     Basis,
     Discipline,
+    JournalTable,
     JournalYearRecord,
     Measure,
     RankedSet,
@@ -164,7 +165,9 @@ def make_set():
 class TestColumns:
     def test_built_on_first_use_only(self):
         ranked = make_set()
-        rebuilt = RankedSet(ranked.discipline, ranked.basis, ranked.year, ranked.records)
+        rebuilt = RankedSet(
+            ranked.discipline, ranked.basis, ranked.year, JournalTable.from_records(ranked.records)
+        )
         assert "_columns" not in vars(rebuilt)
         rebuilt.column("n")
         assert "_columns" in vars(rebuilt)

@@ -319,9 +319,18 @@ class TestWorkspace:
                           "source_path": "data/x.csv", "content_digest": "sha256:0"}]},
             {"entries": [{"discipline": "sci", "basis": "citations", "year": 2000, "cap": "x",
                           "source_path": "data/x.csv", "content_digest": "sha256:0"}]},
+            {"entries": [{"discipline": "sci", "basis": "citations", "year": 2000,
+                          "source_path": "/data/x.csv", "content_digest": "sha256:0"}]},
+            {"entries": [{"discipline": "sci", "basis": "citations", "year": 2000,
+                          "source_path": "data/../../x.csv", "content_digest": "sha256:0"}]},
         ],
     )
     def test_malformed_manifest_is_workspace_error(self, tmp_path, payload):
         (tmp_path / "manifest.json").write_text(json.dumps(payload))
         with pytest.raises(WorkspaceError, match="manifest.json"):
+            read_manifest(tmp_path)
+
+    def test_integer_past_digit_limit_is_workspace_error(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"entries": [{"year": %s}]}' % ("9" * 5000))
+        with pytest.raises(WorkspaceError, match="manifest.json: Exceeds the limit"):
             read_manifest(tmp_path)

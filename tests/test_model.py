@@ -153,7 +153,8 @@ def record_lists(draw):
 @given(records=record_lists(), basis=st.sampled_from(Basis), data=st.data())
 def test_built_sets_validate_and_any_adjacent_swap_is_rejected(records, basis, data):
     ranked = build_ranked_set(records, Discipline.SCI, basis, 2000)
-    assert RankedSet(Discipline.SCI, basis, 2000, ranked.records) == ranked
+    table = JournalTable.from_records(ranked.records)
+    assert RankedSet(Discipline.SCI, basis, 2000, table) == ranked
     i = data.draw(st.integers(0, len(ranked) - 2))
     swapped = list(ranked.records)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
@@ -163,7 +164,7 @@ def test_built_sets_validate_and_any_adjacent_swap_is_rejected(records, basis, d
         "must be non-increasing in basis value, ties by ascending id"
     )
     with pytest.raises(ValidationError) as err:
-        RankedSet(Discipline.SCI, basis, 2000, tuple(swapped))
+        RankedSet(Discipline.SCI, basis, 2000, JournalTable.from_records(swapped))
     assert str(err.value) == message
 
 
@@ -171,7 +172,7 @@ class TestRankedSetInvariants:
     def test_out_of_order_records_rejected(self):
         records = (rec("a", citations=1), rec("b", citations=5))
         with pytest.raises(ValidationError):
-            RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, records)
+            RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, JournalTable.from_records(records))
 
     def test_rank_of(self):
         ranked = build_ranked_set(
@@ -258,13 +259,16 @@ def test_columnar_checks_equal_former_record_loop(records, basis, cap):
     table = JournalTable.from_records(records)
     expected = outcome(former_ranked_set_check, basis, 2000, records, cap)
     assert outcome(RankedSet, Discipline.SCI, basis, 2000, cap=cap, table=table) == expected
-    assert outcome(RankedSet, Discipline.SCI, basis, 2000, tuple(records), cap) == expected
+    assert outcome(RankedSet, Discipline.SCI, basis, 2000, JournalTable.from_records(records),
+                   cap) == expected
 
 
 class TestColumnarSet:
     def test_table_and_records_builds_agree(self):
         records = (rec("b", citations=9, impact=2.5), rec("a", citations=5, articles=0))
-        from_records = RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, records)
+        from_records = RankedSet(
+            Discipline.SCI, Basis.CITATIONS, 2000, JournalTable.from_records(records)
+        )
         from_table = RankedSet(
             Discipline.SCI, Basis.CITATIONS, 2000, table=JournalTable.from_records(records)
         )
@@ -276,7 +280,8 @@ class TestColumnarSet:
         assert from_table.column("cr")[0] == 9 / 5 and math.isnan(from_table.column("cr")[1])
 
     def test_is_immutable(self):
-        ranked = RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, (rec("a"),))
+        table = JournalTable.from_records([rec("a")])
+        ranked = RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, table)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ranked.year = 2001
 
@@ -305,3 +310,87 @@ class TestColumnarSet:
     def test_table_columns_must_be_equally_long(self):
         with pytest.raises(ValidationError, match="equally long"):
             JournalTable(["a"], [2000], [1], [1.0], [])
+
+
+# --- build_ranked_set on tables against the former record sort -------------------
+
+
+def former_build_ranked_set(records, discipline, basis, year, cap=1000):
+    """build_ranked_set as it was when it sorted records, copied unchanged but
+    for the final RankedSet call, which now takes a table."""
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
+    records = list(records)
+    if not records:
+        raise ValidationError("cannot rank an empty record list")
+
+    by_id = {}
+    for rec in records:
+        if rec.year != year:
+            raise ValidationError(
+                f"{rec.journal_id!r}: record year {rec.year} does not match set year {year}"
+            )
+        prior = by_id.get(rec.journal_id)
+        if prior is None:
+            by_id[rec.journal_id] = rec
+        elif prior != rec:
+            raise ValidationError(
+                f"duplicate journal_id {rec.journal_id!r} with conflicting values"
+            )
+
+    def rank_key(r):
+        value = r.citations if basis is Basis.CITATIONS else r.impact_factor
+        return (-float(value), r.journal_id)
+
+    ordered = sorted(by_id.values(), key=rank_key)
+    return RankedSet(discipline, basis, year, JournalTable.from_records(ordered[:cap]), cap)
+
+
+def ranked_outcome(build, rows, basis, cap):
+    """The built set with every value as its repr (so -0.0 differs from 0.0), or the error."""
+    try:
+        ranked = build(rows, Discipline.SCI, basis, 2000, cap)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    columns = [getattr(ranked.table, f.name) for f in dataclasses.fields(JournalTable)]
+    return ranked.cap, [tuple(map(repr, row)) for row in zip(*columns)]
+
+
+@st.composite
+def records_with_repeats(draw):
+    """Distinct-id records (a few in a stray year; tied, zero and past-2**53 values) with
+    repeats inserted: equal, equal but for 0.0 against -0.0, or conflicting in a count
+    or the year."""
+    records = draw(st.lists(
+        st.builds(
+            JournalYearRecord,
+            st.sampled_from(["a", "a\x00", "b", "B", "J1", "\u00e9"]),
+            st.sampled_from([2000] * 9 + [1999]),
+            st.integers(0, 3) | st.integers(2**53, 2**53 + 4) | st.just(10**300),
+            st.sampled_from([0.0, -0.0, 1.5]) | st.floats(0, 1e300),
+            st.integers(0, 3),
+        ),
+        max_size=7,
+        unique_by=lambda r: r.journal_id,
+    ))
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        twin = draw(st.sampled_from(records))
+        flipped = -twin.impact_factor if twin.impact_factor == 0 else twin.impact_factor
+        twin = draw(st.sampled_from([
+            twin,
+            *[dataclasses.replace(twin, impact_factor=flipped)] * 3,
+            dataclasses.replace(twin, articles=twin.articles + 1),
+            dataclasses.replace(twin, year=1999),
+        ]))
+        records.insert(draw(st.integers(0, len(records))), twin)
+    return records
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=records_with_repeats(), basis=st.sampled_from(Basis),
+       cap=st.sampled_from([1, 5, 1000]))
+def test_build_ranked_set_equals_former_record_sort(records, basis, cap):
+    expected = ranked_outcome(former_build_ranked_set, records, basis, cap)
+    assert ranked_outcome(build_ranked_set, records, basis, cap) == expected
+    table = JournalTable.from_records(records)
+    assert ranked_outcome(build_ranked_set, table, basis, cap) == expected
