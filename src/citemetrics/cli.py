@@ -14,11 +14,13 @@ import json
 import math
 import os
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .correlate import (
+    CorrelationReport,
     binned_trend,
     correlation_matrix,
     cross_measure_correlation,
@@ -96,8 +98,12 @@ def _round_floats(obj):
     return obj
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2)
+
+
 def _emit(payload: dict, summary: str) -> None:
-    print(json.dumps(_round_floats(payload), sort_keys=True, indent=2))
+    print(_json(payload))
     print(summary, file=sys.stderr)
 
 
@@ -322,7 +328,7 @@ def _cmd_trend(args) -> None:
         "set": args.set,
         "x": args.x,
         "y": args.y,
-        "bins": [{"center": c, "mean": m, "stderr": s} for c, m, s in rows],
+        "bins": _bins(rows),
     }
     _emit(payload, f"trend {args.y} vs {args.x} over {len(rows)} bins")
 
@@ -339,16 +345,26 @@ def _cmd_synth(args) -> None:
     )
 
 
+def _key(ranked: RankedSet, other: RankedSet | None = None) -> dict:
+    """The fields naming a set, or with ``other`` a pair of years of its group."""
+    years = ({"year": ranked.year} if other is None
+             else {"year_a": ranked.year, "year_b": other.year})
+    return {"discipline": ranked.discipline.value, "basis": ranked.basis.value, **years}
+
+
+def _bins(rows: list[tuple[float, float, float]]) -> list[dict]:
+    return [{"center": c, "mean": m, "stderr": s} for c, m, s in rows]
+
+
+def _cell(cell: CorrelationReport | str) -> dict:
+    """A correlation report, or the message of the error that replaced it."""
+    return {"error": cell} if isinstance(cell, str) else cell.as_dict()
+
+
 def _dataset_report(ranked: RankedSet) -> dict:
     basis_m = basis_measure(ranked.basis)
     series = rank_series(ranked, basis_m)
-    out = {
-        "discipline": ranked.discipline.value,
-        "basis": ranked.basis.value,
-        "year": ranked.year,
-        "rows": len(ranked),
-        "pareto_predicted_gamma": None,
-    }
+    out = {**_key(ranked), "rows": len(ranked), "pareto_predicted_gamma": None}
     try:
         zipf = zipf_fit(series)
         out["zipf"] = _fit_json(basis_m.value, zipf)
@@ -374,97 +390,68 @@ def _dataset_report(ranked: RankedSet) -> dict:
     return out
 
 
+def _cross_measure(ranked: RankedSet) -> dict:
+    """The rate against the measure the set is not ranked by."""
+    (other,) = {Measure.CITATIONS, Measure.IMPACT_FACTOR} - {basis_measure(ranked.basis)}
+    try:
+        cell = cross_measure_correlation(ranked, other, Measure.RATE)
+    except ValidationError as exc:
+        cell = str(exc)
+    return {**_key(ranked), **_cell(cell)}
+
+
+def _if_vs_articles(ranked: RankedSet) -> dict:
+    articles = ranked.column("articles")
+    has_articles = articles > 0
+    rows = binned_trend(articles[has_articles], ranked.column("if")[has_articles])
+    return {**_key(ranked), "x": "articles", "y": "if", "bins": _bins(rows)}
+
+
+def _year_pairs(sets: list[RankedSet]) -> list[dict]:
+    """Rank and value correlations of every pair of years of one group."""
+    _, rank_cells = correlation_matrix(sets, Measure.RANK)
+    _, value_cells = correlation_matrix(sets, basis_measure(sets[0].basis))
+    return [
+        {**_key(a, b), "rank": _cell(rank_cells[a.year, b.year]),
+         "value": _cell(value_cells[a.year, b.year])}
+        for i, a in enumerate(sets) for b in sets[i + 1:]
+    ]
+
+
 def _cmd_report(args) -> None:
     workspace = _workspace(args)
     entries = read_manifest(workspace)
     if not entries:
         raise WorkspaceError(f"workspace {workspace} holds no datasets")
     entries = sorted(entries, key=lambda e: (e["discipline"], e["basis"], e["year"]))
-
-    datasets = {}
+    datasets = {}  # a key the manifest repeats names one set
     for e in entries:
-        key = (e["discipline"], e["basis"], e["year"])
-        datasets[key] = load_dataset(
+        datasets[e["discipline"], e["basis"], e["year"]] = load_dataset(
             workspace, Discipline(e["discipline"]), Basis(e["basis"]), e["year"],
             entries=entries,
         )
 
-    report = {"datasets": [_dataset_report(ds) for ds in datasets.values()]}
+    report = {name: [] for name in ("datasets", "dynamic_correlations", "consecutive_overlaps",
+                                    "cross_measure_correlations", "if_vs_articles_trends")}
+    # entries are sorted, so each discipline+basis group is a run of ascending years
+    for _, group in groupby(datasets.values(), key=lambda ds: (ds.discipline, ds.basis)):
+        sets = list(group)
+        for ds in sets:
+            report["datasets"].append(_dataset_report(ds))
+            report["cross_measure_correlations"].append(_cross_measure(ds))
+            report["if_vs_articles_trends"].append(_if_vs_articles(ds))
+        if len(sets) > 1:
+            report["dynamic_correlations"] += _year_pairs(sets)
+            report["consecutive_overlaps"] += [
+                {**_key(a, b), "count": set_overlap(a, b)[1]} for a, b in zip(sets, sets[1:])
+            ]
 
-    groups: dict[tuple[str, str], list[RankedSet]] = {}
-    for (disc, basis, _year), ds in datasets.items():
-        groups.setdefault((disc, basis), []).append(ds)
-
-    dynamics = []
-    overlaps = []
-    for (disc, basis), sets in sorted(groups.items()):
-        if len(sets) < 2:
-            continue
-        years, rank_cells = correlation_matrix(sets, Measure.RANK)
-        _, value_cells = correlation_matrix(sets, basis_measure(Basis(basis)))
-        for i, yi in enumerate(years):
-            for yj in years[i + 1:]:
-                rank_cell = rank_cells[(yi, yj)]
-                value_cell = value_cells[(yi, yj)]
-                dynamics.append(
-                    {
-                        "discipline": disc,
-                        "basis": basis,
-                        "year_a": yi,
-                        "year_b": yj,
-                        "rank": rank_cell.as_dict() if not isinstance(rank_cell, str) else {"error": rank_cell},
-                        "value": value_cell.as_dict() if not isinstance(value_cell, str) else {"error": value_cell},
-                    }
-                )
-        by_year = {ds.year: ds for ds in sets}
-        years_sorted = sorted(by_year)
-        for ya, yb in zip(years_sorted, years_sorted[1:]):
-            _, count = set_overlap(by_year[ya], by_year[yb])
-            overlaps.append(
-                {"discipline": disc, "basis": basis, "year_a": ya, "year_b": yb, "count": count}
-            )
-    report["dynamic_correlations"] = dynamics
-    report["consecutive_overlaps"] = overlaps
-
-    cross = []
-    trends = []
-    for (disc, basis, year), ds in sorted(datasets.items()):
-        # the rate against the measure the set is not ranked by
-        (other,) = {Measure.CITATIONS, Measure.IMPACT_FACTOR} - {basis_measure(ds.basis)}
-        try:
-            rep = cross_measure_correlation(ds, other, Measure.RATE)
-            cross.append(
-                {"discipline": disc, "basis": basis, "year": year, **rep.as_dict()}
-            )
-        except ValidationError as exc:
-            cross.append(
-                {"discipline": disc, "basis": basis, "year": year, "error": str(exc)}
-            )
-        articles = ds.column("articles")
-        has_articles = articles > 0
-        rows = binned_trend(articles[has_articles], ds.column("if")[has_articles])
-        trends.append(
-            {
-                "discipline": disc,
-                "basis": basis,
-                "year": year,
-                "x": "articles",
-                "y": "if",
-                "bins": [{"center": c, "mean": m, "stderr": s} for c, m, s in rows],
-            }
-        )
-    report["cross_measure_correlations"] = cross
-    report["if_vs_articles_trends"] = trends
-
-    text = json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
+    text = _json(report) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    print(
-        f"report over {len(datasets)} datasets"
-        + (f" -> {args.out}" if args.out else ""),
-        file=sys.stderr,
-    )
+    written = f" -> {args.out}" if args.out else ""
+    print(f"report over {len(datasets)} datasets{written}", file=sys.stderr)
 
 
 # --- parser ------------------------------------------------------------------

@@ -64,8 +64,9 @@ def pearson(
 ) -> CorrelationReport:
     """Sample correlation of two aligned series under a transform.
 
-    Under LogLog, pairs with a non-positive member are dropped and counted
-    rather than aborting: truncated real tables contain occasional zeros.
+    Under LogLog, pairs with a non-positive or NaN member are dropped and
+    counted rather than aborting: truncated real tables contain occasional
+    zeros. ValidationError if NaN or inf is left after the transform.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -80,6 +81,8 @@ def pearson(
         x, y = np.log(x[keep]), np.log(y[keep])
     if x.size < MIN_PAIRS:
         raise ValidationError(f"need at least {MIN_PAIRS} usable pairs, have {x.size}")
+    finite_samples(x, "xs")
+    finite_samples(y, "ys")
 
     dx = x - x.mean()
     dy = y - y.mean()
@@ -173,6 +176,8 @@ def binned_trend(
     finite_samples(x, "xs")
     finite_samples(y, "ys")
     if bin_edges is None:
+        if n_bins < 1:
+            raise ValidationError(f"bin count must be >= 1, got {n_bins}")
         lo, hi = float(x.min()), float(x.max())
         if not hi > lo:
             hi = lo + 1.0

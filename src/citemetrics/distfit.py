@@ -48,7 +48,7 @@ class EmpiricalDistribution:
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
-        if edges.size < 2 or np.any(np.diff(edges) <= 0):
+        if edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValidationError("bin_edges must be strictly increasing")
         if self.binning == "log" and edges[0] <= 0:
             raise ValidationError("log binning requires positive bin edges")
@@ -60,7 +60,7 @@ class EmpiricalDistribution:
         if np.any(dens < 0):
             raise ValidationError("densities must be non-negative")
         total = float(np.sum(dens * np.diff(edges)))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValidationError(f"density must integrate to 1, got {total!r}")
 
     def widths(self) -> np.ndarray:
@@ -125,16 +125,21 @@ def empirical_pdf(
     # pin the boundary edges so min/max samples cannot round out of range
     edges[0], edges[-1] = lo, hi
 
-    counts, edges = np.histogram(x, bins=edges)
-    n = int(counts.sum())
-    densities = counts / (n * np.diff(edges))
+    densities, edges = _binned_density(x, edges)
     return EmpiricalDistribution(
         bin_edges=tuple(float(e) for e in edges),
         densities=tuple(float(d) for d in densities),
-        n_samples=n,
+        n_samples=int(x.size),
         scaling=scaling,
         binning=binning,
     )
+
+
+def _binned_density(x: np.ndarray, bins: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density count / (n * width), n the samples binned, and the edges of
+    ``np.histogram``'s ``bins``: a bin count, or edges taken as given."""
+    counts, edges = np.histogram(x, bins=bins)
+    return counts / (counts.sum() * np.diff(edges)), edges
 
 
 def pdf_peak_location(dist: EmpiricalDistribution) -> float:
@@ -428,9 +433,7 @@ def _gumbel_lsq(x: np.ndarray, bins: int) -> tuple[float, float, float]:
     """
     from scipy.optimize import least_squares
 
-    counts, edges = np.histogram(x, bins=bins)
-    widths = np.diff(edges)
-    density = counts / (x.size * widths)
+    density, edges = _binned_density(x, bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     def residuals(p):
@@ -448,7 +451,8 @@ def _gumbel_lsq(x: np.ndarray, bins: int) -> tuple[float, float, float]:
     return float(res.x[0]), float(math.exp(res.x[1])), float(np.sum(res.fun**2))
 
 
-def _check_log_base(log_base: float) -> None:
+def check_log_base(log_base: float) -> None:
+    """ValidationError unless the logarithm base is finite and exceeds 1."""
     if not (math.isfinite(log_base) and log_base > 1):
         raise ValidationError(f"log base must be finite and exceed 1, got {log_base}")
 
@@ -475,7 +479,7 @@ def gumbel_fit(
     finite_samples(r, "rates")
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
-    _check_log_base(log_base)
+    check_log_base(log_base)
     x = np.log(r) / math.log(log_base)
     if float(x.max()) - float(x.min()) < 1e-12:
         raise ValidationError("degenerate scale: all rates equal")
@@ -628,15 +632,14 @@ def gumbel_curve_ks(
     r = finite_samples(scaled_rates, "rates")
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
-    _check_log_base(log_base)
+    check_log_base(log_base)
     if n_points < 2:
         raise ValidationError(f"need at least 2 curve points, got {n_points}")
     lo, hi = float(r.min()), float(r.max())
     if not hi > lo:
         raise ValidationError("degenerate sample: all rates equal")
     edges = np.logspace(math.log10(lo), math.log10(hi), n_points + 1)
-    counts, _ = np.histogram(r, bins=edges)
-    densities = counts / (counts.sum() * np.diff(edges))
+    densities, _ = _binned_density(r, edges)
     pattern = np.cumsum(densities) / densities.sum()
     xs = np.log(edges[1:]) / math.log(log_base)
     model = np.minimum(np.asarray(gumbel_cdf(xs, params), dtype=float), 1.0)

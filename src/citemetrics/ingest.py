@@ -82,16 +82,11 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
     it already; ``path`` then only names the file in messages.
     """
     path = Path(path)
-    if data is not None:
-        return _parse_lines(path, io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        return _parse_lines(path, fh)
-
-
-def _parse_lines(path: Path, lines: Iterable[str]) -> JournalTable:
-    reader = csv.reader(lines)
+    if data is None:
+        if not path.exists():
+            raise ValidationError(f"no such file: {path}")
+        data = path.read_bytes()
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -104,9 +99,7 @@ def _parse_lines(path: Path, lines: Iterable[str]) -> JournalTable:
         raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
     extra = [h for h in header if h not in COLUMNS]
     if extra:
-        warnings.warn(
-            f"{path}: ignoring extra column(s) {', '.join(extra)}", stacklevel=3
-        )
+        warnings.warn(f"{path}: ignoring extra column(s) {', '.join(extra)}", stacklevel=2)
     index = [header.index(c) for c in COLUMNS]
     width = len(header)
 
@@ -353,7 +346,11 @@ def load_dataset(
     data_path = workspace_dir / entry["source_path"]
     if not data_path.exists():
         raise WorkspaceError(f"manifest references missing file {data_path}")
-    data = data_path.read_bytes()
+    # read_manifest keeps the path relative and free of ".."; a symlink could still lead out
+    resolved = data_path.resolve()
+    if not resolved.is_relative_to(workspace_dir.resolve()):
+        raise WorkspaceError(f"{data_path} resolves to {resolved}, outside the workspace")
+    data = resolved.read_bytes()
     actual = _digest(data)
     if actual != entry["content_digest"]:
         raise WorkspaceError(

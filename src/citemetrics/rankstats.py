@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, join_rows,
+    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, common_ids,
+    join_rows,
 )
 
 DEFAULT_K_MIN = 10
@@ -172,7 +173,7 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
 
 def set_overlap(a: RankedSet, b: RankedSet) -> tuple[tuple[str, ...], int]:
     """Journals common to two sets, in ascending id order, with their count."""
-    common = sorted(set(a.journal_ids()).intersection(b.journal_ids()))
+    common = common_ids(a, b)
     return tuple(common), len(common)
 
 

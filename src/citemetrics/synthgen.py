@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from .distfit import GumbelParams, check_log_base
 from .errors import ValidationError
 from .model import Basis, Discipline, JournalTable, RankedSet, build_ranked_set
 
@@ -43,6 +44,8 @@ def sample_pareto(
         raise ValidationError(f"Pareto exponent must exceed 1, got {gamma}")
     if not x_min > 0:
         raise ValidationError(f"x_min must be positive, got {x_min}")
+    if math.isinf(gamma) or math.isinf(x_min):
+        raise ValidationError(f"Pareto exponent and x_min must be finite, got {gamma}, {x_min}")
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     u = _rng(seed, 1).random(count)
@@ -62,12 +65,10 @@ def sample_gumbel_log(
     returns base**(a + b z). The base matches the fitting convention
     (natural by default).
     """
-    if not b > 0:
-        raise ValidationError(f"Gumbel scale must be positive, got {b}")
+    GumbelParams(a, b)  # checks the scale and the location
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if not log_base > 1:
-        raise ValidationError(f"log base must exceed 1, got {log_base}")
+    check_log_base(log_base)
     u = _rng(seed, 2).random(count)
     z = -np.log(-np.log(u))
     return np.power(log_base, a + b * z)

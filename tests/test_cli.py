@@ -10,11 +10,14 @@ import pytest
 import citemetrics
 from citemetrics.cli import run
 from citemetrics.ingest import store_dataset
-from citemetrics.model import JournalYearRecord
+from citemetrics.model import Basis, Discipline, JournalTable, JournalYearRecord, build_ranked_set
 from citemetrics.synthgen import PROFILES, build_fixture
 
 # sha256 of `report` stdout over every synthgen profile and year at seed 20001000.
 REPORT_SHA256 = "da56533e7dd93c084a7d03abf732a02e229d8af5e13fb0038b39b96415c4ca67"
+# sha256 of `report` stdout over the small odd workspace of
+# `test_report_bytes_pinned_on_odd_workspace`, recorded before `report` was rebuilt.
+ODD_REPORT_SHA256 = "4e2f08684132a91488b9f3c997fe06f2ac0003a5ee0d5a86e2105e6d00ee313e"
 
 
 def invoke(capsys, *argv, expect=0):
@@ -329,6 +332,34 @@ class TestErrorPaths:
             assert f"path {source!r} leaves the workspace" in captured.err
             assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("link", ["file", "data_dir"])
+    def test_symlink_out_of_workspace_is_exit_2(self, workspace, tmp_path, capsys, link):
+        # The outside copy has the stored bytes, so its digest matches.
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        data = workspace / "data"
+        for stored in data.iterdir():
+            (outside / stored.name).write_bytes(stored.read_bytes())
+        if link == "file":
+            (data / "sci_citations_2005.csv").unlink()
+            (data / "sci_citations_2005.csv").symlink_to(outside / "sci_citations_2005.csv")
+        else:
+            data.rename(tmp_path / "moved")
+            data.symlink_to(outside, target_is_directory=True)
+        for argv in (["report"], ["rank", "--set", "sci:citations:2005", "--measure", "n"]):
+            captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=2)
+            assert f"resolves to {outside / 'sci_citations_2005.csv'}, outside the workspace" \
+                in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_symlink_inside_workspace_loads(self, workspace, capsys):
+        data = workspace / "data"
+        (workspace / "kept.csv").write_bytes((data / "sci_citations_2005.csv").read_bytes())
+        (data / "sci_citations_2005.csv").unlink()
+        (data / "sci_citations_2005.csv").symlink_to(workspace / "kept.csv")
+        invoke(capsys, "rank", "--workspace", str(workspace), "--set", "sci:citations:2005",
+               "--measure", "n")
+
     def test_undecodable_manifest_is_exit_2(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         ws.mkdir()
@@ -391,6 +422,26 @@ class TestReport:
                 store_dataset(ws, build_fixture(profile, year, 20001000))
         captured = invoke(capsys, "report", "--workspace", str(ws))
         assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == REPORT_SHA256
+
+    def test_report_bytes_pinned_on_odd_workspace(self, tmp_path, capsys):
+        """A year gap (sci:citations), a one-year group (sci:if), sets of 15 and 2
+        rows, too small for the Zipf, Pareto and Gumbel fits (socsci:citations),
+        and two years with no journal in common (socsci:if), whose correlation
+        cells, and one cross-measure cell, hold errors."""
+        ws = tmp_path / "ws"
+        for year in (2000, 2001, 2003):
+            store_dataset(ws, build_fixture("sci_set_i", year))
+        store_dataset(ws, build_fixture("sci_set_ii", 2004))
+        for year, cap in ((2007, 1000), (2008, 15), (2009, 2)):
+            fixture = build_fixture("socsci_set_i", year)
+            store_dataset(ws, build_ranked_set(fixture.table, fixture.discipline,
+                                               fixture.basis, year, cap=cap))
+        for year, prefix in ((2010, "x"), (2011, "y")):
+            rows = [(f"{prefix}1", year, 40, 2.5, 0), (f"{prefix}2", year, 12, 1.5, 8)]
+            store_dataset(ws, build_ranked_set(JournalTable.from_rows(rows), Discipline.SOCSCI,
+                                               Basis.IMPACT_FACTOR, year))
+        captured = invoke(capsys, "report", "--workspace", str(ws))
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == ODD_REPORT_SHA256
 
     def test_report_on_empty_workspace_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty_ws"

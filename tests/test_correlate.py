@@ -71,6 +71,22 @@ class TestPearson:
         assert rep.dropped_pairs == 2
         assert rep.n_pairs == 2
 
+    @pytest.mark.parametrize(
+        "xs, ys, transform, message",
+        [
+            ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0], Transform.IDENTITY, "xs must be finite"),
+            ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], Transform.RANK_RANK, "ys must be finite"),
+            ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0], Transform.LOG_LOG, "xs must be finite"),
+        ],
+    )
+    def test_non_finite_after_transform_rejected(self, xs, ys, transform, message):
+        with pytest.raises(ValidationError, match=message):
+            pearson(xs, ys, transform=transform)
+
+    def test_log_transform_drops_nan_pairs(self):
+        rep = pearson([1.0, 2.0, math.nan, 4.0], [1.0, 3.0, 2.0, 9.0], Transform.LOG_LOG)
+        assert (rep.n_pairs, rep.dropped_pairs) == (3, 1)
+
     def test_zero_variance_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -181,6 +197,11 @@ class TestBinnedTrend:
             binned_trend([1.0, bad, 9.0], [5.0, 6.0, 7.0], bin_edges=edges)
         with pytest.raises(ValidationError, match="ys must be finite"):
             binned_trend([1.0, 2.0, 9.0], [5.0, bad, 7.0], bin_edges=edges)
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_bin_count_below_one_rejected(self, n_bins):
+        with pytest.raises(ValidationError, match=f"bin count must be >= 1, got {n_bins}"):
+            binned_trend([1.0, 9.0], [5.0, 6.0], n_bins=n_bins)
 
     def test_nan_edges_rejected(self):
         with pytest.raises(ValidationError, match="increasing"):

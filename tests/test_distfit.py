@@ -78,6 +78,12 @@ class TestEmpiricalPdf:
         with pytest.raises(ValidationError, match="increasing"):
             EmpiricalDistribution((2.0, 1.0), (1.0,), 10, Scaling.RAW)
 
+    def test_nan_edges_and_densities_rejected(self):
+        with pytest.raises(ValidationError, match="bin_edges must be strictly increasing"):
+            EmpiricalDistribution((0.5, math.nan, 1.0), (1.0, 1.0), 2, Scaling.RAW, "linear")
+        with pytest.raises(ValidationError, match="density must integrate to 1, got nan"):
+            EmpiricalDistribution((0.0, 1.0, 2.0), (1.0, math.nan), 2, Scaling.RAW, "linear")
+
 
 class TestPeakLocation:
     def make(self, densities, edges=None, binning="linear"):

@@ -1,7 +1,8 @@
 """Shared numeric kernels against test-local copies of the loops they replaced.
 
 ``binned_rank_average`` and ``binned_trend`` share ``rankstats.binned_mean``;
-the Pareto auto-``x_min`` scan sorts the sample once and measures each
+``empirical_pdf``, the least-squares Gumbel fit and ``gumbel_curve_ks`` share
+``distfit._binned_density``; the Pareto auto-``x_min`` scan sorts the sample once and measures each
 candidate on a suffix of it; ``RankSeries`` checks its fields as arrays. The
 references below are the former loops, copied unchanged except that the
 ``RankSeries`` loop also rejects str and bytes values; every property
@@ -364,3 +365,55 @@ def test_rank_series_accepts_numpy_integers_and_rejects_beyond_int64():
         assert outcome(new_rank_series_check, ranks, (1.0,) * len(ranks), LABEL) == (
             "error", "ranks must be strictly increasing integers >= 1"
         )
+
+
+# --- former binned densities ----------------------------------------------------
+
+
+def former_empirical_pdf_density(x, edges):
+    counts, edges = np.histogram(x, bins=edges)
+    n = int(counts.sum())
+    return counts / (n * np.diff(edges)), edges, n
+
+
+def former_lsq_density(x, bins):
+    counts, edges = np.histogram(x, bins=bins)
+    widths = np.diff(edges)
+    return counts / (x.size * widths), edges
+
+
+def former_curve_density(r, edges):
+    counts, _ = np.histogram(r, bins=edges)
+    return counts / (counts.sum() * np.diff(edges))
+
+
+# Positive samples with repeats; logspace edges over their range round, so the
+# unpinned end edges of the curve KS can leave the minimum or maximum out.
+positive = st.sampled_from([0.1, 1.0, 1.5, 7.0]) | st.floats(1e-3, 1e4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(positive, min_size=2, max_size=60), n_points=st.integers(1, 25))
+def test_binned_density_equals_the_three_former_expressions(samples, n_points):
+    x = np.array(samples)
+    lo, hi = float(x.min()), float(x.max())
+    if not hi > lo:
+        return
+    unpinned = np.logspace(math.log10(lo), math.log10(hi), n_points + 1)
+    pinned = unpinned.copy()
+    pinned[0], pinned[-1] = lo, hi
+
+    density, edges = distfit._binned_density(x, pinned)
+    want, want_edges, n = former_empirical_pdf_density(x, pinned)
+    assert n == x.size  # pinned edges bin every sample: empirical_pdf's n_samples
+    np.testing.assert_array_equal(density, want)
+    np.testing.assert_array_equal(edges, want_edges)
+
+    with np.errstate(invalid="ignore"):  # rounded edges can leave both of two samples out: 0/0
+        density, _ = distfit._binned_density(x, unpinned)
+        np.testing.assert_array_equal(density, former_curve_density(x, unpinned))
+
+    density, edges = distfit._binned_density(x, n_points)  # a bin count bins every sample
+    want, want_edges = former_lsq_density(x, n_points)
+    np.testing.assert_array_equal(density, want)
+    np.testing.assert_array_equal(edges, want_edges)

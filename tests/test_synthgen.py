@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,34 @@ class TestSamplers:
         params, _ = gumbel_fit(rates)
         assert abs(params.a + 0.5385) < 0.01
         assert abs(params.b - 0.6677) < 0.01
+
+    @pytest.mark.parametrize(
+        "gamma, x_min, message",
+        [
+            (1.0, 1.0, "Pareto exponent must exceed 1, got 1.0"),
+            (math.nan, 1.0, "Pareto exponent must exceed 1, got nan"),
+            (2.0, 0.0, "x_min must be positive, got 0.0"),
+            (math.inf, 1.0, "Pareto exponent and x_min must be finite, got inf, 1.0"),
+            (2.0, math.inf, "Pareto exponent and x_min must be finite, got 2.0, inf"),
+        ],
+    )
+    def test_pareto_rejects_bad_parameters(self, gamma, x_min, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sample_pareto(gamma, x_min, 10)
+
+    @pytest.mark.parametrize(
+        "a, b, log_base, message",
+        [
+            (0.0, 0.0, math.e, "Gumbel scale must be positive, got 0.0"),
+            (0.0, math.inf, math.e, "Gumbel scale must be finite, got inf"),
+            (math.nan, 1.0, math.e, "Gumbel location must be finite, got nan"),
+            (0.0, 1.0, 1.0, "log base must be finite and exceed 1, got 1.0"),
+            (0.0, 1.0, math.inf, "log base must be finite and exceed 1, got inf"),
+        ],
+    )
+    def test_gumbel_rejects_bad_parameters(self, a, b, log_base, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sample_gumbel_log(a, b, 10, log_base=log_base)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValidationError):
