@@ -32,7 +32,7 @@ ranked = build_fixture("sci_set_i", 2000)
 
 # Tail exponent of the citation distribution, against the rank-law prediction.
 series = rank_series(ranked, Measure.CITATIONS)
-tail = pareto_tail_fit(list(series.values))
+tail = pareto_tail_fit(series.values)
 b = zipf_fit(series).params["b"]
 print(f"citation tail: gamma = {tail.params['gamma']:.2f} "
       f"(x_min = {tail.params['x_min']:.3g})")

@@ -156,12 +156,12 @@ def _scaled_rates(ranked: RankedSet) -> tuple[np.ndarray, int]:
     return rates / rates.mean(), len(derivation.dropped)
 
 
-def _samples(ranked: RankedSet, measure: Measure) -> list[float]:
+def _samples(ranked: RankedSet, measure: Measure) -> list[float] | np.ndarray:
     """Values of a measure for ``dist`` and ``fit-pareto``: every defined rate,
     or the positive values of another measure."""
     if measure is Measure.RATE:
         return [r for _, r in derive_rates(ranked).rates]
-    return list(rank_series(ranked, measure).values)
+    return rank_series(ranked, measure).values
 
 
 def _curve_points(ranked: RankedSet) -> int:
@@ -192,8 +192,8 @@ def _cmd_rank(args) -> None:
     payload = {
         "label": series.label.text(),
         "collapsed": bool(args.collapse),
-        "ranks": list(series.ranks),
-        "values": list(series.values),
+        "ranks": series.ranks.tolist(),
+        "values": series.values.tolist(),
     }
     if args.emit:
         write_series_csv(args.emit, series.label.text(), series.ranks, series.values)
@@ -373,7 +373,7 @@ def _dataset_report(ranked: RankedSet) -> dict:
     except ValidationError as exc:
         out["zipf"] = {"error": str(exc)}
     try:
-        pareto = pareto_tail_fit(list(series.values))
+        pareto = pareto_tail_fit(series.values)
         out["pareto"] = _fit_json(basis_m.value, pareto)
     except ValidationError as exc:
         out["pareto"] = {"error": str(exc)}
@@ -403,8 +403,11 @@ def _cross_measure(ranked: RankedSet) -> dict:
 def _if_vs_articles(ranked: RankedSet) -> dict:
     articles = ranked.column("articles")
     has_articles = articles > 0
-    rows = binned_trend(articles[has_articles], ranked.column("if")[has_articles])
-    return {**_key(ranked), "x": "articles", "y": "if", "bins": _bins(rows)}
+    try:
+        bins = _bins(binned_trend(articles[has_articles], ranked.column("if")[has_articles]))
+    except ValidationError as exc:
+        bins = {"error": str(exc)}
+    return {**_key(ranked), "x": "articles", "y": "if", "bins": bins}
 
 
 def _year_pairs(sets: list[RankedSet]) -> list[dict]:

@@ -157,11 +157,19 @@ def pdf_peak_location(dist: EmpiricalDistribution) -> float:
 
 
 def _pareto_mle(tail: np.ndarray, x_min: float) -> float:
-    log_ratio = np.log(tail / x_min)
+    log_ratio = np.divide(tail, x_min)
+    np.log(log_ratio, out=log_ratio)
     total = float(log_ratio.sum())
     if total <= 0:
         raise ValidationError("degenerate tail: all samples at x_min")
     return 1.0 + tail.size / total
+
+
+def _pareto_cdf(t: np.ndarray, x_min: float, gamma: float) -> np.ndarray:
+    """The power-law CDF 1 - (x_min / t)**(gamma - 1), formed in one buffer."""
+    f = x_min / t
+    f **= gamma - 1.0
+    return np.subtract(1.0, f, out=f)
 
 
 def pareto_tail_fit(
@@ -182,20 +190,21 @@ def pareto_tail_fit(
     x = finite_samples(samples, "samples")
     if np.any(x <= 0):
         raise ValidationError("power-law tail fit requires positive samples")
+    hi = float(x.max())  # the top of every tail
 
     if x_min is not None:
         if not (math.isfinite(x_min) and x_min > 0):
             raise ValidationError(f"x_min must be positive and finite, got {x_min}")
         tail = x[x >= x_min]
-        if tail.size < min_tail:
+        m = tail.size
+        if m < min_tail:
             raise ValidationError(
-                f"need at least {min_tail} tail samples above x_min={x_min:g}, "
-                f"have {tail.size}"
+                f"need at least {min_tail} tail samples above x_min={x_min:g}, have {m}"
             )
         gamma = _pareto_mle(tail, x_min)
         chosen = float(x_min)
     else:
-        lo, hi = float(x.min()), float(x.max())
+        lo = float(x.min())
         if not hi > lo:
             raise ValidationError("degenerate sample: all values equal")
         n_candidates = max(2, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
@@ -211,20 +220,20 @@ def pareto_tail_fit(
             if tail.size < min_tail:
                 break
             g = _pareto_mle(tail, cand)
-            d = _ks_sorted(xs[xs.size - tail.size:], lambda t: 1.0 - (cand / t) ** (g - 1.0))
+            d = _ks_sorted(xs[xs.size - tail.size:], lambda t: _pareto_cdf(t, cand, g))
             if best is None or d < best[0]:
-                best = (d, cand, g, tail)
+                best = (d, cand, g, tail.size)
         if best is None:
             raise ValidationError(
                 f"no candidate x_min leaves {min_tail} tail samples"
             )
-        _, chosen, gamma, tail = best
+        _, chosen, gamma, m = best
 
-    stderr = (gamma - 1.0) / math.sqrt(tail.size)
+    stderr = (gamma - 1.0) / math.sqrt(m)
     return FitResult(
         params={"gamma": gamma, "x_min": chosen},
         stderr={"gamma": stderr, "x_min": 0.0},
-        fit_range=(chosen, float(tail.max())),
+        fit_range=(chosen, hi),
         method=FitMethod.MAXIMUM_LIKELIHOOD,
     )
 
@@ -365,13 +374,15 @@ def _gumbel_scale_equation(x: np.ndarray, xs: np.ndarray) -> Callable[[float], f
     """g(b) = b - mean(x) + sum(x w)/sum(w), w = exp(-xs/b): the MLE scale is its root.
 
     ``xs`` is x shifted by its minimum, which keeps the weights from
-    overflowing. Each evaluation makes three passes over the sample.
+    overflowing. Every evaluation forms the weights, then x w, in one buffer;
+    xs / -b is the same float as -xs / b.
     """
     x_bar = float(x.mean())
+    w = np.empty_like(xs)
 
     def imbalance(b: float) -> float:
-        w = np.exp(-xs / b)
-        return b - x_bar + float((x * w).sum() / w.sum())
+        w_sum = np.exp(np.divide(xs, -b, out=w), out=w).sum()
+        return b - x_bar + float(np.multiply(x, w, out=w).sum() / w_sum)
 
     return imbalance
 
@@ -391,11 +402,10 @@ def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
     scipy import for this fit. The scale equation is evaluated once per
     point: the bracket's end values are handed to the root finder.
     """
+    b0 = float(x.std(ddof=0)) * math.sqrt(6.0) / math.pi  # before xs and w: std makes a copy
     shift = float(x.min())
     xs = x - shift
     imbalance = _gumbel_scale_equation(x, xs)
-
-    b0 = float(x.std(ddof=0)) * math.sqrt(6.0) / math.pi
     f0 = imbalance(b0)
     lo, f_lo = b0, f0
     for _ in range(64):
@@ -421,7 +431,8 @@ def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
         raise FitConvergenceError(
             f"Gumbel scale equation: {exc}", residual=exc.residual
         ) from None
-    a = shift - b * math.log(float(np.exp(-xs / b).mean()))
+    w = np.exp(np.divide(xs, -b, out=xs), out=xs)  # xs is not needed again
+    a = shift - b * math.log(float(w.mean()))
     return a, float(b)
 
 
@@ -480,7 +491,8 @@ def gumbel_fit(
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")
     check_log_base(log_base)
-    x = np.log(r) / math.log(log_base)
+    x = np.log(r)
+    x /= math.log(log_base)
     if float(x.max()) - float(x.min()) < 1e-12:
         raise ValidationError("degenerate scale: all rates equal")
 
@@ -601,9 +613,12 @@ def _ks_sorted(x: np.ndarray, model_cdf: Callable) -> float:
     """KS distance of a non-empty, ascending, finite sample against a model CDF."""
     n = x.size
     f = np.asarray(model_cdf(x), dtype=float)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(max(np.max(upper - f), np.max(f - lower)))
+    # (i + 1)/n - f, then f - i/n, each formed in place in a step buffer of its own
+    upper = np.arange(1, n + 1, dtype=float)
+    d_upper = np.max(np.subtract(np.divide(upper, n, out=upper), f, out=upper))
+    del upper  # before the second buffer is made
+    lower = np.arange(0, n, dtype=float)
+    return float(max(d_upper, np.max(np.subtract(f, np.divide(lower, n, out=lower), out=lower))))
 
 
 def ks_statistic_samples(samples: Sequence[float], model_cdf: Callable) -> float:

@@ -86,7 +86,7 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
         if not path.exists():
             raise ValidationError(f"no such file: {path}")
         data = path.read_bytes()
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
+    reader = _reader(data)
     try:
         header = next(reader)
     except StopIteration:
@@ -103,19 +103,14 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
     index = [header.index(c) for c in COLUMNS]
     width = len(header)
 
-    rows = []
     try:
-        rows.extend(reader)
-    except csv.Error as exc:
-        _parse_rows(rows, index, width)  # an error in an earlier row comes first
-        raise ValidationError(f"line {len(rows) + 2}: {exc}") from None
-    except UnicodeDecodeError:
-        _parse_rows(rows, index, width)
-        raise
-    try:
-        return _table_of(rows, index, width)
-    except (ValueError, ValidationError):
-        return _parse_rows(rows, index, width)
+        return _table_of(list(reader), index, width)
+    except (csv.Error, ValueError, ValidationError):  # UnicodeDecodeError is a ValueError
+        return _parse_rows(data, index, width)
+
+
+def _reader(data: bytes):
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
 
 
 def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
@@ -136,11 +131,25 @@ def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTab
     )
 
 
-def _parse_rows(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
-    """The rows as a table, converted and checked row by row in file order."""
+def _numbered_rows(data: bytes):
+    """(line, row) for each record after the header, ``line`` the file line it
+    starts on: a quoted field can hold a line break, so lines and records differ."""
+    reader = _reader(data)
+    next(reader)  # the header, already checked
+    start = reader.line_num + 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a field beyond csv.field_size_limit()
+        raise ValidationError(f"line {start}: {exc}") from None
+
+
+def _parse_rows(data: bytes, index: list[int], width: int) -> JournalTable:
+    """The rows as a table, read again and checked one by one in file order."""
     i_id, i_year, i_cit, i_if, i_art = index
     parsed = []
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in _numbered_rows(data):
         # A full-width row with an id can be neither blank nor short.
         if len(row) < width or not row[i_id].strip():
             if not row or all(not cell.strip() for cell in row):

@@ -37,22 +37,7 @@ class SeriesLabel(NamedTuple):
         return f"{self.discipline.value}:{self.basis.value}:{self.year}:{self.measure.value}"
 
 
-def _ranks_ok(ranks: Sequence[int]) -> bool:
-    """True if ``ranks`` are strictly increasing integers in 1..int64 max."""
-    try:
-        k = np.asarray(ranks)
-    except ValueError:  # ragged nesting
-        return False
-    return (
-        k.dtype.kind in "biu"
-        and k.ndim == 1
-        and k[0] >= 1
-        and k[-1] <= _INT64_MAX
-        and bool(np.all(k[1:] > k[:-1]))
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankSeries:
     """Aligned (rank, value) pairs for one labelled measure.
 
@@ -61,15 +46,17 @@ class RankSeries:
     by, values must be non-increasing in rank; other measures scattered
     against the same ranks are free to fluctuate.
 
-    Both fields are checked as arrays. Ranks may be Python or numpy integers
-    (or bools, as Python counts them) up to the int64 maximum; values are
-    compared as floats, and str or bytes values are rejected. Neither array
-    is kept: at n = 1e6 the tuples and a cached copy would both stay alive as
-    long as the series does.
+    Both fields are read-only arrays: ``ranks`` int64 and ``values`` float64.
+    The constructor takes any sequences and converts each once; an array is
+    copied, so a later write to it cannot change the series. Ranks may be
+    Python or numpy integers (or bools, as Python counts them) up to the int64
+    maximum; values are converted as floats, and str or bytes values are
+    rejected. Two series are equal when their labels and both arrays are;
+    the hash is the label's.
     """
 
-    ranks: tuple[int, ...]
-    values: tuple[float, ...]
+    ranks: np.ndarray
+    values: np.ndarray
     label: SeriesLabel
 
     def __post_init__(self):
@@ -78,12 +65,19 @@ class RankSeries:
             raise ValidationError("ranks and values must have equal length")
         if not n:
             raise ValidationError("a RankSeries cannot be empty")
-        if not _ranks_ok(self.ranks):
+        try:
+            k = np.array(self.ranks)  # a copy, even of an array
+        except ValueError:  # ragged nesting
+            k = np.empty(0)
+        if not (k.dtype.kind in "biu" and k.ndim == 1 and k[0] >= 1 and k[-1] <= _INT64_MAX
+                and np.all(k[1:] > k[:-1])):
             raise ValidationError("ranks must be strictly increasing integers >= 1")
+        v = self.values
         try:
             # array("d") converts numbers as np.fromiter does but rejects
             # str and bytes, which fromiter would parse as numbers.
-            v = np.frombuffer(array("d", self.values))
+            numeric = isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "biuf"
+            v = v.astype(float) if numeric else np.frombuffer(array("d", v))
         except TypeError:
             # NaN stands in for each str or bytes value, so the check below names it.
             v = np.fromiter(
@@ -97,6 +91,19 @@ class RankSeries:
             raise ValidationError(
                 "values of the ranking measure must be non-increasing in rank"
             )
+        k = k.astype(np.int64, copy=False)
+        k.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "ranks", k)
+        object.__setattr__(self, "values", v)
+
+    def __eq__(self, other):
+        if not isinstance(other, RankSeries):
+            return NotImplemented
+        return (self.label == other.label and np.array_equal(self.ranks, other.ranks)
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        return hash(self.label)  # equal series share a label
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -114,7 +121,7 @@ def rank_series(ranked: RankedSet, measure: Measure) -> RankSeries:
         raise ValidationError(f"no positive {measure.value!r} values in set")
     label = SeriesLabel(ranked.discipline, ranked.basis, ranked.year, measure)
     ranks = np.flatnonzero(keep) + 1
-    return RankSeries(tuple(ranks.tolist()), tuple(values[keep].tolist()), label)
+    return RankSeries(ranks, values[keep], label)
 
 
 def scale_by_mean(series: RankSeries) -> RankSeries:
@@ -123,12 +130,8 @@ def scale_by_mean(series: RankSeries) -> RankSeries:
     The output mean is 1 to within 1e-12. Idempotent up to the same
     tolerance.
     """
-    values = np.asarray(series.values, dtype=float)
-    mean = float(values.mean())
-    if mean <= 0:
-        raise ValidationError("cannot scale a series with non-positive mean")
-    scaled = values / mean
-    return RankSeries(series.ranks, tuple(float(v) for v in scaled), series.label)
+    # the values are positive, so their mean is too
+    return RankSeries(series.ranks, series.values / float(series.values.mean()), series.label)
 
 
 def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
@@ -138,18 +141,14 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
     ordinary least-squares standard error of the slope. Small ranks are
     excluded because the top of the ranking is nearly rank-independent.
     """
-    ranks = np.fromiter(series.ranks, dtype=float, count=len(series))
-    values = np.fromiter(series.values, dtype=float, count=len(series))
-    keep = ranks > k_min
-    if int(keep.sum()) < 10:
-        raise ValidationError(
-            f"need at least 10 points with rank > {k_min}, have {int(keep.sum())}"
-        )
-    if np.any(values[keep] <= 0):
-        raise ValidationError("non-positive values in fit range")
+    # ranks ascend, so the points with rank > k_min are a suffix of the series
+    start = int(np.searchsorted(series.ranks, k_min, side="right"))
+    ranks, values = series.ranks[start:], series.values[start:]
+    if ranks.size < 10:
+        raise ValidationError(f"need at least 10 points with rank > {k_min}, have {ranks.size}")
 
-    x = np.log(ranks[keep])
-    y = np.log(values[keep])
+    x = np.log(ranks)
+    y = np.log(values)
     n = x.size
     x_bar, y_bar = x.mean(), y.mean()
     sxx = float(np.sum((x - x_bar) ** 2))
@@ -166,7 +165,7 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
     return FitResult(
         params={"b": -slope, "A": amplitude},
         stderr={"b": slope_err, "A": amplitude * intercept_err},
-        fit_range=(float(ranks[keep].min()), float(ranks[keep].max())),
+        fit_range=(float(ranks[0]), float(ranks[-1])),
         method=FitMethod.LOG_LOG_LEAST_SQUARES,
     )
 
@@ -228,8 +227,7 @@ def binned_rank_average(
     construction). Default bins are logarithmic, 10 per decade, since ranks
     span several decades.
     """
-    ranks = np.asarray(series.ranks, dtype=float)
-    values = np.asarray(series.values, dtype=float)
+    ranks, values = series.ranks, series.values
     if bin_edges is None:
         edges = log_rank_bins(int(ranks.max()))
     else:
@@ -256,15 +254,9 @@ def write_series_csv(
     Floats are written with 9 significant digits so emitted files are
     portable golden-test material.
     """
-    xs = list(xs)
-    ys = list(ys)
-    errs = list(yerr) if yerr is not None else None
-    if len(xs) != len(ys) or (errs is not None and len(errs) != len(xs)):
+    columns = [list(xs), list(ys)] + ([list(yerr)] if yerr is not None else [])
+    if len({len(c) for c in columns}) != 1:
         raise ValidationError("series columns must have equal length")
-    lines = [f"# label: {label}", "x,y,yerr" if errs is not None else "x,y"]
-    for i in range(len(xs)):
-        row = [f"{xs[i]:.9g}", f"{ys[i]:.9g}"]
-        if errs is not None:
-            row.append(f"{errs[i]:.9g}")
-        lines.append(",".join(row))
+    lines = [f"# label: {label}", ",".join(("x", "y", "yerr")[:len(columns)])]
+    lines += [",".join(f"{v:.9g}" for v in row) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

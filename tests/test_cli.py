@@ -443,6 +443,17 @@ class TestReport:
         captured = invoke(capsys, "report", "--workspace", str(ws))
         assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == ODD_REPORT_SHA256
 
+    def test_report_keeps_a_set_without_articles_to_its_own_trend(self, workspace, capsys):
+        rows = [("z1", 2010, 40, 2.5, 0), ("z2", 2010, 12, 1.5, 0)]
+        store_dataset(workspace, build_ranked_set(JournalTable.from_rows(rows), Discipline.SOCSCI,
+                                                  Basis.IMPACT_FACTOR, 2010))
+        trends = load_json(invoke(capsys, "report", "--workspace", str(workspace)))[
+            "if_vs_articles_trends"]
+        errors = [t for t in trends if isinstance(t["bins"], dict)]
+        assert [(t["discipline"], t["year"]) for t in errors] == [("socsci", 2010)]
+        assert "error" in errors[0]["bins"]
+        assert all(t["bins"] for t in trends if t not in errors)
+
     def test_report_on_empty_workspace_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty_ws"
         empty.mkdir()

@@ -39,6 +39,17 @@ PINS = {
                 {"a": "0x1.5b8f20c69d3b7p-9", "b": "0x1.015e2a12f4540p-9",
                  "log_base": "0x0.0p+0"}),
     },
+    # recorded before the fit kernels reused their buffers
+    1_000_000: {
+        "zipf": ({"b": "0x1.645c4c755d210p-1", "A": "0x1.d5c3426db8a18p+13"},
+                 {"b": "0x1.1b6ee15a6ae2ap-19", "A": "0x1.a1dadd0a7c3bbp-2"}),
+        "pareto": ({"gamma": "0x1.3757885664546p+1", "x_min": "0x1.0000115b632b4p+0"},
+                   {"gamma": "0x1.777bf87fc754cp-10", "x_min": "0x0.0p+0"}),
+        "mle": ({"a": "-0x1.198a619d4c11cp-1", "b": "0x1.995db69a8919dp-1",
+                 "log_base": "0x1.5bf0a8b145769p+1"},
+                {"a": "0x1.b96118cd95b0cp-11", "b": "0x1.46d77e105beddp-11",
+                 "log_base": "0x0.0p+0"}),
+    },
 }
 
 

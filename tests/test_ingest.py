@@ -101,6 +101,15 @@ class TestParseCsv:
         with pytest.raises(ValidationError, match="line 2: column 'citations'"):
             parse_csv(f)
 
+    def test_error_line_counts_file_lines_after_a_quoted_line_break(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_table(f, ['"A\nB",2000,1,1.0,1', "C,2000,x,1.0,1"])
+        with pytest.raises(ValidationError, match="line 4: column 'citations'"):
+            parse_csv(f)
+        write_table(f, ['"A\nB",2000,1,1.0,1', "C,2000,1,1.0," + "1" * 200_000])
+        with pytest.raises(ValidationError, match="line 4: field larger than field limit"):
+            parse_csv(f)
+
     def test_missing_column_named(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("journal_id,year,citations,impact_factor\nA,2000,1,1.0\n")

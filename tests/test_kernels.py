@@ -3,16 +3,21 @@
 ``binned_rank_average`` and ``binned_trend`` share ``rankstats.binned_mean``;
 ``empirical_pdf``, the least-squares Gumbel fit and ``gumbel_curve_ks`` share
 ``distfit._binned_density``; the Pareto auto-``x_min`` scan sorts the sample once and measures each
-candidate on a suffix of it; ``RankSeries`` checks its fields as arrays. The
-references below are the former loops, copied unchanged except that the
+candidate on a suffix of it; ``RankSeries`` checks its fields as arrays; the
+KS distance, the Pareto MLE and CDF and the Gumbel scale equation and
+location form their temporaries in reused buffers. The references below are
+the former loops and expressions, copied unchanged except that the
 ``RankSeries`` loop also rejects str and bytes values; every property
-requires equal results (``==``) or the same error message.
+requires equal results (``==``) or the same error message. A last test
+bounds the peak memory of the large-n fits.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +32,7 @@ from citemetrics.rankstats import (
     binned_mean,
     binned_rank_average,
     log_rank_bins,
+    zipf_fit,
 )
 from citemetrics.synthgen import sample_pareto
 
@@ -280,6 +286,135 @@ def test_pareto_scan_equals_former_scan_at_1e5_with_ties_and_early_stop():
         )
     # with 20 000 the last candidates leave too few samples and end the scan
     assert np.sum(samples >= candidates[-1]) < 20_000 <= np.sum(samples >= candidates[1])
+
+
+# --- former large-n fit expressions ----------------------------------------------
+
+# Above 256 KiB (32,768 float64) numpy forms some of an expression's
+# temporaries in place; 40,000 is above that size and the others below.
+KERNEL_SIZES = (60, 2_000, 40_000)
+
+
+def former_ks_sorted(x, model_cdf):
+    n = x.size
+    f = np.asarray(model_cdf(x), dtype=float)
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(max(np.max(upper - f), np.max(f - lower)))
+
+
+def former_gumbel_scale_equation(x, xs):
+    x_bar = float(x.mean())
+
+    def imbalance(b):
+        w = np.exp(-xs / b)
+        return b - x_bar + float((x * w).sum() / w.sum())
+
+    return imbalance
+
+
+def former_gumbel_location(xs, shift, b):
+    return shift - b * math.log(float(np.exp(-xs / b).mean()))
+
+
+def kernel_samples(n, seed):
+    """A Pareto sample, with every third seed rounded for ties."""
+    x = sample_pareto(2.43, 1.0, n, seed)
+    return np.round(x, 1) if seed % 3 == 0 else x
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_ks_sorted_equals_former_expression(n):
+    for seed in range(6):
+        x = np.sort(kernel_samples(n, seed))
+        cdfs = [
+            lambda t: distfit._pareto_cdf(t, float(x[0]), 2.43),
+            lambda t: 1.0 - (float(x[0]) / t) ** 1.43,
+            lambda t: t / t[-1],
+            lambda t: np.full(t.size, 0.5),
+        ]
+        for cdf in cdfs:
+            assert distfit._ks_sorted(x, cdf) == former_ks_sorted(x, cdf)
+    # a model CDF may hand back its argument, which must not be written to
+    u = np.sort(np.random.default_rng(n).uniform(size=n))
+    kept = u.copy()
+    assert distfit._ks_sorted(u, lambda t: t) == former_ks_sorted(kept, lambda t: t)
+    assert np.array_equal(u, kept)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_pareto_mle_and_cdf_equal_former_expressions(n):
+    for seed in range(6):
+        x = kernel_samples(n, seed)
+        for x_min in (float(x.min()), float(np.median(x)), 1.3):
+            tail = x[x >= x_min]
+            assert outcome(distfit._pareto_mle, tail, x_min) == outcome(
+                former_pareto_mle, tail, x_min
+            )
+        t = np.sort(x)
+        for gamma in (1.5, 2.0, 3.0, 2.43, 1.0 + 1 / 0.7):  # powers 0.5, 1 and 2 among them
+            model = distfit._pareto_cdf(t, float(t[0]), gamma)
+            assert np.array_equal(model, 1.0 - (float(t[0]) / t) ** (gamma - 1.0))
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_gumbel_scale_equation_and_location_equal_former_expressions(n):
+    rng = np.random.default_rng(n)
+    for i in range(4):
+        x = rng.gumbel(rng.normal(), rng.uniform(0.05, 3.0), n)
+        if i % 2:
+            x = np.round(x, 2)
+        shift = float(x.min())
+        xs = x - shift
+        new, former = distfit._gumbel_scale_equation(x, xs), former_gumbel_scale_equation(x, xs)
+        b0 = float(x.std()) * math.sqrt(6.0) / math.pi
+        for b in (b0 / 64, b0 / 2, b0, 1.7 * b0, 8 * b0, 0.3, 2.0):
+            assert new(b) == former(b)
+        a, b = distfit._gumbel_mle(x)
+        assert a == former_gumbel_location(xs, shift, b)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+@pytest.mark.parametrize("log_base", [math.e, 10.0, 2.5])
+def test_gumbel_fit_logs_equal_former_expression(n, log_base):
+    rates = np.exp(np.random.default_rng(n).gumbel(-0.55, 0.8, n))
+    seen = []
+    mle = distfit._gumbel_mle
+
+    def record(x):
+        seen.append(x.copy())
+        return mle(x)
+
+    with mock.patch.object(distfit, "_gumbel_mle", record):
+        distfit.gumbel_fit(rates, log_base=log_base)
+    assert np.array_equal(seen[0], np.log(rates) / math.log(log_base))
+
+
+# --- peak memory of the large-n fits -----------------------------------------------
+
+
+def peak_per_sample(fn, n):
+    """tracemalloc's peak while ``fn`` runs, in units of 8n bytes (one float64 copy)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_n_fits_bound_their_temporaries():
+    """At n = 1e5 each fit holds at most about four sample-sized arrays at once.
+
+    Before the kernels reused their buffers the peaks were 6.1, 6.1 and 5.1.
+    """
+    n = 100_000
+    x = sample_pareto(2.43, 1.0, n, 20001000 + n)
+    series = RankSeries(np.arange(1, n + 1), np.sort(x)[::-1], SeriesLabel(
+        Discipline.SCI, Basis.CITATIONS, 2000, Measure.CITATIONS))
+    assert peak_per_sample(lambda: zipf_fit(series), n) <= 4.5
+    assert peak_per_sample(lambda: pareto_tail_fit(x), n) <= 4.5
+    assert peak_per_sample(lambda: distfit.ks_statistic_samples(x, lambda t: 1.0 - 1.0 / t), n) <= 3.5
 
 
 # --- former RankSeries loops ------------------------------------------------------

@@ -36,6 +36,30 @@ def make_set(values, basis=Basis.CITATIONS, year=2000):
 
 
 class TestRankSeries:
+    def test_fields_are_read_only_arrays(self):
+        s = RankSeries((1, 2, 4), (3, 2.5, 1.0), LABEL)
+        assert s.ranks.dtype == np.int64 and s.values.dtype == np.float64
+        assert s.ranks.tolist() == [1, 2, 4] and s.values.tolist() == [3.0, 2.5, 1.0]
+        for field in (s.ranks, s.values):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 5
+
+    def test_array_arguments_are_copied(self):
+        ranks, values = np.array([1, 2, 3]), np.array([3.0, 2.0, 1.0])
+        s = RankSeries(ranks, values, LABEL)
+        ranks[0], values[0] = 7, 9.0
+        assert s.ranks.tolist() == [1, 2, 3] and s.values.tolist() == [3.0, 2.0, 1.0]
+
+    def test_equality_compares_label_and_both_arrays(self):
+        s = RankSeries((1, 2), (2.0, 1.0), LABEL)
+        same = RankSeries(np.array([1, 2]), np.array([2.0, 1.0]), LABEL)
+        assert s == same and hash(s) == hash(same)
+        assert s != RankSeries((1, 3), (2.0, 1.0), LABEL)
+        assert s != RankSeries((1, 2), (2.0, 0.5), LABEL)
+        assert s != RankSeries((1, 2), (2.0, 1.0), BASIS_LABEL)
+        assert s != (s.ranks, s.values)
+        assert len({s, same}) == 1
+
     def test_basis_measure_must_be_non_increasing(self):
         with pytest.raises(ValidationError, match="non-increasing"):
             RankSeries((1, 2), (1.0, 2.0), BASIS_LABEL)
@@ -59,15 +83,15 @@ class TestRankSeries:
         ]
         ranked = build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2000)
         s = rank_series(ranked, Measure.RATE)
-        assert s.ranks == (1, 3)
+        assert s.ranks.tolist() == [1, 3]
 
 
 class TestScaleByMean:
     def test_constant_series(self):
-        assert scale_by_mean(series([2.0, 2.0, 2.0])).values == (1.0, 1.0, 1.0)
+        assert scale_by_mean(series([2.0, 2.0, 2.0])).values.tolist() == [1.0, 1.0, 1.0]
 
     def test_two_point_series(self):
-        assert scale_by_mean(series([3.0, 1.0])).values == (1.5, 0.5)
+        assert scale_by_mean(series([3.0, 1.0])).values.tolist() == [1.5, 0.5]
 
     def test_output_mean_is_one(self):
         rng = np.random.default_rng(21)
