@@ -195,9 +195,10 @@ def correlation_matrix(
     """All-pairs year correlation matrix for one discipline+basis.
 
     Returns the sorted years and a cell map keyed by (year_i, year_j).
-    Diagonal cells are exact R = 1 reports; failed cells carry the error
-    message instead of a report. The matrix is symmetric by construction.
-    Each pair is joined on integer id codes numbered once for all the sets.
+    Diagonal cells are exact R = 1 reports; failed cells, a one-journal
+    year's diagonal among them, carry the error message instead of a report.
+    The matrix is symmetric by construction. Each pair is joined on integer
+    id codes numbered once for all the sets.
     """
     if len(ranked_sets) < 2:
         raise ValidationError("need at least two years for a correlation matrix")
@@ -213,22 +214,23 @@ def correlation_matrix(
             if yj < yi:
                 cells[(yi, yj)] = cells[(yj, yi)]
                 continue
-            if yi == yj:
-                rs = by_year[yi]
-                cells[(yi, yj)] = CorrelationReport(
-                    r_value=1.0,
-                    n_pairs=len(rs),
-                    transform=Transform.RANK_RANK
-                    if field_ is Measure.RANK
-                    else Transform.LOG_LOG,
-                    subjects=(_label(rs, field_.value), _label(rs, field_.value)),
-                )
-                continue
-            codes = np.flatnonzero((rows_of[yi] >= 0) & (rows_of[yj] >= 0))
             try:
-                cells[(yi, yj)] = dynamic_correlation(
-                    by_year[yi], by_year[yj], field_, (rows_of[yi][codes], rows_of[yj][codes])
-                )
+                if yi == yj:
+                    rs = by_year[yi]
+                    cells[(yi, yj)] = CorrelationReport(
+                        r_value=1.0,
+                        n_pairs=len(rs),
+                        transform=Transform.RANK_RANK
+                        if field_ is Measure.RANK
+                        else Transform.LOG_LOG,
+                        subjects=(_label(rs, field_.value), _label(rs, field_.value)),
+                    )
+                else:
+                    codes = np.flatnonzero((rows_of[yi] >= 0) & (rows_of[yj] >= 0))
+                    cells[(yi, yj)] = dynamic_correlation(
+                        by_year[yi], by_year[yj], field_,
+                        (rows_of[yi][codes], rows_of[yj][codes]),
+                    )
             except ValidationError as exc:
                 cells[(yi, yj)] = str(exc)
     return years, cells

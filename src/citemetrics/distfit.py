@@ -172,6 +172,66 @@ def _pareto_cdf(t: np.ndarray, x_min: float, gamma: float) -> np.ndarray:
     return np.subtract(1.0, f, out=f)
 
 
+# Fast and exact KS distances of one candidate cutoff c differ by rounding
+# only. Let u = eps/2, m the tail size, J the candidates scanned and
+# L = max(|log c|, |log max x|, 1), which bounds every |log x| in the tail.
+# With log, exp and pow within 4 ulp, the fast sum of log(x/c) (pairwise and
+# segment sums of rounded logs, less m log c) and the exact one (pairwise sum
+# of log(x/c)) differ by at most u m L (J + 300) for m < 2**48, so
+# g - 1 = m / sum moves by a relative r <= u L (g - 1) (J + 300). Each CDF
+# value then moves by at most r/e through g, by 19 u L (g - 1) through its
+# log ratio, and by 16 u in exp or pow; the steps i/m add 4 u. Hence
+#     |fast D - exact D| <= eps ((g - 1) L (J + 300) + 16),
+# about 1e-12 on the benchmark's draws (under 1e-15 measured there, against
+# a gap of 5.9e-5 or more to the runner-up). A candidate whose bound exceeds
+# _SCAN_SLACK / 4, or whose fast log sum is not positive, is re-scored
+# exactly. Of the rest, one whose fast D is more than _SCAN_SLACK above the
+# fast minimum lies over _SCAN_SLACK / 2 above the exact minimum: it can
+# neither win nor tie.
+_SCAN_SLACK = 1e-9
+
+
+def _near_minimal_cutoffs(x: np.ndarray, candidates: np.ndarray, min_tail: int) -> list[float]:
+    """The ascending candidate cutoffs the exact scan must re-score.
+
+    Only the candidates before the first that leaves fewer than ``min_tail``
+    samples are scanned; ValidationError if there are none.
+    """
+    xs = np.sort(x)
+    starts = np.searchsorted(xs, candidates)  # x[x >= c] is a permutation of xs[start:]
+    sizes = xs.size - starts
+    n_scan = int(np.count_nonzero(sizes >= min_tail))  # sizes never grow
+    if n_scan == 0:
+        raise ValidationError(f"no candidate x_min leaves {min_tail} tail samples")
+    cands, starts, sizes = candidates[:n_scan], starts[:n_scan].tolist(), sizes[:n_scan]
+    logs = np.log(xs, out=xs)
+    ends = starts[1:] + [logs.size]
+    segments = [logs[a:b].sum() for a, b in zip(starts, ends)]
+    log_c = np.log(cands)
+    sums = np.cumsum(segments[::-1])[::-1] - sizes * log_c
+    log_scale = np.maximum(np.maximum(np.abs(log_c), abs(logs[-1])), 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = 1.0 + sizes / sums
+        bound = float(np.finfo(float).eps) * ((g - 1.0) * log_scale * (n_scan + 300) + 16.0)
+    trusted = (sums > 0) & (bound <= _SCAN_SLACK / 4)
+
+    d_fast = np.full(n_scan, np.inf)
+    largest = int(sizes[trusted].max(initial=0))
+    buf = np.empty(largest)
+    steps = np.arange(largest, 0, -1, dtype=float)  # m - i for a tail of m, as a suffix
+    for j in np.flatnonzero(trusted).tolist():
+        m = int(sizes[j])
+        v = buf[:m]
+        np.subtract(log_c[j], logs[starts[j]:], out=v)
+        v *= g[j] - 1.0
+        np.exp(v, out=v)  # 1 - F, the fitted survival function
+        v *= -m
+        v += steps[largest - m:]  # v_i = m F_i - i, and m D = max(max v, 1 - min v)
+        d_fast[j] = max(v.max(), 1.0 - v.min()) / m
+    near = ~trusted | (d_fast <= d_fast.min() + _SCAN_SLACK)
+    return cands[near].tolist()
+
+
 def pareto_tail_fit(
     samples: Sequence[float],
     x_min: float | None = None,
@@ -185,7 +245,15 @@ def pareto_tail_fit(
 
     With ``x_min=None`` the cutoff is selected automatically by minimizing
     the KS distance between the tail sample and its fitted power law over
-    logarithmically spaced candidate cutoffs.
+    logarithmically spaced candidate cutoffs; the first of equal minima wins.
+    The scan takes two passes. A fast pass scores every candidate from the
+    logs of the sample sorted once: each tail is a suffix, its log sum
+    gathers from one segment sum per candidate, and its CDF is formed as
+    exp((gamma - 1)(log x_min - log x)). An exact pass then re-scores, with
+    the plain estimator and KS distance on ``x[x >= x_min]``, every candidate
+    whose fast distance is within ``_SCAN_SLACK`` of the fast minimum (or
+    whose fast score cannot be trusted that far). Only the argmin comes from
+    the fast pass; gamma is always the plain estimate on the unsorted tail.
     """
     x = finite_samples(samples, "samples")
     if np.any(x <= 0):
@@ -209,25 +277,21 @@ def pareto_tail_fit(
             raise ValidationError("degenerate sample: all values equal")
         n_candidates = max(2, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
         candidates = np.logspace(math.log10(lo), math.log10(hi), n_candidates + 1)[:-1]
-        # Candidates ascend, so each tail is filtered from the one before: the
-        # same elements in the same order as x[x >= cand], hence the same MLE
-        # sum. Its sorted copy is the matching suffix of x sorted once.
-        xs = np.sort(x)
-        tail = x
-        best = None
-        for cand in candidates.tolist():
-            tail = tail[tail >= cand]
-            if tail.size < min_tail:
-                break
-            g = _pareto_mle(tail, cand)
-            d = _ks_sorted(xs[xs.size - tail.size:], lambda t: _pareto_cdf(t, cand, g))
-            if best is None or d < best[0]:
-                best = (d, cand, g, tail.size)
-        if best is None:
-            raise ValidationError(
-                f"no candidate x_min leaves {min_tail} tail samples"
-            )
-        _, chosen, gamma, m = best
+        picks = _near_minimal_cutoffs(x, candidates, min_tail)
+        if len(picks) == 1:  # the winner; its KS distance is not needed
+            chosen = picks[0]
+            tail = x[x >= chosen]
+            gamma, m = _pareto_mle(tail, chosen), tail.size
+        else:
+            best = None
+            for cand in picks:
+                tail = x[x >= cand]
+                g = _pareto_mle(tail, cand)  # summed in the sample's order
+                tail.sort()
+                d = _ks_sorted(tail, lambda t: _pareto_cdf(t, cand, g))
+                if best is None or d < best[0]:
+                    best = (d, cand, g, tail.size)
+            _, chosen, gamma, m = best
 
     stderr = (gamma - 1.0) / math.sqrt(m)
     return FitResult(

@@ -88,11 +88,10 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
         data = path.read_bytes()
     reader = _reader(data)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file, header row required") from None
-    except csv.Error as exc:  # a field beyond csv.field_size_limit()
-        raise ValidationError(f"line 1: {exc}") from None
+        header = _header(reader, path)
+    except UnicodeDecodeError:  # a bad byte in the first decoded chunk, maybe rows below
+        reader = csv.reader(_decoded_lines(data))
+        header = _header(reader, path)
     header = [h.strip() for h in header]
     missing = [c for c in COLUMNS if c not in header]
     if missing:
@@ -111,6 +110,28 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
 
 def _reader(data: bytes):
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
+
+
+def _decoded_lines(data: bytes):
+    """The file's physical lines, each decoded only when it is read, so that a
+    bad byte fails after every line above it, as ValidationError("line N: ...").
+
+    ``bytes.splitlines`` ends lines at \\n, \\r and \\r\\n, as ``newline=""`` does.
+    """
+    for line_no, line in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from None
+
+
+def _header(reader, path: Path) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file, header row required") from None
+    except csv.Error as exc:  # a field beyond csv.field_size_limit()
+        raise ValidationError(f"line 1: {exc}") from None
 
 
 def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
@@ -134,7 +155,7 @@ def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTab
 def _numbered_rows(data: bytes):
     """(line, row) for each record after the header, ``line`` the file line it
     starts on: a quoted field can hold a line break, so lines and records differ."""
-    reader = _reader(data)
+    reader = csv.reader(_decoded_lines(data))
     next(reader)  # the header, already checked
     start = reader.line_num + 1
     try:

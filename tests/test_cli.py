@@ -360,6 +360,17 @@ class TestErrorPaths:
         invoke(capsys, "rank", "--workspace", str(workspace), "--set", "sci:citations:2005",
                "--measure", "n")
 
+    def test_undecodable_csv_is_exit_2_with_line(self, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(b"journal_id,year,citations,impact_factor,articles\n"
+                        b"A,2005,10,1.0,2\nB,2005,9,1.0,\xff\n")
+        captured = invoke(
+            capsys, "ingest", "--workspace", str(tmp_path / "ws"), "--input", str(csv),
+            "--discipline", "sci", "--basis", "citations", "--year", "2005", expect=2,
+        )
+        assert "error: line 3: 'utf-8' codec can't decode" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_undecodable_manifest_is_exit_2(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         ws.mkdir()
@@ -453,6 +464,18 @@ class TestReport:
         assert [(t["discipline"], t["year"]) for t in errors] == [("socsci", 2010)]
         assert "error" in errors[0]["bins"]
         assert all(t["bins"] for t in trends if t not in errors)
+
+    def test_report_keeps_a_one_journal_set_to_its_own_pair_cells(self, workspace, capsys):
+        rows = [("solo", 2000, 40, 2.5, 8)]
+        store_dataset(workspace, build_ranked_set(JournalTable.from_rows(rows), Discipline.SCI,
+                                                  Basis.CITATIONS, 2000))
+        pairs = load_json(invoke(capsys, "report", "--workspace", str(workspace)))[
+            "dynamic_correlations"]
+        failed = {(p["year_a"], p["year_b"]): (p["rank"], p["value"]) for p in pairs
+                  if "error" in p["rank"] or "error" in p["value"]}
+        assert sorted(failed) == [(2000, 2005), (2000, 2006)]
+        assert all("error" in cell for cells in failed.values() for cell in cells)
+        assert len(pairs) == 3
 
     def test_report_on_empty_workspace_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty_ws"

@@ -110,6 +110,19 @@ class TestParseCsv:
         with pytest.raises(ValidationError, match="line 4: field larger than field limit"):
             parse_csv(f)
 
+    def test_an_earlier_bad_row_is_reported_before_a_bad_byte(self, tmp_path):
+        f = tmp_path / "t.csv"
+        rows = b'"A\nB",2000,1,1.0,1\nC,2000,x,1.0,3\n\xff,2000,1,1.0,1\n'
+        f.write_bytes(b"journal_id,year,citations,impact_factor,articles\n" + rows)
+        with pytest.raises(ValidationError, match="^line 4: column 'citations' must be an integer"):
+            parse_csv(f)
+        f.write_bytes(f.read_bytes().replace(b",x,", b",1,"))
+        with pytest.raises(ValidationError, match="^line 5: 'utf-8' codec can't decode byte 0xff"):
+            parse_csv(f)
+        f.write_bytes(b"journal_id,\xff\n" + rows)
+        with pytest.raises(ValidationError, match="^line 1: 'utf-8' codec"):
+            parse_csv(f)
+
     def test_missing_column_named(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("journal_id,year,citations,impact_factor\nA,2000,1,1.0\n")

@@ -2,8 +2,9 @@
 
 ``binned_rank_average`` and ``binned_trend`` share ``rankstats.binned_mean``;
 ``empirical_pdf``, the least-squares Gumbel fit and ``gumbel_curve_ks`` share
-``distfit._binned_density``; the Pareto auto-``x_min`` scan sorts the sample once and measures each
-candidate on a suffix of it; ``RankSeries`` checks its fields as arrays; the
+``distfit._binned_density``; the Pareto auto-``x_min`` scan scores each
+candidate from suffix log sums of the sample sorted once and re-scores the
+near-minimal ones exactly; ``RankSeries`` checks its fields as arrays; the
 KS distance, the Pareto MLE and CDF and the Gumbel scale equation and
 location form their temporaries in reused buffers. The references below are
 the former loops and expressions, copied unchanged except that the
@@ -18,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citemetrics import distfit
@@ -286,6 +287,80 @@ def test_pareto_scan_equals_former_scan_at_1e5_with_ties_and_early_stop():
         )
     # with 20 000 the last candidates leave too few samples and end the scan
     assert np.sum(samples >= candidates[-1]) < 20_000 <= np.sum(samples >= candidates[1])
+
+
+def progressive_pareto_scan(samples, min_tail):
+    """The one-pass auto-x_min scan the two-pass scan replaced: each tail is
+    filtered from the one before and every candidate is scored exactly, with
+    the test-local former kernels in place of the package's."""
+    x = np.asarray(samples, dtype=float)
+    lo, hi = float(x.min()), float(x.max())
+    if not hi > lo:
+        raise ValidationError("degenerate sample: all values equal")
+    xs = np.sort(x)
+    tail = x
+    best = None
+    for cand in scan_candidates(x).tolist():
+        tail = tail[tail >= cand]
+        if tail.size < min_tail:
+            break
+        g = former_pareto_mle(tail, cand)
+        d = former_ks_sorted(xs[xs.size - tail.size:], lambda t: 1.0 - (cand / t) ** (g - 1.0))
+        if best is None or d < best[0]:
+            best = (d, cand, g, tail.size)
+    if best is None:
+        raise ValidationError(f"no candidate x_min leaves {min_tail} tail samples")
+    _, chosen, gamma, m = best
+    return {"gamma": gamma, "x_min": chosen}, {"gamma": (gamma - 1.0) / math.sqrt(m),
+                                               "x_min": 0.0}, (chosen, hi)
+
+
+@st.composite
+def scan_inputs(draw):
+    """Pareto draws over scales 1e-100..1e100 and exponents from 1.1 (spans of
+    tens of decades) to 40 (spans under a tenth of one), or samples 1 to 1e6
+    ulps wide (whose fast scores are not all trusted and whose tails can be
+    degenerate); with ties, samples on candidate cutoffs, and a minimum tail
+    straddling some candidate's tail size."""
+    x_min = 10.0 ** draw(st.floats(-100, 100))
+    ulps = draw(st.none() | st.floats(0, 6))
+    if ulps is not None:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        offsets = rng.integers(0, int(10**ulps) + 1, draw(st.integers(50, 300)))
+        x = x_min + np.spacing(x_min) * offsets
+    else:
+        x = sample_pareto(draw(st.floats(1.1, 40.0)), x_min, draw(st.integers(50, 5_000)),
+                          draw(st.integers(0, 2**32 - 1)))
+        decimals = draw(st.none() | st.integers(0, 3))
+        if decimals is not None:  # a few distinct values
+            x = x_min * np.round(x / x_min, decimals)
+    candidates = scan_candidates(x)
+    inner = np.flatnonzero((x > x.min()) & (x < x.max()))
+    for j, k in enumerate(draw(st.lists(st.integers(1, candidates.size - 1), max_size=4))):
+        x[inner[20 * j:20 * (j + 1)]] = candidates[k]  # min and max stay, and so the candidates
+    sizes = x.size - np.searchsorted(np.sort(x), candidates)
+    min_tail = draw(st.sampled_from([1, 5, 50]) | st.builds(
+        lambda k, delta: int(sizes[k % sizes.size]) + delta,
+        st.integers(0, 2**16), st.integers(-1, 1),
+    ))
+    return x, min_tail
+
+
+# Eight ulps wide: every candidate rounds to the maximum, whose tail is degenerate.
+ULP_WIDE = 123456.0 + np.spacing(123456.0) * np.repeat(np.arange(9.0), [60, 60] + [10] * 7)
+
+
+@pytest.mark.parametrize("slack", ["default", "inf"])
+@settings(max_examples=150, deadline=None)
+@given(inputs=scan_inputs())
+@example(inputs=(ULP_WIDE, 1))
+def test_pareto_two_pass_scan_equals_progressive_scan(slack, inputs):
+    """With the module's slack, and with every candidate re-scored exactly."""
+    samples, min_tail = inputs
+    patch = {"default": distfit._SCAN_SLACK, "inf": math.inf}[slack]
+    with mock.patch.object(distfit, "_SCAN_SLACK", patch):
+        got = outcome(fit_triple, samples, min_tail)
+    assert got == outcome(progressive_pareto_scan, samples, min_tail)
 
 
 # --- former large-n fit expressions ----------------------------------------------
