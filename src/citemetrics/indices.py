@@ -42,11 +42,7 @@ class RawCounts:
             if not isinstance(value, int) or value < 0:
                 raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
         if self.per_paper_citations is not None:
-            for c in self.per_paper_citations:
-                if not isinstance(c, int) or c < 0:
-                    raise ValidationError(
-                        f"per-paper citation counts must be non-negative integers, got {c!r}"
-                    )
+            annual_citations(self.per_paper_citations)
 
 
 def impact_factor(raw: RawCounts) -> float:

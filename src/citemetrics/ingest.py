@@ -39,37 +39,7 @@ MANIFEST_NAME = "manifest.json"
 DATA_DIR = "data"
 LOCK_NAME = ".lock"
 ENTRY_KEYS = ("discipline", "basis", "year", "source_path", "content_digest")
-
-
-def _parse_int(text: str, column: str, line_no: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValidationError(
-            f"line {line_no}: column {column!r} must be an integer, got {text!r}"
-        ) from None
-    if value < 0:
-        raise ValidationError(f"line {line_no}: column {column!r} must be >= 0, got {value}")
-    if value > MAX_FLOAT_INT:
-        raise ValidationError(
-            f"line {line_no}: column {column!r} exceeds the float range (about 1.8e308), "
-            f"got a {len(str(value))}-digit integer"
-        )
-    return value
-
-
-def _parse_float(text: str, column: str, line_no: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValidationError(
-            f"line {line_no}: column {column!r} must be numeric, got {text!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise ValidationError(f"line {line_no}: column {column!r} must be finite, got {text!r}")
-    if value < 0:
-        raise ValidationError(f"line {line_no}: column {column!r} must be >= 0, got {value}")
-    return value
+_KINDS = (int, int, float, int)  # year, citations, impact_factor, articles
 
 
 def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
@@ -86,13 +56,13 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
         if not path.exists():
             raise ValidationError(f"no such file: {path}")
         data = path.read_bytes()
-    reader = _reader(data)
+    reader = csv.reader(_lines(data))
     try:
-        header = _header(reader, path)
-    except UnicodeDecodeError:  # a bad byte in the first decoded chunk, maybe rows below
-        reader = csv.reader(_decoded_lines(data))
-        header = _header(reader, path)
-    header = [h.strip() for h in header]
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file, header row required") from None
+    except csv.Error as exc:  # a field beyond csv.field_size_limit()
+        raise ValidationError(f"line 1: {exc}") from None
     missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -104,20 +74,43 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
 
     try:
         return _table_of(list(reader), index, width)
-    except (csv.Error, ValueError, ValidationError):  # UnicodeDecodeError is a ValueError
-        return _parse_rows(data, index, width)
+    except (csv.Error, ValidationError):
+        pass
+    # Some row is blank or bad, or a line is unreadable: read the rows again
+    # and check them one by one, so the first fault in the file is reported.
+    reader = csv.reader(_lines(data))
+    next(reader)
+    kept = []
+    start = reader.line_num + 1  # a quoted field can hold a line break
+    try:
+        for row in reader:
+            if any(map(str.strip, row)):  # blank rows are skipped
+                try:
+                    _table_of([row], index, width)
+                except ValidationError as exc:
+                    raise ValidationError(f"line {start}: {exc}") from None
+                kept.append(row)
+            start = reader.line_num + 1
+    except csv.Error as exc:  # a field beyond csv.field_size_limit()
+        raise ValidationError(f"line {start}: {exc}") from None
+    return _table_of(kept, index, width)
 
 
-def _reader(data: bytes):
-    return csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
+def _lines(data: bytes):
+    """The file's text for ``csv.reader``, line ends kept as ``newline=""`` does.
+
+    A file that is not all UTF-8 is decoded one physical line at a time, so
+    that a bad byte fails only after every line above it has been read, as
+    ValidationError("line N: ..."). ``bytes.splitlines`` ends lines at \\n,
+    \\r and \\r\\n, as ``newline=""`` does.
+    """
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError:
+        return _decoded_lines(data)
 
 
 def _decoded_lines(data: bytes):
-    """The file's physical lines, each decoded only when it is read, so that a
-    bad byte fails after every line above it, as ValidationError("line N: ...").
-
-    ``bytes.splitlines`` ends lines at \\n, \\r and \\r\\n, as ``newline=""`` does.
-    """
     for line_no, line in enumerate(data.splitlines(keepends=True), start=1):
         try:
             yield line.decode("utf-8")
@@ -125,70 +118,52 @@ def _decoded_lines(data: bytes):
             raise ValidationError(f"line {line_no}: {exc}") from None
 
 
-def _header(reader, path: Path) -> list[str]:
-    try:
-        return next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file, header row required") from None
-    except csv.Error as exc:  # a field beyond csv.field_size_limit()
-        raise ValidationError(f"line 1: {exc}") from None
-
-
 def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
     """The rows as a table, each column converted and checked as a whole.
 
-    Raises ValueError or ValidationError, without a line number, if any row
-    is blank, short or invalid; ``_parse_rows`` then finds the first.
+    Raises ValidationError without a line number. Checks run in the order
+    width, year, citations, impact factor, articles, then ids (through
+    ``JournalTable``), so for a single row the error names its first fault.
     """
-    if not rows or min(map(len, rows)) < width:
-        raise ValueError("blank or short row")
-    columns = list(zip(*rows))
-    ids, years, citations, impact, articles = (list(map(str.strip, columns[i])) for i in index)
-    years = list(map(int, years))
-    if min(years) < 0 or max(years) > MAX_FLOAT_INT:
-        raise ValueError("year out of range")
-    return JournalTable(
-        ids, years, list(map(int, citations)), list(map(float, impact)), list(map(int, articles))
-    )
+    short = min(map(len, rows), default=width)
+    if short < width:
+        raise ValidationError(f"expected {width} fields, got {short}")
+    columns = list(zip(*rows)) or [()] * width
+    ids, *cells = (list(map(str.strip, columns[i])) for i in index)
+    try:  # valid rows take one pass, JournalTable checking all but the years
+        years, *numbers = (list(map(kind, column)) for kind, column in zip(_KINDS, cells))
+        if min(years, default=0) >= 0 and max(years, default=0) <= MAX_FLOAT_INT:
+            return JournalTable(ids, years, *numbers)
+    except (ValueError, ValidationError):
+        pass
+    return JournalTable(ids, *map(_column, cells, COLUMNS[1:], _KINDS))
 
 
-def _numbered_rows(data: bytes):
-    """(line, row) for each record after the header, ``line`` the file line it
-    starts on: a quoted field can hold a line break, so lines and records differ."""
-    reader = csv.reader(_decoded_lines(data))
-    next(reader)  # the header, already checked
-    start = reader.line_num + 1
+def _column(cells: list[str], name: str, kind: type) -> list:
+    """A column's cells as ints in 0..MAX_FLOAT_INT, or as finite floats >= 0.
+
+    The ValidationError names a bad cell: for one cell, its first fault.
+    """
     try:
-        for row in reader:
-            yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:  # a field beyond csv.field_size_limit()
-        raise ValidationError(f"line {start}: {exc}") from None
-
-
-def _parse_rows(data: bytes, index: list[int], width: int) -> JournalTable:
-    """The rows as a table, read again and checked one by one in file order."""
-    i_id, i_year, i_cit, i_if, i_art = index
-    parsed = []
-    for line_no, row in _numbered_rows(data):
-        # A full-width row with an id can be neither blank nor short.
-        if len(row) < width or not row[i_id].strip():
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < width:
-                raise ValidationError(
-                    f"line {line_no}: expected {width} fields, got {len(row)}"
-                )
-        parsed.append((
-            row[i_id].strip(),
-            _parse_int(row[i_year].strip(), "year", line_no),
-            _parse_int(row[i_cit].strip(), "citations", line_no),
-            _parse_float(row[i_if].strip(), "impact_factor", line_no),
-            _parse_int(row[i_art].strip(), "articles", line_no),
-        ))
-        if not parsed[-1][0]:
-            JournalYearRecord(*parsed[-1])  # raises the blank id's error
-    return JournalTable.from_rows(parsed)
+        values = list(map(kind, cells))
+    except ValueError:
+        for text in cells:
+            try:
+                kind(text)
+            except ValueError:
+                what = "an integer" if kind is int else "numeric"
+                raise ValidationError(f"column {name!r} must be {what}, got {text!r}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        text = next(t for t, v in zip(cells, values) if not math.isfinite(v))
+        raise ValidationError(f"column {name!r} must be finite, got {text!r}")
+    if min(values) < 0:
+        raise ValidationError(f"column {name!r} must be >= 0, got {min(values)}")
+    if kind is int and max(values) > MAX_FLOAT_INT:
+        raise ValidationError(
+            f"column {name!r} exceeds the float range (about 1.8e308), "
+            f"got a {len(str(max(values)))}-digit integer"
+        )
+    return values
 
 
 def _csv_text(table: JournalTable) -> str:

@@ -83,7 +83,7 @@ class JournalYearRecord:
     articles: int
 
     def __post_init__(self):
-        if not self.journal_id:
+        if not isinstance(self.journal_id, str) or not self.journal_id:
             raise ValidationError("journal_id must be a non-empty string")
         if not isinstance(self.citations, int) or self.citations < 0:
             raise ValidationError(
@@ -100,7 +100,11 @@ class JournalYearRecord:
             raise ValidationError(
                 f"{self.journal_id!r}: {name} exceeds the float range (about 1.8e308)"
             )
-        if not math.isfinite(self.impact_factor) or self.impact_factor < 0:
+        try:
+            valid = math.isfinite(self.impact_factor) and self.impact_factor >= 0
+        except TypeError:  # not a real number
+            valid = False
+        if not valid:
             raise ValidationError(
                 f"{self.journal_id!r}: impact_factor must be finite and >= 0, "
                 f"got {self.impact_factor!r}"
@@ -129,6 +133,7 @@ class JournalTable:
                                          self.articles)):
             raise ValidationError("table columns must be equally long")
         try:
+            "".join(self.journal_id)  # a TypeError unless every id is a str
             valid = (
                 all(self.journal_id)
                 and all(_counts_valid(col) for col in (self.citations, self.articles))

@@ -1,68 +1,28 @@
 """The CLI fed fuzzed input files: exit 0 or 2 with a message, never a traceback.
 
 `ingest` of fuzzed CSV text must match the per-row parser the columnar loader
-replaced (``per_row_parse_csv``, a test-local copy) followed by the same
-ranking step, so each rejection keeps its message and line number. `report`
-and `rank` run over fuzzed manifests, and `ks` over fuzzed fit reports.
+replaced (``per_row_csv.per_row_parse_csv``, a frozen test-local copy)
+followed by the same ranking step, so each rejection keeps its message and
+line number. `report` and `rank` run over fuzzed manifests, and `ks` over
+fuzzed fit reports.
 """
 
 import contextlib
-import csv
 import io
 import json
 import math
 import warnings
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citemetrics.cli import run
 from citemetrics.errors import ValidationError
-from citemetrics.ingest import COLUMNS, _parse_float, _parse_int, store_dataset
-from citemetrics.model import Basis, Discipline, JournalYearRecord, build_ranked_set
+from citemetrics.ingest import COLUMNS, store_dataset
+from citemetrics.model import Basis, Discipline, build_ranked_set
 from citemetrics.synthgen import build_fixture
-
-
-def per_row_parse_csv(path):
-    """parse_csv as it was before the columnar load: one record per row."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in COLUMNS if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
-        index = {c: header.index(c) for c in COLUMNS}
-        i_id, i_year, i_cit, i_if, i_art = (index[c] for c in COLUMNS)
-        width = len(header)
-
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) < width or not row[i_id].strip():
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < width:
-                    raise ValidationError(
-                        f"line {line_no}: expected {width} fields, got {len(row)}"
-                    )
-            records.append(
-                JournalYearRecord(
-                    row[i_id].strip(),
-                    _parse_int(row[i_year].strip(), "year", line_no),
-                    _parse_int(row[i_cit].strip(), "citations", line_no),
-                    _parse_float(row[i_if].strip(), "impact_factor", line_no),
-                    _parse_int(row[i_art].strip(), "articles", line_no),
-                )
-            )
-    return records
+from per_row_csv import per_row_parse_csv
 
 
 # Quotes, NUL, the \x1c separator that str.strip() removes, huge integers,
@@ -119,6 +79,9 @@ def reference_outcome(path, basis):
 
 @settings(max_examples=250, deadline=None)
 @given(text=csv_texts(), basis=st.sampled_from(["citations", "if"]))
+# a quoted id that runs over a line break: the bad row's record starts on line 4
+@example(text=f'{",".join(COLUMNS)}\n",2000,5,1.5,3\na"b,2000,5,1.5,3\nJ2,2000,x,1.5,3\n',
+         basis="citations")
 def test_ingest_of_fuzzed_csv_matches_per_row_parser(tmp_path_factory, text, basis):
     root = tmp_path_factory.mktemp("fuzz")
     source = root / "in.csv"

@@ -44,6 +44,8 @@ class TestImpactFactor:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValidationError):
             RawCounts(-1, 0, 1, 1)
+        with pytest.raises(ValidationError, match="per-paper citation counts .* got -2"):
+            RawCounts(1, 1, 1, 1, per_paper_citations=(1, -2))
 
 
 class TestAnnualCitations:

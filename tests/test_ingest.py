@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 import threading
@@ -9,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from per_row_csv import per_row_parse_csv
 
 from citemetrics import ingest
 from citemetrics.errors import ValidationError, WorkspaceError
 from citemetrics.ingest import (
     COLUMNS,
-    _parse_float,
-    _parse_int,
     load_dataset,
     parse_csv,
     read_manifest,
@@ -106,6 +104,9 @@ class TestParseCsv:
         write_table(f, ['"A\nB",2000,1,1.0,1', "C,2000,x,1.0,1"])
         with pytest.raises(ValidationError, match="line 4: column 'citations'"):
             parse_csv(f)
+        write_table(f, ['"A\nB",2000,1,1.0,1', " ,2000,1,1.0,1"])
+        with pytest.raises(ValidationError, match="^line 4: journal_id must be a non-empty"):
+            parse_csv(f)
         write_table(f, ['"A\nB",2000,1,1.0,1', "C,2000,1,1.0," + "1" * 200_000])
         with pytest.raises(ValidationError, match="line 4: field larger than field limit"):
             parse_csv(f)
@@ -157,34 +158,6 @@ class TestParseCsv:
             assert parse_csv(f).records() == records
 
 
-def reference_parse_rows(path):
-    """parse_csv's former row loop, with a dict of stripped cells per row."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        return _reference_rows(csv.reader(fh))
-
-
-def _reference_rows(reader):
-    header = [h.strip() for h in next(reader)]
-    index = {c: header.index(c) for c in COLUMNS}
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(header):
-            raise ValidationError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        cell = {c: row[index[c]].strip() for c in COLUMNS}
-        records.append(
-            JournalYearRecord(
-                journal_id=cell["journal_id"],
-                year=_parse_int(cell["year"], "year", line_no),
-                citations=_parse_int(cell["citations"], "citations", line_no),
-                impact_factor=_parse_float(cell["impact_factor"], "impact_factor", line_no),
-                articles=_parse_int(cell["articles"], "articles", line_no),
-            )
-        )
-    return records
-
-
 # Valid, malformed, out-of-range and whitespace-padded cells, including
 # non-ASCII digits and whitespace that int() and float() also accept.
 CELLS = [
@@ -223,7 +196,7 @@ class TestParseRows:
             except ValidationError as exc:
                 return ("error", str(exc))
 
-        assert outcome(lambda p: parse_csv(p).records(), f) == outcome(reference_parse_rows, f)
+        assert outcome(lambda p: parse_csv(p).records(), f) == outcome(per_row_parse_csv, f)
 
 
 class TestWorkspace:

@@ -293,10 +293,13 @@ class TestColumnarSet:
         "column, value, message",
         [
             ("journal_id", "", "journal_id must be a non-empty string"),
+            ("journal_id", 5, "journal_id must be a non-empty string"),
             ("citations", -1, "'b': citations must be a non-negative integer, got -1"),
             ("citations", 2.0, "'b': citations must be a non-negative integer, got 2.0"),
             ("articles", MAX_FLOAT_INT + 1, "'b': articles exceeds the float range"),
             ("impact_factor", math.inf, "'b': impact_factor must be finite and >= 0, got inf"),
+            ("impact_factor", "1.0", "'b': impact_factor must be finite and >= 0, got '1.0'"),
+            ("impact_factor", None, "'b': impact_factor must be finite and >= 0, got None"),
         ],
     )
     def test_table_rejects_what_a_record_rejects(self, column, value, message):
