@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import Measure, RankedSet, finite_samples, id_positions, join_rows
+from .model import Measure, RankedSet, common_rows, finite_samples, id_positions
 from .rankstats import binned_mean
 
 MIN_PAIRS = 2
@@ -115,28 +115,24 @@ def dynamic_correlation(
 
     Ranks correlate as rank pairs; values correlate on log scale. ``rows``
     are the common journals' rank positions in each year, by ascending id,
-    for a caller that has joined the pair already; by default the pair is
-    joined here.
+    as ``common_rows`` gives them, for a caller that has numbered the sets
+    with ``id_positions`` already; by default the pair is numbered here.
     """
     if year_a.basis is not year_b.basis or year_a.discipline is not year_b.discipline:
         raise ValidationError("dynamic correlation requires matching discipline and basis")
-    rows_a, rows_b = join_rows(year_a, year_b)[1:] if rows is None else rows
+    rows_a, rows_b = common_rows(*id_positions([year_a, year_b])[1]) if rows is None else rows
     if rows_a.size < MIN_PAIRS:
         raise ValidationError(f"overlap of {rows_a.size} journals is too small to correlate")
     xs = year_a.column(field_)[rows_a]
     ys = year_b.column(field_)[rows_b]
     defined = ~(np.isnan(xs) | np.isnan(ys))
     xs, ys = xs[defined], ys[defined]
-    transform = (
-        Transform.RANK_RANK if field_ is Measure.RANK else Transform.LOG_LOG
-    )
-    report = pearson(
+    return pearson(
         xs,
         ys,
-        transform=transform,
+        transform=Transform.RANK_RANK if field_ is Measure.RANK else Transform.LOG_LOG,
         subjects=(_label(year_a, field_.value), _label(year_b, field_.value)),
     )
-    return report
 
 
 def cross_measure_correlation(
@@ -206,31 +202,21 @@ def correlation_matrix(
     if len(by_year) != len(ranked_sets):
         raise ValidationError("duplicate years in correlation matrix input")
     years = tuple(sorted(by_year))
-    _, positions = id_positions([by_year[y] for y in years])
-    rows_of = dict(zip(years, positions))
+    sets = [by_year[y] for y in years]
+    _, positions = id_positions(sets)
+    transform = Transform.RANK_RANK if field_ is Measure.RANK else Transform.LOG_LOG
     cells: dict[tuple[int, int], CorrelationReport | str] = {}
-    for yi in years:
-        for yj in years:
-            if yj < yi:
-                cells[(yi, yj)] = cells[(yj, yi)]
-                continue
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets[i:], start=i):
             try:
-                if yi == yj:
-                    rs = by_year[yi]
-                    cells[(yi, yj)] = CorrelationReport(
-                        r_value=1.0,
-                        n_pairs=len(rs),
-                        transform=Transform.RANK_RANK
-                        if field_ is Measure.RANK
-                        else Transform.LOG_LOG,
-                        subjects=(_label(rs, field_.value), _label(rs, field_.value)),
-                    )
+                if j == i:
+                    label = _label(a, field_.value)
+                    cell = CorrelationReport(1.0, len(a), transform, (label, label))
                 else:
-                    codes = np.flatnonzero((rows_of[yi] >= 0) & (rows_of[yj] >= 0))
-                    cells[(yi, yj)] = dynamic_correlation(
-                        by_year[yi], by_year[yj], field_,
-                        (rows_of[yi][codes], rows_of[yj][codes]),
+                    cell = dynamic_correlation(
+                        a, b, field_, common_rows(positions[i], positions[j])
                     )
             except ValidationError as exc:
-                cells[(yi, yj)] = str(exc)
+                cell = str(exc)
+            cells[a.year, b.year] = cells[b.year, a.year] = cell
     return years, cells

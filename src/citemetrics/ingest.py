@@ -130,10 +130,8 @@ def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTab
         raise ValidationError(f"expected {width} fields, got {short}")
     columns = list(zip(*rows)) or [()] * width
     ids, *cells = (list(map(str.strip, columns[i])) for i in index)
-    try:  # valid rows take one pass, JournalTable checking all but the years
-        years, *numbers = (list(map(kind, column)) for kind, column in zip(_KINDS, cells))
-        if min(years, default=0) >= 0 and max(years, default=0) <= MAX_FLOAT_INT:
-            return JournalTable(ids, years, *numbers)
+    try:  # valid rows take one pass, JournalTable checking the values
+        return JournalTable(ids, *(list(map(kind, col)) for kind, col in zip(_KINDS, cells)))
     except (ValueError, ValidationError):
         pass
     return JournalTable(ids, *map(_column, cells, COLUMNS[1:], _KINDS))
@@ -170,14 +168,17 @@ def _csv_text(table: JournalTable) -> str:
     """A table as CSV text in the canonical column order, with CRLF line ends.
 
     Floats use shortest round-trip formatting so parse(write(x)) == x
-    bit-exactly.
+    bit-exactly. Impact factors that are not Python ints or floats (numpy
+    floats) are written as their float value.
     """
+    impact = table.impact_factor
+    if not {int, float}.issuperset(map(type, impact)):
+        impact = [v if type(v) in (int, float) else float(v) for v in impact]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(COLUMNS)
     writer.writerows(
-        zip(table.journal_id, table.year, table.citations, map(repr, table.impact_factor),
-            table.articles)
+        zip(table.journal_id, table.year, table.citations, map(repr, impact), table.articles)
     )
     return buf.getvalue()
 

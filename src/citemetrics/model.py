@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,7 +66,8 @@ class JournalYearRecord:
     journal_id : str
         Opaque non-empty key, unique within a ranked set.
     year : int
-        Calendar year the counts refer to.
+        Calendar year the counts refer to, >= 0. Years and counts are ``int``,
+        not ``bool``, and at most ``MAX_FLOAT_INT``.
     citations : int
         Annual citations n: all citations received this year, >= 0.
     impact_factor : float
@@ -85,12 +85,17 @@ class JournalYearRecord:
     def __post_init__(self):
         if not isinstance(self.journal_id, str) or not self.journal_id:
             raise ValidationError("journal_id must be a non-empty string")
-        if not isinstance(self.citations, int) or self.citations < 0:
+        if type(self.year) is not int or not 0 <= self.year <= MAX_FLOAT_INT:
+            raise ValidationError(
+                f"{self.journal_id!r}: year must be a non-negative integer within the "
+                f"float range (about 1.8e308), got {self.year!r}"
+            )
+        if type(self.citations) is not int or self.citations < 0:
             raise ValidationError(
                 f"{self.journal_id!r}: citations must be a non-negative integer, "
                 f"got {self.citations!r}"
             )
-        if not isinstance(self.articles, int) or self.articles < 0:
+        if type(self.articles) is not int or self.articles < 0:
             raise ValidationError(
                 f"{self.journal_id!r}: articles must be a non-negative integer, "
                 f"got {self.articles!r}"
@@ -102,7 +107,7 @@ class JournalYearRecord:
             )
         try:
             valid = math.isfinite(self.impact_factor) and self.impact_factor >= 0
-        except TypeError:  # not a real number
+        except (TypeError, OverflowError):  # not a real number, or an int past the float range
             valid = False
         if not valid:
             raise ValidationError(
@@ -136,11 +141,12 @@ class JournalTable:
             "".join(self.journal_id)  # a TypeError unless every id is a str
             valid = (
                 all(self.journal_id)
-                and all(_counts_valid(col) for col in (self.citations, self.articles))
+                and all(_ints_valid(col) for col in (self.year, self.citations, self.articles))
                 and all(map(math.isfinite, self.impact_factor))
-                and min(self.impact_factor, default=0) >= 0
+                # as floats: numpy casts a Python float to float32 to compare the two
+                and min(map(float, self.impact_factor), default=0) >= 0
             )
-        except TypeError:
+        except (TypeError, OverflowError):
             valid = False
         if not valid:
             self.records()  # raises the first invalid row's error, as its record would
@@ -168,10 +174,10 @@ class JournalTable:
                         self.impact_factor, self.articles))
 
 
-def _counts_valid(col: list[int]) -> bool:
-    """True if every count is an int in 0..MAX_FLOAT_INT, as a record requires."""
+def _ints_valid(col: list[int]) -> bool:
+    """True if every year or count is an int in 0..MAX_FLOAT_INT, as a record requires."""
     return (
-        all(map(isinstance, col, repeat(int)))
+        {int}.issuperset(map(type, col))
         and min(col, default=0) >= 0
         and max(col, default=0) <= MAX_FLOAT_INT
     )
@@ -212,6 +218,8 @@ class RankedSet:
             raise ValidationError("a RankedSet cannot be empty")
         if len(table) > self.cap:
             raise ValidationError(f"{len(table)} records exceed cap {self.cap}")
+        if type(self.year) is not int:
+            raise ValidationError(f"set year must be an integer, got {self.year!r}")
         ids = table.journal_id
         if table.year.count(self.year) != len(ids) or len(set(ids)) != len(ids):
             seen = set()
@@ -260,10 +268,6 @@ class RankedSet:
         }
         return {key: _read_only(col) for key, col in columns.items()}
 
-    @cached_property
-    def _ranks(self) -> dict[str, int]:
-        return dict(zip(self.table.journal_id, range(1, len(self) + 1)))
-
     def column(self, measure: Measure | str) -> np.ndarray:
         """One per-journal measure as a read-only float array in rank order.
 
@@ -280,9 +284,10 @@ class RankedSet:
 
     def rank_of(self, journal_id: str) -> int:
         """1-based rank of a journal; raises KeyError if absent."""
-        if isinstance(journal_id, str) and journal_id in self._ranks:
-            return self._ranks[journal_id]
-        raise KeyError(journal_id)
+        try:
+            return self.table.journal_id.index(journal_id) + 1
+        except ValueError:
+            raise KeyError(journal_id) from None
 
     def journal_ids(self) -> tuple[str, ...]:
         """Journal ids in rank order."""
@@ -331,24 +336,24 @@ def id_positions(sets: Sequence[RankedSet]) -> tuple[list[str], list[np.ndarray]
     return union, positions
 
 
+def common_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank positions of the journals two sets share, by ascending id.
+
+    ``rows_a`` and ``rows_b`` are the two sets' arrays from one
+    ``id_positions`` call.
+    """
+    shared = (rows_a >= 0) & (rows_b >= 0)
+    return rows_a[shared], rows_b[shared]
+
+
 def common_ids(a: RankedSet, b: RankedSet) -> list[str]:
     """Ids in both sets, ascending; as Python strings, so "a" and "a\\x00" differ.
 
-    No per-set map is cached for this: kept for the 38 sets of a fixture
-    ``report``, the id maps would add about 2 MB (4 %) to its peak memory.
+    A plain set intersection, for a caller that needs the ids and not their
+    rank positions; a join on positions numbers the sets with
+    ``id_positions`` and takes ``common_rows``.
     """
     return sorted(set(a.table.journal_id).intersection(b.table.journal_id))
-
-
-def join_rows(a: RankedSet, b: RankedSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``common_ids`` of two sets as an object array, and their 0-based
-    rank positions in ``a`` and in ``b``."""
-    common = common_ids(a, b)
-    rows_a, rows_b = (
-        np.fromiter(map(rs._ranks.__getitem__, common), np.intp, len(common)) - 1
-        for rs in (a, b)
-    )
-    return np.array(common, dtype=object), rows_a, rows_b
 
 
 def finite_samples(values: Sequence[float], what: str) -> np.ndarray:

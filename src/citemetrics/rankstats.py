@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import (
     Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, common_ids,
-    join_rows,
+    common_rows, id_positions,
 )
 
 DEFAULT_K_MIN = 10
@@ -178,8 +178,9 @@ def set_overlap(a: RankedSet, b: RankedSet) -> tuple[tuple[str, ...], int]:
 
 def rank_scatter(a: RankedSet, b: RankedSet) -> list[tuple[str, int, int]]:
     """(journal_id, rank in a, rank in b) for the common journals, by ascending id."""
-    common, rows_a, rows_b = join_rows(a, b)
-    return list(zip(common.tolist(), (rows_a + 1).tolist(), (rows_b + 1).tolist()))
+    rows_a, rows_b = common_rows(*id_positions([a, b])[1])
+    ids = map(a.table.journal_id.__getitem__, rows_a.tolist())
+    return list(zip(ids, (rows_a + 1).tolist(), (rows_b + 1).tolist()))
 
 
 def log_rank_bins(k_max: int, per_decade: int = BINS_PER_DECADE) -> np.ndarray:

@@ -100,7 +100,6 @@ class _ProfileSpec:
     warp2: float               # second-harmonic quantile warp
     warp_low: float            # low-rate stretch: a few mega-journal outliers
     rate_scale: float          # citations per article at unit scaled rate
-    ks_points: int             # binned-curve size for the KS comparison
     rate_coupling_sigma: float # log noise tying the secondary measure to the rate
     articles_mu: float         # median log article count (ranked-by-IF sets)
     articles_sigma: float      # log spread of article counts
@@ -115,8 +114,7 @@ PROFILES: dict[FixtureProfile, _ProfileSpec] = {
         zipf_b=0.70, amplitude=6.0e5, growth=0.03,
         sigma_local=0.030, warp_amp=0.069, churn=95,
         gumbel_a=-0.5385, gumbel_b=0.82, z_cap=2.05, warp1=-0.08, warp2=0.065, warp_low=0.9,
-        rate_scale=20.0, ks_points=12,
-        rate_coupling_sigma=0.64, articles_mu=0.0, articles_sigma=0.0,
+        rate_scale=20.0, rate_coupling_sigma=0.64, articles_mu=0.0, articles_sigma=0.0,
     ),
     FixtureProfile.SCI_SET_II: _ProfileSpec(
         discipline=Discipline.SCI, basis=Basis.IMPACT_FACTOR,
@@ -124,8 +122,7 @@ PROFILES: dict[FixtureProfile, _ProfileSpec] = {
         zipf_b=0.54, amplitude=12.0, growth=0.02,
         sigma_local=0.062, warp_amp=0.215, churn=175,
         gumbel_a=-0.5711, gumbel_b=0.74, z_cap=2.6, warp1=-0.08, warp2=0.04, warp_low=0.0,
-        rate_scale=20.0, ks_points=14,
-        rate_coupling_sigma=0.0, articles_mu=math.log(300.0), articles_sigma=1.36,
+        rate_scale=20.0, rate_coupling_sigma=0.0, articles_mu=math.log(300.0), articles_sigma=1.36,
         curve_beta=-0.2815, curve_quad=0.0770,
     ),
     FixtureProfile.SOCSCI_SET_I: _ProfileSpec(
@@ -134,8 +131,7 @@ PROFILES: dict[FixtureProfile, _ProfileSpec] = {
         zipf_b=0.70, amplitude=2.0e5, growth=0.03,
         sigma_local=0.030, warp_amp=0.069, churn=95,
         gumbel_a=-0.5460, gumbel_b=0.82, z_cap=2.05, warp1=-0.08, warp2=0.065, warp_low=0.9,
-        rate_scale=8.0, ks_points=14,
-        rate_coupling_sigma=0.64, articles_mu=0.0, articles_sigma=0.0,
+        rate_scale=8.0, rate_coupling_sigma=0.64, articles_mu=0.0, articles_sigma=0.0,
     ),
     FixtureProfile.SOCSCI_SET_II: _ProfileSpec(
         discipline=Discipline.SOCSCI, basis=Basis.IMPACT_FACTOR,
@@ -143,8 +139,7 @@ PROFILES: dict[FixtureProfile, _ProfileSpec] = {
         zipf_b=0.40, amplitude=15.0, growth=0.02,
         sigma_local=0.050, warp_amp=0.090, churn=175,
         gumbel_a=-0.6691, gumbel_b=0.78, z_cap=2.6, warp1=-0.08, warp2=0.08, warp_low=0.0,
-        rate_scale=8.0, ks_points=14,
-        rate_coupling_sigma=0.0, articles_mu=math.log(150.0), articles_sigma=1.36,
+        rate_scale=8.0, rate_coupling_sigma=0.0, articles_mu=math.log(150.0), articles_sigma=1.36,
     ),
 }
 

@@ -1,4 +1,4 @@
-"""RankedSet's cached columns and the sorted-id joins built on them.
+"""RankedSet's cached columns and the id-numbered joins built on them.
 
 The property tests compare the column-based analyses with a plain-dict
 reference: per-journal value dicts and Python set intersections, as the
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from citemetrics.correlate import (
     Transform,
+    correlation_matrix,
     cross_measure_correlation,
     dynamic_correlation,
     pearson,
@@ -45,10 +46,10 @@ record_values = st.tuples(
 
 
 @st.composite
-def ranked_pair(draw):
+def ranked_years(draw, years=(2000, 2001)):
     basis = draw(st.sampled_from(list(Basis)))
     sets = []
-    for year in (2000, 2001):
+    for year in years:
         ids = draw(st.lists(journal_ids, min_size=1, max_size=14, unique=True))
         records = [JournalYearRecord(j, year, *draw(record_values)) for j in ids]
         sets.append(build_ranked_set(records, Discipline.SCI, basis, year))
@@ -124,7 +125,7 @@ VALUE_FIELDS = [f for f in Measure if f is not Measure.RANK]
 
 
 @settings(max_examples=300, deadline=None)
-@given(ranked_pair())
+@given(ranked_years())
 def test_joins_and_correlations_match_dict_reference(pair):
     a, b = pair
     assert set_overlap(a, b) == ref_overlap(a, b)
@@ -140,7 +141,22 @@ def test_joins_and_correlations_match_dict_reference(pair):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ranked_pair())
+@given(ranked_years((2000, 2001, 2002)), st.permutations(range(3)))
+def test_matrix_cells_equal_single_pair_results(group, order):
+    """Numbering three sets at once never reorders the rows of one pair."""
+    for field_ in Measure:
+        years, cells = correlation_matrix([group[i] for i in order], field_)
+        assert years == (2000, 2001, 2002)
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                cell = cells[a.year, b.year]
+                got = ("error", cell) if isinstance(cell, str) else ("ok", cell)
+                assert got == outcome(dynamic_correlation, a, b, field_)
+                assert cells[b.year, a.year] == cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_years())
 def test_rank_of_and_journal_ids_match_records(pair):
     ranked = pair[0]
     ids = tuple(rec.journal_id for rec in ranked.records)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from per_row_csv import per_row_parse_csv
 
@@ -21,8 +21,10 @@ from citemetrics.ingest import (
     write_csv,
 )
 from citemetrics.model import (
+    MAX_FLOAT_INT,
     Basis,
     Discipline,
+    JournalTable,
     JournalYearRecord,
     build_ranked_set,
 )
@@ -329,3 +331,62 @@ class TestWorkspace:
         (tmp_path / "manifest.json").write_text('{"entries": [{"year": %s}]}' % ("9" * 5000))
         with pytest.raises(WorkspaceError, match="manifest.json: Exceeds the limit"):
             read_manifest(tmp_path)
+
+
+# --- a set the model accepts loads back -------------------------------------
+
+# Ids that differ only by trailing NULs, non-ASCII ids, and ids the CSV must
+# quote. An id padded with whitespace is left out: parse_csv trims every field.
+ROUND_TRIP_IDS = [
+    "a", "a\x00", "a\x00\x00", "\x00", "J0001", "J0001\x00", "\u00e9", "e\u0301",
+    "\u03a9", "\u65e5\u672c", "\u00df", 'q"x', "c,d", "l\r\nm",
+]
+# Values a year or count must not be: a float, a negative, a string, bools and
+# a numpy integer. The model rejects them, so they must never reach a workspace.
+NON_INTS = [2000.0, -5, "2000", True, False, np.int64(2000)]
+finite = st.floats(0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stored_sets(draw):
+    # A year of a few hundred digits would make the data file's name too long.
+    year = draw(st.just(2000) | st.integers(0, 10**6) | st.sampled_from(NON_INTS))
+    set_year = draw(st.just(year) | st.sampled_from(NON_INTS))
+    ids = st.sampled_from(ROUND_TRIP_IDS) | st.text(min_size=1, max_size=4).filter(
+        lambda s: s == s.strip()
+    )
+    counts = st.integers(0, 9) | st.integers(0, MAX_FLOAT_INT) | st.sampled_from(NON_INTS)
+    impact_factors = st.one_of(
+        st.integers(0, 2**53),  # a larger int loads back as its nearest float, unequal to it
+        finite,
+        finite.map(np.float64),
+        st.floats(0, allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    )
+    rows = draw(st.lists(st.tuples(ids, counts, impact_factors, counts), min_size=1,
+                         max_size=6, unique_by=lambda row: row[0]))
+    return year, set_year, rows, draw(st.sampled_from(Basis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stored_sets())
+@example(case=(2000, 2000, [("a", 3, np.float64(1.5), 1)], Basis.CITATIONS))
+@example(case=(2000, 2000, [("a", 3, np.float32(1.1), 1)], Basis.IMPACT_FACTOR))
+@example(case=(2000, 2000, [("a", 3, 3.5e38, 1), ("b", 3, np.float32(0.0), 1)], Basis.CITATIONS))
+@example(case=(2000, 2000, [("a", True, 1.5, 1)], Basis.CITATIONS))
+@example(case=(2000, np.int64(2000), [("a", 3, 1.5, 1)], Basis.CITATIONS))
+@example(case=(2000, 2000.0, [("a", 3, 1.5, 1)], Basis.CITATIONS))
+@example(case=(True, True, [("a", 3, 1.5, 1)], Basis.CITATIONS))
+@example(case=("2000", "2000", [("a", 3, 1.5, 1)], Basis.CITATIONS))
+@example(case=(-5, -5, [("a", 3, 1.5, 1)], Basis.CITATIONS))
+def test_a_set_the_model_accepts_loads_back_equal(tmp_path_factory, case):
+    year, set_year, rows, basis = case
+    try:
+        table = JournalTable.from_rows((j, year, c, i, a) for j, c, i, a in rows)
+        ranked = build_ranked_set(table, Discipline.SCI, basis, set_year)
+    except ValidationError:
+        return  # the model rejects it
+    workspace = tmp_path_factory.mktemp("ws")
+    store_dataset(workspace, ranked)
+    loaded = load_dataset(workspace, Discipline.SCI, basis, set_year)
+    assert loaded.table == ranked.table
+    assert loaded == ranked

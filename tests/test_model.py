@@ -300,6 +300,15 @@ class TestColumnarSet:
             ("impact_factor", math.inf, "'b': impact_factor must be finite and >= 0, got inf"),
             ("impact_factor", "1.0", "'b': impact_factor must be finite and >= 0, got '1.0'"),
             ("impact_factor", None, "'b': impact_factor must be finite and >= 0, got None"),
+            ("impact_factor", 10**400, "'b': impact_factor must be finite and >= 0, got 1000"),
+            ("year", 2000.0, "'b': year must be a non-negative integer within the float range"),
+            ("year", -5, "'b': year must be a non-negative integer within the float range"),
+            ("year", "2000", "'b': year must be a non-negative integer within the float range"),
+            ("year", True, "'b': year must be a non-negative integer within the float range"),
+            ("year", np.int64(2000), "'b': year must be a non-negative integer within the"),
+            ("year", MAX_FLOAT_INT + 1, "'b': year must be a non-negative integer within the"),
+            ("citations", True, "'b': citations must be a non-negative integer, got True"),
+            ("articles", False, "'b': articles must be a non-negative integer, got False"),
         ],
     )
     def test_table_rejects_what_a_record_rejects(self, column, value, message):
@@ -309,6 +318,12 @@ class TestColumnarSet:
         with pytest.raises(ValidationError) as err:
             JournalTable(**columns)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("year", [2000.0, np.int64(2000), True, "2000"])
+    def test_set_year_must_be_an_int(self, year):
+        table = JournalTable(["a"], [2000], [1], [1.0], [1])
+        with pytest.raises(ValidationError, match="set year must be an integer, got"):
+            RankedSet(Discipline.SCI, Basis.CITATIONS, year, table)
 
     def test_table_columns_must_be_equally_long(self):
         with pytest.raises(ValidationError, match="equally long"):
