@@ -2,9 +2,9 @@
 
 Machine-readable JSON goes to stdout, a short human summary to stderr, so
 output can be piped into other tools. Exit codes: 0 success, 1 usage error,
-2 data/validation error, 3 fit non-convergence. Floats in emitted JSON are
-rounded to 9 significant digits so repeated runs over the same workspace are
-byte-identical.
+2 data/validation error (arithmetic past the float range included), 3 fit
+non-convergence. Floats in emitted JSON are rounded to 9 significant digits
+so repeated runs over the same workspace are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from itertools import groupby
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +54,10 @@ from .rankstats import (
 from .synthgen import FixtureProfile, build_fixture, fixture_metadata
 
 WORKSPACE_ENV = "CITEMETRICS_WORKSPACE"
+# Faults of the data: each fails only its own section of `report`, and exits a
+# command with 2 (3 for a fit that did not converge). In `run`, float overflow,
+# division by zero and 0/0 raise.
+_DATA_FAULTS = (ValidationError, FitConvergenceError, FloatingPointError, OverflowError)
 
 
 class UsageError(Exception):
@@ -361,52 +367,53 @@ def _cell(cell: CorrelationReport | str) -> dict:
     return {"error": cell} if isinstance(cell, str) else cell.as_dict()
 
 
+def _message(exc: Exception) -> str:
+    return f"arithmetic error: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
+
+
+def _section(build: Callable[[], dict | list]) -> dict | list:
+    """``build()``, or ``{"error": message}`` if it raises a data fault: one
+    section of `report` fails, not the whole report."""
+    try:
+        return build()
+    except _DATA_FAULTS as exc:
+        return {"error": _message(exc)}
+
+
 def _dataset_report(ranked: RankedSet) -> dict:
     basis_m = basis_measure(ranked.basis)
-    series = rank_series(ranked, basis_m)
-    out = {**_key(ranked), "rows": len(ranked), "pareto_predicted_gamma": None}
-    try:
-        zipf = zipf_fit(series)
-        out["zipf"] = _fit_json(basis_m.value, zipf)
-        if zipf.params["b"] > 0:
-            out["pareto_predicted_gamma"] = zipf_pareto_predict(zipf.params["b"])
-    except ValidationError as exc:
-        out["zipf"] = {"error": str(exc)}
-    try:
-        pareto = pareto_tail_fit(series.values)
-        out["pareto"] = _fit_json(basis_m.value, pareto)
-    except ValidationError as exc:
-        out["pareto"] = {"error": str(exc)}
-    try:
+    series = cache(lambda: rank_series(ranked, basis_m))  # built once, by the part first using it
+    out = {**_key(ranked), "rows": len(ranked)}
+    out["zipf"] = _section(lambda: _fit_json(basis_m.value, zipf_fit(series())))
+    b = out["zipf"].get("params", {}).get("b", 0.0)
+    out["pareto_predicted_gamma"] = zipf_pareto_predict(b) if b > 0 else None
+    out["pareto"] = _section(lambda: _fit_json(basis_m.value, pareto_tail_fit(series().values)))
+
+    def gumbel() -> dict:
         scaled, dropped = _scaled_rates(ranked)
-        params, gum = gumbel_fit(scaled)
+        params, fit = gumbel_fit(scaled)
         ks = gumbel_curve_ks(scaled, params, _curve_points(ranked))
         dist = empirical_pdf(scaled, binning="log", scaling=Scaling.MEAN_SCALED)
-        out["gumbel"] = _fit_json("cr", gum, {"ks": ks})
-        out["cr_peak"] = pdf_peak_location(dist)
-        out["dropped_zero_articles"] = dropped
-    except (ValidationError, FitConvergenceError) as exc:
-        out["gumbel"] = {"error": str(exc)}
+        out.update(cr_peak=pdf_peak_location(dist), dropped_zero_articles=dropped)
+        return _fit_json("cr", fit, {"ks": ks})
+
+    out["gumbel"] = _section(gumbel)
     return out
 
 
 def _cross_measure(ranked: RankedSet) -> dict:
     """The rate against the measure the set is not ranked by."""
     (other,) = {Measure.CITATIONS, Measure.IMPACT_FACTOR} - {basis_measure(ranked.basis)}
-    try:
-        cell = cross_measure_correlation(ranked, other, Measure.RATE)
-    except ValidationError as exc:
-        cell = str(exc)
-    return {**_key(ranked), **_cell(cell)}
+    return {**_key(ranked),
+            **_section(lambda: cross_measure_correlation(ranked, other, Measure.RATE).as_dict())}
 
 
 def _if_vs_articles(ranked: RankedSet) -> dict:
     articles = ranked.column("articles")
     has_articles = articles > 0
-    try:
-        bins = _bins(binned_trend(articles[has_articles], ranked.column("if")[has_articles]))
-    except ValidationError as exc:
-        bins = {"error": str(exc)}
+    bins = _section(
+        lambda: _bins(binned_trend(articles[has_articles], ranked.column("if")[has_articles]))
+    )
     return {**_key(ranked), "x": "articles", "y": "if", "bins": bins}
 
 
@@ -546,7 +553,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.handler(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.handler(args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -554,8 +562,9 @@ def run(argv=None) -> int:
     except FitConvergenceError as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return 3
-    except (CitemetricsError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (*_DATA_FAULTS, CitemetricsError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

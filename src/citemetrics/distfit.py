@@ -114,7 +114,8 @@ def empirical_pdf(
             raise ValidationError("log binning requires a positive lower bound")
         per_decade = bins if bins is not None else 10
         n_bins = max(1, math.ceil((math.log10(hi) - math.log10(lo)) * per_decade))
-        edges = np.logspace(math.log10(lo), math.log10(hi), n_bins + 1)
+        with np.errstate(over="ignore"):  # the top edge may overflow; it is pinned to hi below
+            edges = np.logspace(math.log10(lo), math.log10(hi), n_bins + 1)
     elif binning == "linear":
         n_bins = bins if bins is not None else 20
         if n_bins < 1:
@@ -276,7 +277,8 @@ def pareto_tail_fit(
         if not hi > lo:
             raise ValidationError("degenerate sample: all values equal")
         n_candidates = max(2, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
-        candidates = np.logspace(math.log10(lo), math.log10(hi), n_candidates + 1)[:-1]
+        with np.errstate(over="ignore"):  # only the top one, dropped here, can overflow
+            candidates = np.logspace(math.log10(lo), math.log10(hi), n_candidates + 1)[:-1]
         picks = _near_minimal_cutoffs(x, candidates, min_tail)
         if len(picks) == 1:  # the winner; its KS distance is not needed
             chosen = picks[0]

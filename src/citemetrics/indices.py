@@ -39,7 +39,7 @@ class RawCounts:
             "articles_y_minus_2",
         ):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
         if self.per_paper_citations is not None:
             annual_citations(self.per_paper_citations)
@@ -64,7 +64,7 @@ def annual_citations(per_paper_citations: Iterable[int]) -> int:
     """
     total = 0
     for c in per_paper_citations:
-        if not isinstance(c, int) or c < 0:
+        if type(c) is not int or c < 0:
             raise ValidationError(f"per-paper citation counts must be non-negative integers, got {c!r}")
         total += c
     return total
@@ -72,9 +72,9 @@ def annual_citations(per_paper_citations: Iterable[int]) -> int:
 
 def citation_rate(citations: int, articles: int) -> float:
     """Annual citation rate r = n(T)/N(T)."""
-    if not isinstance(citations, int) or citations < 0:
+    if type(citations) is not int or citations < 0:
         raise ValidationError(f"citations must be a non-negative integer, got {citations!r}")
-    if not isinstance(articles, int) or articles < 0:
+    if type(articles) is not int or articles < 0:
         raise ValidationError(f"articles must be a non-negative integer, got {articles!r}")
     if articles == 0:
         raise ValidationError("citation rate undefined for zero articles")

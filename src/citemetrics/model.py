@@ -64,14 +64,16 @@ class JournalYearRecord:
     Attributes
     ----------
     journal_id : str
-        Opaque non-empty key, unique within a ranked set.
+        Opaque non-empty key, unique within a ranked set, with no leading or
+        trailing whitespace.
     year : int
         Calendar year the counts refer to, >= 0. Years and counts are ``int``,
         not ``bool``, and at most ``MAX_FLOAT_INT``.
     citations : int
         Annual citations n: all citations received this year, >= 0.
     impact_factor : float
-        Impact factor I as supplied by the source table, >= 0.
+        Impact factor I as supplied by the source table, >= 0; an ``int`` must
+        be exactly a float.
     articles : int
         Articles N published this year, >= 0.
     """
@@ -85,6 +87,10 @@ class JournalYearRecord:
     def __post_init__(self):
         if not isinstance(self.journal_id, str) or not self.journal_id:
             raise ValidationError("journal_id must be a non-empty string")
+        if self.journal_id != self.journal_id.strip():  # a CSV field is read back trimmed
+            raise ValidationError(
+                f"journal_id {self.journal_id!r} must not start or end with whitespace"
+            )
         if type(self.year) is not int or not 0 <= self.year <= MAX_FLOAT_INT:
             raise ValidationError(
                 f"{self.journal_id!r}: year must be a non-negative integer within the "
@@ -114,6 +120,11 @@ class JournalYearRecord:
                 f"{self.journal_id!r}: impact_factor must be finite and >= 0, "
                 f"got {self.impact_factor!r}"
             )
+        if type(self.impact_factor) is int and float(self.impact_factor) != self.impact_factor:
+            raise ValidationError(
+                f"{self.journal_id!r}: an int impact_factor must be exactly a float, "
+                f"got {self.impact_factor!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,10 +152,13 @@ class JournalTable:
             "".join(self.journal_id)  # a TypeError unless every id is a str
             valid = (
                 all(self.journal_id)
+                and list(map(str.strip, self.journal_id)) == self.journal_id
                 and all(_ints_valid(col) for col in (self.year, self.citations, self.articles))
                 and all(map(math.isfinite, self.impact_factor))
                 # as floats: numpy casts a Python float to float32 to compare the two
                 and min(map(float, self.impact_factor), default=0) >= 0
+                and (int not in set(map(type, self.impact_factor))
+                     or all(float(v) == v for v in self.impact_factor if type(v) is int))
             )
         except (TypeError, OverflowError):
             valid = False

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import citemetrics
 from citemetrics.cli import run
 from citemetrics.ingest import store_dataset
-from citemetrics.model import Basis, Discipline, JournalTable, JournalYearRecord, build_ranked_set
+from citemetrics.model import (
+    MAX_FLOAT_INT, Basis, Discipline, JournalTable, JournalYearRecord, build_ranked_set,
+)
 from citemetrics.synthgen import PROFILES, build_fixture
 
 # sha256 of `report` stdout over every synthgen profile and year at seed 20001000.
@@ -29,6 +35,17 @@ def invoke(capsys, *argv, expect=0):
 
 def load_json(captured):
     return json.loads(captured.out)
+
+
+def store_rows(ws, rows, discipline="sci", basis="citations", year=2007):
+    """Store ``(journal_id, citations, impact_factor, articles)`` rows as one set."""
+    table = JournalTable.from_rows((j, year, c, i, a) for j, c, i, a in rows)
+    store_dataset(ws, build_ranked_set(table, Discipline(discipline), Basis(basis), year))
+
+
+# 30 impact-factor-ranked journals whose IFs, from 0.85e308 to 1.7e308, sum past
+# the float range.
+HUGE_IF_ROWS = [(f"H{k:02d}", 10, 1.7e308 - k * (0.85e308 / 29), 5) for k in range(30)]
 
 
 @pytest.fixture
@@ -286,6 +303,32 @@ class TestErrorPaths:
         assert "log base" in captured.err
         assert "Traceback" not in captured.err and "Warning" not in captured.err
 
+    @pytest.mark.parametrize("argv", [["fit-zipf", "--measure", "if"],
+                                      ["trend", "--x", "articles", "--y", "if"]])
+    def test_arithmetic_past_the_float_range_is_exit_2(self, tmp_path, capsys, argv):
+        store_rows(tmp_path, HUGE_IF_ROWS, basis="if", year=2000)
+        captured = invoke(capsys, *argv, "--set", "sci:if:2000", "--workspace", str(tmp_path),
+                          expect=2)
+        assert captured.err.startswith("error: arithmetic error: ")
+        assert "Traceback" not in captured.err and "Infinity" not in captured.out
+
+    def test_overflow_the_fits_tolerate_stays_silent(self, tmp_path, capsys):
+        """A count of MAX_FLOAT_INT overflows the top Pareto candidate, which is
+        dropped, and the top PDF edge, which is pinned to the maximum."""
+        table = build_fixture("sci_set_i", 2000).table
+        rows = list(zip(table.journal_id, table.citations, table.impact_factor,
+                        table.articles))[:300]
+        rows[0] = (rows[0][0], MAX_FLOAT_INT, *rows[0][2:])
+        store_rows(tmp_path, rows, year=2000)
+        captured = invoke(capsys, "fit-pareto", "--workspace", str(tmp_path),
+                          "--set", "sci:citations:2000", "--measure", "n")
+        payload = load_json(captured)
+        assert payload["params"] == {"gamma": 1.32881652, "x_min": 10352.0}
+        assert payload["fit_range"] == [10352.0, 1.79769313e308]
+        assert captured.err.startswith("pareto tail")
+        report = load_json(invoke(capsys, "report", "--workspace", str(tmp_path)))
+        assert report["datasets"][0]["pareto"] == payload
+
     def test_non_numeric_fit_params_is_exit_2(self, workspace, tmp_path, capsys):
         fit = tmp_path / "fit.json"
         fit.write_text(json.dumps({"params": {"a": "x", "b": 1.0}}))
@@ -477,6 +520,22 @@ class TestReport:
         assert all("error" in cell for cells in failed.values() for cell in cells)
         assert len(pairs) == 3
 
+    @pytest.mark.parametrize("basis, measure", [("citations", "n"), ("if", "if")])
+    def test_report_keeps_an_all_zero_set_to_its_own_cells(self, workspace, capsys, basis,
+                                                           measure):
+        zero = [(f"Z{k:02d}", 0 if basis == "citations" else 30 - k,
+                 0.0 if basis == "if" else 1.0 + k / 10, 3 + k % 4) for k in range(30)]
+        store_rows(workspace, zero, basis=basis)
+        report = load_json(invoke(capsys, "report", "--workspace", str(workspace)))
+        failed = [(name, entry.get("year", entry.get("year_b")))
+                  for name, entries in report.items() for entry in entries
+                  if any(isinstance(v, dict) and "error" in v for v in entry.values())]
+        assert failed and all(year == 2007 for _, year in failed), failed
+        (zero_set,) = [d for d in report["datasets"] if d["year"] == 2007]
+        for part in ("zipf", "pareto"):
+            assert zero_set[part] == {"error": f"no positive {measure!r} values in set"}
+        assert [d["year"] for d in report["datasets"]] == [2005, 2006, 2007]
+
     def test_report_on_empty_workspace_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty_ws"
         empty.mkdir()
@@ -536,3 +595,84 @@ class TestColdImport:
         done = self.run_child(code, str(workspace))
         assert done.returncode == 0, done.stderr
 
+
+
+# --- every report section stays local ---------------------------------------------
+
+# Per journal k = 1, 2, ...: (citations, impact factor, articles) of a healthy set
+# and of degenerate ones.
+SET_KINDS = {
+    "healthy": lambda k: (int(5000 * k**-0.8) + k % 3, 0.5 + 30 / k + k % 4 / 10, 5 + 7 * (k % 5)),
+    "zero_n": lambda k: (0, 1.0 + k / 10, 3 + k % 4),
+    "zero_if": lambda k: (100 - k, 0.0, 3 + k % 4),
+    "no_articles": lambda k: (100 + k, 1.0 + k / 10, 0),
+    "all_equal": lambda k: (42, 1.5, 7),
+    "two_values": lambda k: (10 + 5 * (k % 2), 1.0 + k % 2, 3 + k % 2),
+    "huge": lambda k: (MAX_FLOAT_INT // 80 * (80 - k), 1.7e308 * (1 - k / 80), 1 + k % 2),
+    "tiny_if": lambda k: (3 * k, 5e-324 * k, 2),
+}
+GROUPS = [(d, b) for d in ("sci", "socsci") for b in ("citations", "if")]
+
+
+@st.composite
+def workspaces(draw):
+    """1-3 discipline+basis groups of 1-4 years, each set 1-40 journals of one kind;
+    ids shift between years, so years share some journals."""
+    sets = []
+    for discipline, basis in draw(st.lists(st.sampled_from(GROUPS), min_size=1, max_size=3,
+                                           unique=True)):
+        years = draw(st.lists(st.integers(2000, 2005), min_size=1, max_size=4, unique=True))
+        for year in sorted(years):
+            kind = draw(st.sampled_from(sorted(SET_KINDS)))
+            n = draw(st.sampled_from([1, 2]) | st.integers(1, 40))
+            shift = draw(st.integers(0, 5))
+            rows = [(f"J{k + shift:02d}", *SET_KINDS[kind](k)) for k in range(1, n + 1)]
+            sets.append((discipline, basis, year, rows))
+    return sets
+
+
+def strict_report(root, sets):
+    """stdout of `report` over a new workspace holding ``sets``, parsed as strict JSON."""
+    ws = root / f"ws{len(list(root.iterdir()))}"
+    for discipline, basis, year, rows in sets:
+        store_rows(ws, rows, discipline, basis, year)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["report", "--workspace", str(ws)])
+    assert code == 0, err.getvalue()
+
+    def reject(constant):
+        raise AssertionError(f"report printed {constant}")
+
+    return json.loads(out.getvalue(), parse_constant=reject)
+
+
+def set_key(entry):
+    return entry["discipline"], entry["basis"], entry.get("year", entry.get("year_a"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sets=workspaces())
+@example(sets=[("sci", "citations", 2000, [(f"J{k:02d}", *SET_KINDS["healthy"](k))
+                                           for k in range(1, 41)]),
+               ("sci", "citations", 2001, [(f"J{k:02d}", *SET_KINDS["zero_n"](k))
+                                           for k in range(1, 31)])])
+@example(sets=[("sci", "if", 2000, HUGE_IF_ROWS)])
+def test_report_sections_stay_local(tmp_path_factory, sets):
+    """`report` exits 0 and prints strict JSON; each set's entries equal those of a
+    report over that set alone, and each pair's entries those of a report over the
+    two sets."""
+    root = tmp_path_factory.mktemp("local")
+    full = strict_report(root, sets)
+    by_key = {(d, b, y): (d, b, y, rows) for d, b, y, rows in sets}
+    for key, one in by_key.items():
+        alone = strict_report(root, [one])
+        for name in ("datasets", "cross_measure_correlations", "if_vs_articles_trends"):
+            assert [e for e in full[name] if set_key(e) == key] == alone[name]
+    pairs = {}
+    for name in ("dynamic_correlations", "consecutive_overlaps"):
+        for entry in full[name]:
+            a, b = (by_key[set_key(entry)[:2] + (entry[y],)] for y in ("year_a", "year_b"))
+            if (a[:3], b[:3]) not in pairs:
+                pairs[a[:3], b[:3]] = strict_report(root, [a, b])
+            assert entry in pairs[a[:3], b[:3]][name]

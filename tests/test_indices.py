@@ -44,6 +44,8 @@ class TestImpactFactor:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValidationError):
             RawCounts(-1, 0, 1, 1)
+        with pytest.raises(ValidationError, match="cites_to_y_minus_1 .* got True"):
+            RawCounts(True, 0, 1, 1)
         with pytest.raises(ValidationError, match="per-paper citation counts .* got -2"):
             RawCounts(1, 1, 1, 1, per_paper_citations=(1, -2))
 
@@ -69,6 +71,8 @@ class TestAnnualCitations:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             annual_citations([1, -2])
+        with pytest.raises(ValidationError, match="got True"):
+            annual_citations([1, True])
 
 
 class TestCitationRate:
@@ -84,6 +88,12 @@ class TestCitationRate:
     def test_zero_articles_rejected(self):
         with pytest.raises(ValidationError, match="undefined"):
             citation_rate(10, 0)
+
+    @pytest.mark.parametrize("citations, articles, name", [(True, 2, "citations"),
+                                                          (2, True, "articles")])
+    def test_bool_counts_rejected(self, citations, articles, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be a non-negative integer, got True"):
+            citation_rate(citations, articles)
 
     def test_matches_oracle_on_random_counts(self):
         rng = np.random.default_rng(14)

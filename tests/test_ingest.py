@@ -336,11 +336,14 @@ class TestWorkspace:
 # --- a set the model accepts loads back -------------------------------------
 
 # Ids that differ only by trailing NULs, non-ASCII ids, and ids the CSV must
-# quote. An id padded with whitespace is left out: parse_csv trims every field.
+# quote.
 ROUND_TRIP_IDS = [
     "a", "a\x00", "a\x00\x00", "\x00", "J0001", "J0001\x00", "\u00e9", "e\u0301",
     "\u03a9", "\u65e5\u672c", "\u00df", 'q"x', "c,d", "l\r\nm",
 ]
+# Ids with leading or trailing whitespace, which parse_csv would trim: the model
+# rejects them.
+PADDED_IDS = [" ", " a", "a ", "a\n", "\x1c4", "\u3000b", "l\r\n"]
 # Values a year or count must not be: a float, a negative, a string, bools and
 # a numpy integer. The model rejects them, so they must never reach a workspace.
 NON_INTS = [2000.0, -5, "2000", True, False, np.int64(2000)]
@@ -352,12 +355,13 @@ def stored_sets(draw):
     # A year of a few hundred digits would make the data file's name too long.
     year = draw(st.just(2000) | st.integers(0, 10**6) | st.sampled_from(NON_INTS))
     set_year = draw(st.just(year) | st.sampled_from(NON_INTS))
-    ids = st.sampled_from(ROUND_TRIP_IDS) | st.text(min_size=1, max_size=4).filter(
-        lambda s: s == s.strip()
-    )
+    ids = st.sampled_from(ROUND_TRIP_IDS + PADDED_IDS) | st.text(min_size=1, max_size=4)
     counts = st.integers(0, 9) | st.integers(0, MAX_FLOAT_INT) | st.sampled_from(NON_INTS)
     impact_factors = st.one_of(
-        st.integers(0, 2**53),  # a larger int loads back as its nearest float, unequal to it
+        st.integers(0, 2**53),
+        # past 2**53, only an int that is exactly a float loads back equal to it
+        st.integers(2**53, MAX_FLOAT_INT),
+        st.integers(54, 1023).map(lambda e: 2**e - 2**(e - 53)),
         finite,
         finite.map(np.float64),
         st.floats(0, allow_nan=False, allow_infinity=False, width=32).map(np.float32),
@@ -378,6 +382,8 @@ def stored_sets(draw):
 @example(case=(True, True, [("a", 3, 1.5, 1)], Basis.CITATIONS))
 @example(case=("2000", "2000", [("a", 3, 1.5, 1)], Basis.CITATIONS))
 @example(case=(-5, -5, [("a", 3, 1.5, 1)], Basis.CITATIONS))
+@example(case=(2000, 2000, [("a", 3, 2**60 + 1, 1)], Basis.IMPACT_FACTOR))
+@example(case=(2000, 2000, [("a ", 3, 1.5, 1)], Basis.IMPACT_FACTOR))
 def test_a_set_the_model_accepts_loads_back_equal(tmp_path_factory, case):
     year, set_year, rows, basis = case
     try:
