@@ -484,7 +484,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--discipline", required=True, choices=[d.value for d in Discipline])
     p.add_argument("--basis", required=True, choices=[b.value for b in Basis])
     p.add_argument("--year", required=True, type=int)
-    p.add_argument("--top", type=int, default=1000)
+    p.add_argument("--top", type=_int_at_least(1), default=1000)
     p.add_argument("--overwrite", action="store_true")
 
     p = add("rank", _cmd_rank, help="rank series of a measure")

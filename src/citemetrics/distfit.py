@@ -233,6 +233,14 @@ def _near_minimal_cutoffs(x: np.ndarray, candidates: np.ndarray, min_tail: int) 
     return cands[near].tolist()
 
 
+def _tail_ks(x: np.ndarray, x_min: float) -> float:
+    """Exact KS distance between the tail ``x[x >= x_min]`` and its fitted power law."""
+    tail = x[x >= x_min]
+    gamma = _pareto_mle(tail, x_min)  # summed in the sample's order
+    tail.sort()
+    return _ks_sorted(tail, lambda t: _pareto_cdf(t, x_min, gamma))
+
+
 def pareto_tail_fit(
     samples: Sequence[float],
     x_min: float | None = None,
@@ -253,26 +261,16 @@ def pareto_tail_fit(
     exp((gamma - 1)(log x_min - log x)). An exact pass then re-scores, with
     the plain estimator and KS distance on ``x[x >= x_min]``, every candidate
     whose fast distance is within ``_SCAN_SLACK`` of the fast minimum (or
-    whose fast score cannot be trusted that far). Only the argmin comes from
-    the fast pass; gamma is always the plain estimate on the unsorted tail.
+    whose fast score cannot be trusted that far). The scan only chooses the
+    cutoff; the fit at it is the one an explicit ``x_min`` gets, the plain
+    estimate on the unsorted tail.
     """
     x = finite_samples(samples, "samples")
     if np.any(x <= 0):
         raise ValidationError("power-law tail fit requires positive samples")
     hi = float(x.max())  # the top of every tail
 
-    if x_min is not None:
-        if not (math.isfinite(x_min) and x_min > 0):
-            raise ValidationError(f"x_min must be positive and finite, got {x_min}")
-        tail = x[x >= x_min]
-        m = tail.size
-        if m < min_tail:
-            raise ValidationError(
-                f"need at least {min_tail} tail samples above x_min={x_min:g}, have {m}"
-            )
-        gamma = _pareto_mle(tail, x_min)
-        chosen = float(x_min)
-    else:
+    if x_min is None:
         lo = float(x.min())
         if not hi > lo:
             raise ValidationError("degenerate sample: all values equal")
@@ -280,20 +278,18 @@ def pareto_tail_fit(
         with np.errstate(over="ignore"):  # only the top one, dropped here, can overflow
             candidates = np.logspace(math.log10(lo), math.log10(hi), n_candidates + 1)[:-1]
         picks = _near_minimal_cutoffs(x, candidates, min_tail)
-        if len(picks) == 1:  # the winner; its KS distance is not needed
-            chosen = picks[0]
-            tail = x[x >= chosen]
-            gamma, m = _pareto_mle(tail, chosen), tail.size
-        else:
-            best = None
-            for cand in picks:
-                tail = x[x >= cand]
-                g = _pareto_mle(tail, cand)  # summed in the sample's order
-                tail.sort()
-                d = _ks_sorted(tail, lambda t: _pareto_cdf(t, cand, g))
-                if best is None or d < best[0]:
-                    best = (d, cand, g, tail.size)
-            _, chosen, gamma, m = best
+        # a lone pick is the winner; its KS distance is not needed
+        x_min = picks[0] if len(picks) == 1 else min(picks, key=lambda c: _tail_ks(x, c))
+    elif not (math.isfinite(x_min) and x_min > 0):
+        raise ValidationError(f"x_min must be positive and finite, got {x_min}")
+    tail = x[x >= x_min]
+    m = tail.size
+    if m < min_tail:
+        raise ValidationError(
+            f"need at least {min_tail} tail samples above x_min={x_min:g}, have {m}"
+        )
+    gamma = _pareto_mle(tail, x_min)
+    chosen = float(x_min)
 
     stderr = (gamma - 1.0) / math.sqrt(m)
     return FitResult(

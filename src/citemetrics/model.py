@@ -197,11 +197,6 @@ def _ints_valid(col: list[int]) -> bool:
     )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True)
 class RankedSet:
     """A discipline+basis+year labelled collection, sorted by the basis field.
@@ -280,7 +275,9 @@ class RankedSet:
             "cr": np.array(rates, dtype=float),
             "articles": np.array(table.articles, dtype=float),
         }
-        return {key: _read_only(col) for key, col in columns.items()}
+        for col in columns.values():
+            col.setflags(write=False)
+        return columns
 
     def column(self, measure: Measure | str) -> np.ndarray:
         """One per-journal measure as a read-only float array in rank order.
@@ -358,16 +355,6 @@ def common_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.
     """
     shared = (rows_a >= 0) & (rows_b >= 0)
     return rows_a[shared], rows_b[shared]
-
-
-def common_ids(a: RankedSet, b: RankedSet) -> list[str]:
-    """Ids in both sets, ascending; as Python strings, so "a" and "a\\x00" differ.
-
-    A plain set intersection, for a caller that needs the ids and not their
-    rank positions; a join on positions numbers the sets with
-    ``id_positions`` and takes ``common_rows``.
-    """
-    return sorted(set(a.table.journal_id).intersection(b.table.journal_id))
 
 
 def finite_samples(values: Sequence[float], what: str) -> np.ndarray:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, common_ids,
-    common_rows, id_positions,
+    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, common_rows,
+    id_positions,
 )
 
 DEFAULT_K_MIN = 10
@@ -171,8 +171,12 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
 
 
 def set_overlap(a: RankedSet, b: RankedSet) -> tuple[tuple[str, ...], int]:
-    """Journals common to two sets, in ascending id order, with their count."""
-    common = common_ids(a, b)
+    """Journals common to two sets, in ascending id order, with their count.
+
+    A plain set intersection of the ids as Python strings ("a" and "a\\x00"
+    differ); joins on rank positions go through ``id_positions``.
+    """
+    common = sorted(set(a.table.journal_id).intersection(b.table.journal_id))
     return tuple(common), len(common)
 
 

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import citemetrics
+from citemetrics import cli
 from citemetrics.cli import run
+from citemetrics.errors import FitConvergenceError
 from citemetrics.ingest import store_dataset
 from citemetrics.model import (
     MAX_FLOAT_INT, Basis, Discipline, JournalTable, JournalYearRecord, build_ranked_set,
@@ -134,6 +136,29 @@ class TestAnalysisCommands:
         payload = load_json(captured)
         assert payload["params"]["gamma"] > 1.0
 
+    def test_fit_pareto_numeric_xmin(self, workspace, capsys):
+        captured = invoke(
+            capsys, "fit-pareto", "--workspace", str(workspace),
+            "--set", "sci:citations:2005", "--measure", "n", "--xmin", "100",
+        )
+        payload = load_json(captured)
+        assert payload["params"]["x_min"] == 100.0
+        assert payload["fit_range"][0] == 100.0
+        assert payload["params"]["gamma"] > 1.0
+
+    def test_dist_emit_writes_series_csv(self, workspace, tmp_path, capsys):
+        out = tmp_path / "pdf.csv"
+        captured = invoke(
+            capsys, "dist", "--workspace", str(workspace),
+            "--set", "sci:citations:2005", "--measure", "n", "--emit", str(out),
+        )
+        payload = load_json(captured)
+        assert payload["written"] == str(out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# label: sci:citations:2005:n:pdf"
+        assert lines[1] == "x,y"
+        assert len(lines) == 2 + len(payload["densities"])
+
     def test_fit_gumbel_and_ks_roundtrip(self, workspace, tmp_path, capsys):
         captured = invoke(
             capsys, "fit-gumbel", "--workspace", str(workspace),
@@ -207,6 +232,39 @@ class TestErrorPaths:
             expect=1,
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit-zipf", "--set", "sci:citations:abc", "--measure", "n"], "year an integer"),
+            (["correlate", "--a", "sci:citations:2005"], "pair correlation needs --a, --b"),
+            (["correlate", "--set", "sci:citations:2005"], "cross-measure correlation needs"),
+        ],
+        ids=["spec_year_not_integer", "correlate_only_a", "correlate_only_set"],
+    )
+    def test_incomplete_request_is_usage_error(self, workspace, capsys, argv, message):
+        captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=1)
+        assert captured.err.startswith("usage error: ") and message in captured.err
+
+    def test_fit_that_did_not_converge_is_exit_3_and_one_report_section(
+        self, workspace, capsys, monkeypatch
+    ):
+        before = load_json(invoke(capsys, "report", "--workspace", str(workspace)))
+
+        def no_convergence(*args, **kwargs):
+            raise FitConvergenceError("scale equation did not converge")
+
+        monkeypatch.setattr(cli, "gumbel_fit", no_convergence)
+        captured = invoke(
+            capsys, "fit-gumbel", "--workspace", str(workspace), "--set", "sci:citations:2005",
+            expect=3,
+        )
+        assert captured.err.startswith("fit did not converge: scale equation")
+        after = load_json(invoke(capsys, "report", "--workspace", str(workspace)))
+        assert len(after["datasets"]) == len(before["datasets"]) == 2
+        for old, new in zip(before["datasets"], after["datasets"]):
+            assert new["gumbel"] == {"error": "scale equation did not converge"}
+            assert (new["zipf"], new["pareto"]) == (old["zipf"], old["pareto"])
+
     def test_missing_workspace_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("CITEMETRICS_WORKSPACE", raising=False)
         invoke(capsys, "fit-zipf", "--set", "sci:citations:2005", "--measure", "n", expect=1)
@@ -273,6 +331,11 @@ class TestErrorPaths:
             ["trend", "--set", "sci:citations:2005", "--x", "n", "--y", "if", "--bins", "0"],
             ["fit-pareto", "--set", "sci:citations:2005", "--measure", "n", "--xmin", "abc"],
             ["synth", "--profile", "sci_set_i", "--year", "2005", "--seed", "-1"],
+            ["trend", "--set", "sci:citations:2005", "--x", "n", "--y", "if", "--bins", "abc"],
+            ["ingest", "--input", "absent.csv", "--discipline", "sci", "--basis", "citations",
+             "--year", "2005", "--top", "0"],
+            ["ingest", "--input", "absent.csv", "--discipline", "sci", "--basis", "citations",
+             "--year", "2005", "--top", "-3"],
         ],
     )
     def test_bad_argument_is_usage_error(self, workspace, tmp_path, capsys, argv):

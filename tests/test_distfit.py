@@ -84,6 +84,34 @@ class TestEmpiricalPdf:
         with pytest.raises(ValidationError, match="density must integrate to 1, got nan"):
             EmpiricalDistribution((0.0, 1.0, 2.0), (1.0, math.nan), 2, Scaling.RAW, "linear")
 
+    @pytest.mark.parametrize(
+        "edges, densities, binning, message",
+        [
+            ((1.0, 2.0, 3.0), (1.0,), "linear", "need one density per bin"),
+            ((1.0, 2.0, 3.0), (-0.5, 1.5), "linear", "densities must be non-negative"),
+            ((0.0, 1.0), (1.0,), "log", "log binning requires positive bin edges"),
+            ((-1.0, 0.0), (1.0,), "linear", "bin_edges must be non-negative"),
+        ],
+        ids=["density_count", "negative_density", "log_edge_not_positive", "negative_edge"],
+    )
+    def test_malformed_distribution_rejected(self, edges, densities, binning, message):
+        with pytest.raises(ValidationError, match=message):
+            EmpiricalDistribution(edges, densities, 10, Scaling.RAW, binning)
+
+    @pytest.mark.parametrize(
+        "samples, kwargs, message",
+        [
+            ([1.0, 2.0, 3.0], {"bounds": (5.0, 6.0)}, "no samples inside the requested bounds"),
+            ([1.0, 2.0, 3.0], {"binning": "linear", "bins": 0}, "bin count must be >= 1, got 0"),
+            ([0.0, 0.0], {"scaling": Scaling.MEAN_SCALED}, "mean scaling requires a positive mean"),
+            ([1.0, 2.0, 3.0], {"bounds": (0.0, 3.0)}, "log binning requires a positive lower"),
+        ],
+        ids=["empty_bounds", "no_linear_bins", "all_zero_mean_scaled", "log_lower_bound_0"],
+    )
+    def test_unusable_binning_rejected(self, samples, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            empirical_pdf(samples, **kwargs)
+
 
 class TestPeakLocation:
     def make(self, densities, edges=None, binning="linear"):
@@ -304,6 +332,11 @@ class TestGumbelFit:
     def test_non_finite_rates_rejected(self, bad):
         with pytest.raises(ValidationError):
             gumbel_fit([1.0, 2.0] * 20 + [bad])
+
+    def test_unsupported_method_rejected(self):
+        rates = sample_gumbel_log(-0.5, 0.65, 200, seed=6)
+        with pytest.raises(ValidationError, match="unsupported fit method 'mle'"):
+            gumbel_fit(rates, method="mle")
 
     def test_scale_non_convergence_is_fit_error(self, monkeypatch):
         monkeypatch.setattr(distfit, "GUMBEL_MAX_ITER", 1)
@@ -544,3 +577,16 @@ class TestGumbelCurveKs:
             gumbel_curve_ks(rates, GumbelParams(-0.5, 0.65), 12, log_base=log_base)
         with pytest.raises(ValidationError, match="log base"):
             gumbel_fit(rates, log_base=log_base)
+
+    @pytest.mark.parametrize(
+        "rates, n_points, message",
+        [
+            ([0.5, 0.0, 2.0], 12, "rates must be strictly positive"),
+            ([0.5, 1.0, 2.0], 1, "need at least 2 curve points, got 1"),
+            ([1.0] * 5, 12, "degenerate sample: all rates equal"),
+        ],
+        ids=["non_positive_rate", "one_point", "all_rates_equal"],
+    )
+    def test_unusable_rates_or_points_rejected(self, rates, n_points, message):
+        with pytest.raises(ValidationError, match=message):
+            gumbel_curve_ks(rates, GumbelParams(-0.5, 0.65), n_points)

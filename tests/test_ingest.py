@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import threading
@@ -99,6 +100,12 @@ class TestParseCsv:
             parse_csv(f)
         write_table(f, ["A,2000,x,1.0,1", "B,2000,1,1.0," + "1" * 200_000])
         with pytest.raises(ValidationError, match="line 2: column 'citations'"):
+            parse_csv(f)
+
+    def test_oversized_header_field_reports_line_1(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("journal_id," + "x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ValidationError, match="^line 1: field larger than field limit"):
             parse_csv(f)
 
     def test_error_line_counts_file_lines_after_a_quoted_line_break(self, tmp_path):
@@ -269,6 +276,12 @@ class TestWorkspace:
         rng = np.random.default_rng(5)
         store_dataset(tmp_path, self.make_set(rng, year=2001))
         with pytest.raises(WorkspaceError, match="sci:citations:2001"):
+            load_dataset(tmp_path, Discipline.SCI, Basis.CITATIONS, 2000)
+
+    def test_missing_data_file_is_workspace_error(self, tmp_path):
+        entry = store_dataset(tmp_path, self.make_set(np.random.default_rng(10)))
+        (tmp_path / entry["source_path"]).unlink()
+        with pytest.raises(WorkspaceError, match="manifest references missing file"):
             load_dataset(tmp_path, Discipline.SCI, Basis.CITATIONS, 2000)
 
     def test_empty_workspace_message(self, tmp_path):

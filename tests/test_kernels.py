@@ -237,6 +237,10 @@ def test_pareto_auto_xmin_equals_former_scan(gamma, x_min, count, seed, min_tail
     if decimals is not None:  # ties, and tails that sit on a candidate
         samples = np.maximum(np.round(samples, decimals), 10.0**-decimals)
     assert outcome(fit_triple, samples, min_tail) == outcome(former_pareto_auto, samples, min_tail)
+    auto = outcome(fit_triple, samples, min_tail)
+    if auto[0] != "error":  # the fit at the chosen x_min is the automatic fit
+        fit = pareto_tail_fit(samples, x_min=auto[0]["x_min"], min_tail=min_tail)
+        assert (fit.params, fit.stderr, fit.fit_range) == auto
 
 
 def scan_candidates(samples):

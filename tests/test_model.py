@@ -329,6 +329,11 @@ class TestColumnarSet:
         with pytest.raises(ValidationError, match="set year must be an integer, got"):
             RankedSet(Discipline.SCI, Basis.CITATIONS, year, table)
 
+    def test_set_cap_below_one_rejected(self):
+        table = JournalTable(["a"], [2000], [1], [1.0], [1])
+        with pytest.raises(ValidationError, match="cap must be >= 1, got 0"):
+            RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, table, cap=0)
+
     def test_table_columns_must_be_equally_long(self):
         with pytest.raises(ValidationError, match="equally long"):
             JournalTable(["a"], [2000], [1], [1.0], [])

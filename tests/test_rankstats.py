@@ -242,6 +242,10 @@ class TestBinnedRankAverage:
         assert edges[-1] >= 1000.0
         assert len(edges) == 31
 
+    def test_bins_need_a_positive_rank(self):
+        with pytest.raises(ValidationError, match="k_max must be >= 1, got 0"):
+            log_rank_bins(0)
+
 
 class TestSeriesCsv:
     def test_writes_label_and_columns(self, tmp_path):
