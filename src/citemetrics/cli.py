@@ -496,7 +496,7 @@ def _build_parser() -> _Parser:
     p = add("fit-zipf", _cmd_fit_zipf, help="log-log rank-law fit")
     p.add_argument("--set", required=True)
     p.add_argument("--measure", required=True, choices=values)
-    p.add_argument("--kmin", type=int, default=10)
+    p.add_argument("--kmin", type=_int_at_least(0), default=10)
 
     p = add("dist", _cmd_dist, help="binned probability density of a measure")
     p.add_argument("--set", required=True)

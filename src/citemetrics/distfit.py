@@ -29,6 +29,9 @@ MIN_GUMBEL_SAMPLES = 30
 GUMBEL_TOL = 1e-10
 GUMBEL_MAX_ITER = 200
 BRENTQ_RTOL = 4 * float(np.finfo(float).eps)
+_LSQ_RTOL = 1e-15
+_SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
+_IGNORE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 class Scaling(str, Enum):
@@ -498,30 +501,115 @@ def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
     return a, float(b)
 
 
+def _curve_residuals(centers: np.ndarray, density: np.ndarray) -> Callable:
+    """r(a, log b) = gumbel_log_pdf(centers) - density, with its sum of squares.
+
+    None where b or the sum is not finite (exp(log b) overflows, or the
+    density does at a tiny b): such a point is a rejected step, never an
+    arithmetic error.
+    """
+
+    def residuals(a: float, log_b: float) -> tuple[np.ndarray, float] | None:
+        try:
+            b = math.exp(log_b)
+        except OverflowError:
+            return None
+        if not (0 < b < math.inf and math.isfinite(a)):
+            return None
+        with np.errstate(**_IGNORE):
+            r = gumbel_log_pdf(centers, GumbelParams(a, b)) - density
+            cost = float(np.sum(r * r))
+        return (r, cost) if math.isfinite(cost) else None
+
+    return residuals
+
+
+def _levenberg_marquardt(residuals: Callable, a: float, log_b: float) -> tuple[float, float, float]:
+    """Minimise the sum of squares of ``residuals(a, log_b)`` from (a, log_b).
+
+    Each iteration takes a forward-difference Jacobian J (step
+    sqrt(eps) max(1, |p|), as scipy's ``2-point``) and solves the damped
+    normal equations (J'J + mu I) d = -J'r in closed form, mu = 0 at first.
+    A step is taken only if it lowers the sum; otherwise mu grows tenfold
+    (from 1e-3 of the largest diagonal entry of J'J) and the step is solved
+    again. After a taken step mu shrinks threefold if the sum fell by more
+    than 3/4 of the linear model's prediction, and doubles if by less than
+    1/4, which damps the zig-zag of plain Gauss-Newton steps in a narrow
+    valley. The fit stops when a taken step lowers the sum by at most
+    ``_LSQ_RTOL`` of itself, or when no damping finds a lower sum. A
+    singular J'J is a rejected step, never a division by zero. Returns a,
+    log b and the sum of squares; FitConvergenceError after
+    ``GUMBEL_MAX_ITER`` iterations.
+    """
+    p = (a, log_b)
+    r, cost = residuals(*p)
+    mu = 0.0
+    for _ in range(GUMBEL_MAX_ITER):
+        jac = []
+        for j in (0, 1):
+            q = list(p)
+            q[j] += _SQRT_EPS * max(1.0, abs(p[j]))
+            moved = residuals(*q)
+            if moved is None:
+                raise FitConvergenceError(
+                    "least-squares Gumbel fit: residuals beside the point are not finite",
+                    residual=cost,
+                )
+            jac.append((moved[0] - r) / (q[j] - p[j]))
+        j0, j1 = jac
+        with np.errstate(**_IGNORE):  # a non-finite entry is caught below
+            a00, a01, a11, g0, g1 = (
+                float(np.sum(u * v)) for u, v in ((j0, j0), (j0, j1), (j1, j1), (j0, r), (j1, r))
+            )
+        if not all(map(math.isfinite, (a00, a01, a11, g0, g1))):
+            raise FitConvergenceError(
+                "least-squares Gumbel fit: the Jacobian is not finite", residual=cost
+            )
+        while True:
+            m00, m11 = a00 + mu, a11 + mu
+            det = m00 * m11 - a01 * a01
+            if det > 0:  # not when the matrix is singular, or det is NaN
+                d0 = (a01 * g1 - m11 * g0) / det
+                d1 = (a01 * g0 - m00 * g1) / det
+                trial = (p[0] + d0, p[1] + d1)
+                if trial == p:  # no damping can move the point
+                    return p[0], p[1], cost
+                moved = residuals(*trial)
+                if moved is not None and moved[1] < cost:
+                    break
+            mu = max(10.0 * mu, 1e-3 * max(a00, a11))
+            if not 0 < mu < math.inf:  # J = 0, or no damping finds a lower sum
+                return p[0], p[1], cost
+        gain = cost - moved[1]
+        predicted = d0 * (mu * d0 - g0) + d1 * (mu * d1 - g1)  # by the linear model
+        if gain > 0.75 * predicted:
+            mu /= 3.0
+        elif gain < 0.25 * predicted:
+            mu = max(2.0 * mu, 1e-3 * max(a00, a11))
+        done = gain <= _LSQ_RTOL * cost
+        p, (r, cost) = trial, moved
+        if done:
+            return p[0], p[1], cost
+    raise FitConvergenceError(
+        f"least-squares Gumbel fit did not converge after {GUMBEL_MAX_ITER} iterations",
+        residual=cost,
+    )
+
+
 def _gumbel_lsq(x: np.ndarray, bins: int) -> tuple[float, float, float]:
     """Fit (a, b) to the binned density curve by nonlinear least squares.
 
-    scipy is imported here, not at module scope: this is the only fit that
-    needs it, and importing ``scipy.optimize`` costs about half a second.
+    The residuals are gumbel_log_pdf at the bin centers less the density;
+    ``_levenberg_marquardt`` minimises their sum of squares over (a, log b)
+    from the moment estimates, whose residuals are always finite. Returns
+    a, b and that sum.
     """
-    from scipy.optimize import least_squares
-
     density, edges = _binned_density(x, bins)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-
-    def residuals(p):
-        a, log_b = p
-        return gumbel_log_pdf(centers, GumbelParams(a, math.exp(log_b))) - density
-
+    residuals = _curve_residuals(0.5 * (edges[:-1] + edges[1:]), density)
     b0 = max(float(x.std(ddof=0)) * math.sqrt(6.0) / math.pi, 1e-6)
     a0 = float(x.mean()) - EULER_GAMMA * b0
-    res = least_squares(residuals, x0=[a0, math.log(b0)], max_nfev=GUMBEL_MAX_ITER * 10)
-    if not res.success:
-        raise FitConvergenceError(
-            "least-squares Gumbel fit did not converge",
-            residual=float(np.sum(res.fun**2)),
-        )
-    return float(res.x[0]), float(math.exp(res.x[1])), float(np.sum(res.fun**2))
+    a, log_b, cost = _levenberg_marquardt(residuals, a0, math.log(b0))
+    return a, math.exp(log_b), cost
 
 
 def check_log_base(log_base: float) -> None:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares
 
 from citemetrics import distfit
 from citemetrics.distfit import (
@@ -463,6 +463,133 @@ class TestGumbelMleEvaluations:
             b0 = float(x.std()) * math.sqrt(6.0) / math.pi
             bracket = round(math.log2(b0 / lo)) + round(math.log2(hi / b0)) + 1
             assert len(points) == bracket + info.function_calls - 2
+
+
+RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
+def _curve_problem(x, bins):
+    """The binned-curve residuals of ``_gumbel_lsq`` over (a, log b) and its start."""
+    density, edges = distfit._binned_density(x, bins)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+
+    def residuals(p):
+        return gumbel_log_pdf(centers, GumbelParams(p[0], math.exp(p[1]))) - density
+
+    b0 = max(float(x.std()) * math.sqrt(6.0) / math.pi, 1e-6)
+    return residuals, [float(x.mean()) - distfit.EULER_GAMMA * b0, math.log(b0)]
+
+
+def _sum_of_squares(residuals, p):
+    return float(np.sum(residuals(p) ** 2))
+
+
+class TestGumbelLeastSquares:
+    def test_agrees_with_scipy_least_squares(self):
+        """scipy's ``least_squares`` on the same residuals and start is the oracle.
+
+        The sum of squares is never above that of scipy's default stop (the
+        former fit); (a, b) match scipy run to tolerances of 1e-15; and the
+        result is stationary. With three or fewer points the curve has
+        several local minima and either solver may stop in either, so there
+        only stationarity is checked.
+        """
+        rng = np.random.default_rng(20001000)
+        for i in range(120):
+            n = int(10 ** rng.uniform(math.log10(30), 5))
+            bins = int(rng.integers(2, 41))
+            a, b = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.1, 3.0))
+            x = np.log(sample_gumbel_log(a, b, n, seed=20001000 + i))
+            with np.errstate(**RAISE):
+                fit_a, fit_b, cost = distfit._gumbel_lsq(x, bins)
+            residuals, start = _curve_problem(x, bins)
+            p = [fit_a, math.log(fit_b)]
+            assert cost == pytest.approx(_sum_of_squares(residuals, p), rel=1e-12)
+            for j in (0, 1):
+                h = 1e-6 * max(1.0, abs(p[j]))
+                up, down = list(p), list(p)
+                up[j] += h
+                down[j] -= h
+                c_up, c_down = _sum_of_squares(residuals, up), _sum_of_squares(residuals, down)
+                grad = (c_up - c_down) / (2 * h)
+                # Where the curvature H is very high (a spiky curve, b near
+                # 0.1), a gradient of 1e-6 moves the sum by less than its
+                # rounding: then g^2 / (2 H), the fall a Newton step would
+                # make, must be below that rounding instead.
+                curvature = (c_up - 2 * cost + c_down) / (h * h)
+                assert (
+                    abs(grad) <= 1e-6 * (1 + cost)
+                    or 0 < curvature and grad * grad <= 2e-15 * curvature * (1 + cost)
+                ), (i, j, grad, cost)
+            if bins <= 3:
+                continue
+            former = least_squares(residuals, start, max_nfev=distfit.GUMBEL_MAX_ITER * 10)
+            assert cost <= float(np.sum(former.fun**2)) * (1 + 1e-12), i
+            tight = least_squares(residuals, start, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+            assert fit_a == pytest.approx(tight.x[0], rel=1e-4), i
+            assert fit_b == pytest.approx(math.exp(tight.x[1]), rel=1e-4), i
+
+    def test_overflowing_first_step_is_rejected(self):
+        x = np.log(sample_gumbel_log(-0.55, 0.8, 1_000, seed=7))
+        density, edges = distfit._binned_density(x, 12)
+        residuals = distfit._curve_residuals(0.5 * (edges[:-1] + edges[1:]), density)
+        reference = distfit._gumbel_lsq(x, 12)
+        # From (-6, -0.5) the Gauss-Newton step puts log b past the float range.
+        oracle, _ = _curve_problem(x, 12)
+        start = np.array([-6.0, -0.5])
+        jac = np.column_stack([
+            (oracle(start + step) - oracle(start)) / step[j]
+            for j, step in enumerate(np.diag([1e-7, 1e-7]))
+        ])
+        step = np.linalg.lstsq(jac, -oracle(start), rcond=None)[0]
+        assert start[1] + step[1] > math.log(np.finfo(float).max)
+        with np.errstate(**RAISE):
+            a, log_b, cost = distfit._levenberg_marquardt(residuals, *start.tolist())
+        assert a == pytest.approx(reference[0], rel=1e-6)
+        assert math.exp(log_b) == pytest.approx(reference[1], rel=1e-6)
+        assert cost <= reference[2] * (1 + 1e-12)
+
+    def test_narrow_valley_converges(self):
+        # Undamped Gauss-Newton steps zig-zag across this 5-bin curve's valley
+        # and use up the iteration budget; raising mu on a poor gain stops that.
+        x = np.log(sample_gumbel_log(1.4721523825167955, 0.24350297544647798, 10_869, seed=1119))
+        with np.errstate(**RAISE):
+            a, b, cost = distfit._gumbel_lsq(x, 5)
+        residuals, start = _curve_problem(x, 5)
+        tight = least_squares(residuals, start, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        assert cost <= float(np.sum(tight.fun**2)) * (1 + 1e-12)
+        assert (a, b) == pytest.approx((tight.x[0], math.exp(tight.x[1])), rel=1e-6)
+
+    @pytest.mark.parametrize("bins", [1, 2])
+    def test_few_bins_fit_or_fit_error(self, bins):
+        # One or two residuals for two parameters: J'J is singular or nearly so.
+        for seed in range(30):
+            rates = sample_gumbel_log(-0.5, 0.8, 200, seed=seed)
+            with np.errstate(**RAISE):
+                try:
+                    params, _ = gumbel_fit(
+                        rates, method=FitMethod.LOG_LOG_LEAST_SQUARES, lsq_bins=bins
+                    )
+                except FitConvergenceError:
+                    continue
+            assert math.isfinite(params.a) and params.b > 0
+
+    def test_flat_start_returns_without_division(self):
+        # Far right of the curve with a tiny scale the density is 0 at every
+        # center and beside it, so J = 0 and J'J is exactly singular.
+        x = np.log(sample_gumbel_log(-0.5, 0.8, 200, seed=1))
+        density, edges = distfit._binned_density(x, 2)
+        residuals = distfit._curve_residuals(0.5 * (edges[:-1] + edges[1:]), density)
+        with np.errstate(**RAISE):
+            got = distfit._levenberg_marquardt(residuals, 50.0, -3.0)
+        assert got == (50.0, -3.0, float(np.sum(density**2)))
+
+    def test_exhausted_iterations_raise_fit_error(self, monkeypatch):
+        monkeypatch.setattr(distfit, "GUMBEL_MAX_ITER", 1)
+        x = np.log(sample_gumbel_log(-0.5, 0.7, 1_000, seed=5))
+        with pytest.raises(FitConvergenceError, match="after 1 iterations") as caught:
+            distfit._gumbel_lsq(x, 12)
+        assert caught.value.residual > 0
 
 
 class TestKsStatistic:

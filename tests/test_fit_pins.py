@@ -5,8 +5,9 @@ first pass, so a change that moved a fit by one ulp would pass it. These are
 ``float.hex`` values of ``zipf_fit``, auto-``x_min`` ``pareto_tail_fit`` and
 MLE ``gumbel_fit`` recorded before the fit paths were vectorised, on the
 benchmark's generators (Pareto gamma 2.43, x_min 1; log-Gumbel a -0.55,
-b 0.80; seed 20001000 + n). The least-squares Gumbel fit is not pinned: its
-result comes from scipy and may move with the scipy version.
+b 0.80; seed 20001000 + n). The least-squares ``gumbel_fit`` values were
+recorded when its solver moved into the package, which made the result
+independent of the scipy version.
 """
 
 import numpy as np
@@ -28,6 +29,9 @@ PINS = {
                  "log_base": "0x1.5bf0a8b145769p+1"},
                 {"a": "0x1.b8f06e25d2837p-6", "b": "0x1.4684100d11009p-6",
                  "log_base": "0x0.0p+0"}),
+        "lsq": ({"a": "-0x1.27375af03954bp-1", "b": "0x1.b0c384a8dacd3p-1",
+                 "log_base": "0x1.5bf0a8b145769p+1"},
+                {"a": "0x0.0p+0", "b": "0x0.0p+0", "log_base": "0x0.0p+0"}),
     },
     100_000: {
         "zipf": ({"b": "0x1.6687b48ec6f74p-1", "A": "0x1.8bb47368f4d6cp+11"},
@@ -38,6 +42,9 @@ PINS = {
                  "log_base": "0x1.5bf0a8b145769p+1"},
                 {"a": "0x1.5b8f20c69d3b7p-9", "b": "0x1.015e2a12f4540p-9",
                  "log_base": "0x0.0p+0"}),
+        "lsq": ({"a": "-0x1.142179f0e5393p-1", "b": "0x1.a95d230134718p-1",
+                 "log_base": "0x1.5bf0a8b145769p+1"},
+                {"a": "0x0.0p+0", "b": "0x0.0p+0", "log_base": "0x0.0p+0"}),
     },
     # recorded before the fit kernels reused their buffers
     1_000_000: {
@@ -49,6 +56,9 @@ PINS = {
                  "log_base": "0x1.5bf0a8b145769p+1"},
                 {"a": "0x1.b96118cd95b0cp-11", "b": "0x1.46d77e105beddp-11",
                  "log_base": "0x0.0p+0"}),
+        "lsq": ({"a": "-0x1.0b241c37af7a7p-1", "b": "0x1.c29bc9cfa5d79p-1",
+                 "log_base": "0x1.5bf0a8b145769p+1"},
+                {"a": "0x0.0p+0", "b": "0x0.0p+0", "log_base": "0x0.0p+0"}),
     },
 }
 
@@ -66,9 +76,11 @@ def test_fits_match_pinned_bits(n):
         tuple(range(1, n + 1)), tuple(np.sort(pareto)[::-1].tolist()), LABEL
     )
     _, mle = distfit.gumbel_fit(rates, method=FitMethod.MAXIMUM_LIKELIHOOD)
+    _, lsq = distfit.gumbel_fit(rates, method=FitMethod.LOG_LOG_LEAST_SQUARES)
     got = {
         "zipf": hexed(rankstats.zipf_fit(series)),
         "pareto": hexed(distfit.pareto_tail_fit(pareto)),
         "mle": hexed(mle),
+        "lsq": hexed(lsq),
     }
     assert got == PINS[n]
