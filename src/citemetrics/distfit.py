@@ -141,9 +141,18 @@ def empirical_pdf(
 
 def _binned_density(x: np.ndarray, bins: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Density count / (n * width), n the samples binned, and the edges of
-    ``np.histogram``'s ``bins``: a bin count, or edges taken as given."""
-    counts, edges = np.histogram(x, bins=bins)
-    return counts / (counts.sum() * np.diff(edges)), edges
+    ``np.histogram``'s ``bins``: a bin count, or edges taken as given.
+    ValidationError if a bin has no positive width (a range a few ulps wide)."""
+    n = bins if np.ndim(bins) == 0 else len(bins) - 1
+    fault = f"cannot bin the samples into {n} bins of positive width"
+    try:
+        counts, edges = np.histogram(x, bins=bins)
+    except ValueError:  # more bins than the range holds, or decreasing edges
+        raise ValidationError(fault) from None
+    widths = np.diff(edges)
+    if not np.all(widths > 0):  # equal edges
+        raise ValidationError(fault)
+    return counts / (counts.sum() * widths), edges
 
 
 def pdf_peak_location(dist: EmpiricalDistribution) -> float:
@@ -652,6 +661,8 @@ def gumbel_fit(
         se_b = b * math.sqrt(6.0 / math.pi**2 / n)
         se_a = b * math.sqrt((1.0 + 6.0 * (1.0 - EULER_GAMMA) ** 2 / math.pi**2) / n)
     elif method is FitMethod.LOG_LOG_LEAST_SQUARES:
+        if lsq_bins < 4:  # 1-2 points leave (a, b) undetermined, 3 can leave several minima
+            raise ValidationError(f"least-squares fit needs at least 4 bins, got {lsq_bins}")
         a, b, _ = _gumbel_lsq(x, lsq_bins)
         se_a = se_b = 0.0
     else:

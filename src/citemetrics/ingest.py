@@ -49,7 +49,8 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
     regardless of locale. Blank rows are skipped. Unknown extra columns are
     ignored with a warning. Errors carry the 1-based line number of the
     offending row. ``data`` is the file's content when the caller has read
-    it already; ``path`` then only names the file in messages.
+    it already; ``path`` then only names the file in messages. A valid file
+    is converted whole; after any fault ``_check_row`` finds the first one.
     """
     path = Path(path)
     if data is None:
@@ -63,6 +64,8 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
         raise ValidationError(f"{path}: empty file, header row required") from None
     except csv.Error as exc:  # a field beyond csv.field_size_limit()
         raise ValidationError(f"line 1: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"line {reader.line_num + 1}: {exc}") from None
     missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -74,7 +77,7 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
 
     try:
         return _table_of(list(reader), index, width)
-    except (csv.Error, ValidationError):
+    except (csv.Error, ValueError):  # UnicodeDecodeError and ValidationError are ValueErrors
         pass
     # Some row is blank or bad, or a line is unreadable: read the rows again
     # and check them one by one, so the first fault in the file is reported.
@@ -86,82 +89,62 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
         for row in reader:
             if any(map(str.strip, row)):  # blank rows are skipped
                 try:
-                    _table_of([row], index, width)
+                    _check_row(row, index, width)
                 except ValidationError as exc:
                     raise ValidationError(f"line {start}: {exc}") from None
                 kept.append(row)
             start = reader.line_num + 1
     except csv.Error as exc:  # a field beyond csv.field_size_limit()
         raise ValidationError(f"line {start}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"line {reader.line_num + 1}: {exc}") from None
     return _table_of(kept, index, width)
 
 
 def _lines(data: bytes):
-    """The file's text for ``csv.reader``, line ends kept as ``newline=""`` does.
-
-    A file that is not all UTF-8 is decoded one physical line at a time, so
-    that a bad byte fails only after every line above it has been read, as
-    ValidationError("line N: ..."). ``bytes.splitlines`` ends lines at \\n,
-    \\r and \\r\\n, as ``newline=""`` does.
-    """
-    try:
-        return io.StringIO(data.decode("utf-8"), newline="")
-    except UnicodeDecodeError:
-        return _decoded_lines(data)
-
-
-def _decoded_lines(data: bytes):
-    for line_no, line in enumerate(data.splitlines(keepends=True), start=1):
-        try:
-            yield line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"line {line_no}: {exc}") from None
+    """The file's lines for ``csv.reader``, line ends kept as ``newline=""`` does,
+    each decoded when the reader reaches it: a bad byte raises UnicodeDecodeError
+    only after every line above it was read, on line ``reader.line_num + 1``."""
+    return map(bytes.decode, data.splitlines(keepends=True))
 
 
 def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
-    """The rows as a table, each column converted and checked as a whole.
-
-    Raises ValidationError without a line number. Checks run in the order
-    width, year, citations, impact factor, articles, then ids (through
-    ``JournalTable``), so for a single row the error names its first fault.
-    """
-    short = min(map(len, rows), default=width)
-    if short < width:
-        raise ValidationError(f"expected {width} fields, got {short}")
-    columns = list(zip(*rows)) or [()] * width
+    """The rows as a table: each column through ``int`` or ``float``, with
+    ``JournalTable`` checking the values. A fault raises ValueError naming no row."""
+    columns = list(zip(*rows)) if rows else [()] * width
+    if len(columns) < width:  # zip stops at the shortest row
+        raise ValueError("a row is short")
     ids, *cells = (list(map(str.strip, columns[i])) for i in index)
-    try:  # valid rows take one pass, JournalTable checking the values
-        return JournalTable(ids, *(list(map(kind, col)) for kind, col in zip(_KINDS, cells)))
-    except (ValueError, ValidationError):
-        pass
-    return JournalTable(ids, *map(_column, cells, COLUMNS[1:], _KINDS))
+    return JournalTable(ids, *(list(map(kind, col)) for kind, col in zip(_KINDS, cells)))
 
 
-def _column(cells: list[str], name: str, kind: type) -> list:
-    """A column's cells as ints in 0..MAX_FLOAT_INT, or as finite floats >= 0.
+def _check_row(row: list[str], index: list[int], width: int) -> None:
+    """ValidationError, without a line number, naming the row's first fault in
+    the order width, year, citations, impact factor, articles, id."""
+    if len(row) < width:
+        raise ValidationError(f"expected {width} fields, got {len(row)}")
+    journal_id, *cells = (row[i].strip() for i in index)
+    JournalTable.from_rows([(journal_id, *map(_cell, cells, COLUMNS[1:], _KINDS))])
 
-    The ValidationError names a bad cell: for one cell, its first fault.
-    """
+
+def _cell(text: str, name: str, kind: type) -> int | float:
+    """A year or count as an int in 0..MAX_FLOAT_INT, or an impact factor as
+    a finite float >= 0; the ValidationError names the cell's first fault."""
     try:
-        values = list(map(kind, cells))
+        value = kind(text)
     except ValueError:
-        for text in cells:
-            try:
-                kind(text)
-            except ValueError:
-                what = "an integer" if kind is int else "numeric"
-                raise ValidationError(f"column {name!r} must be {what}, got {text!r}") from None
-    if kind is float and not all(map(math.isfinite, values)):
-        text = next(t for t, v in zip(cells, values) if not math.isfinite(v))
+        what = "an integer" if kind is int else "numeric"
+        raise ValidationError(f"column {name!r} must be {what}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
         raise ValidationError(f"column {name!r} must be finite, got {text!r}")
-    if min(values) < 0:
-        raise ValidationError(f"column {name!r} must be >= 0, got {min(values)}")
-    if kind is int and max(values) > MAX_FLOAT_INT:
+    if value < 0:
+        raise ValidationError(f"column {name!r} must be >= 0, got {value}")
+    if value > MAX_FLOAT_INT:  # above every finite float
         raise ValidationError(
             f"column {name!r} exceeds the float range (about 1.8e308), "
-            f"got a {len(str(max(values)))}-digit integer"
+            f"got a {len(str(value))}-digit integer"
         )
-    return values
+    return value
 
 
 def _csv_text(table: JournalTable) -> str:
@@ -195,10 +178,6 @@ def write_csv(path: str | Path, records: JournalTable | Iterable[JournalYearReco
 
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _dataset_filename(discipline: Discipline, basis: Basis, year: int) -> str:
-    return f"{discipline.value}_{basis.value}_{year}.csv"
 
 
 @contextmanager
@@ -301,7 +280,7 @@ def store_dataset(
 
         data_dir = workspace_dir / DATA_DIR
         data_dir.mkdir(exist_ok=True)
-        target = data_dir / _dataset_filename(ranked.discipline, ranked.basis, ranked.year)
+        target = data_dir / f"{ranked.discipline.value}_{ranked.basis.value}_{ranked.year}.csv"
         text = _csv_text(ranked.table)
         _atomic_write(target, text)
 

@@ -385,6 +385,22 @@ class TestErrorPaths:
         assert captured.err.startswith("error: arithmetic error: ")
         assert "Traceback" not in captured.err and "Infinity" not in captured.out
 
+    @pytest.mark.parametrize("argv, bins", [
+        (["ks", "--fit", "FIT"], 12),
+        (["dist", "--measure", "cr", "--binning", "linear"], 20),
+    ])
+    def test_rates_an_ulp_apart_are_exit_2(self, tmp_path, capsys, argv, bins):
+        # 20 journals at rate 1/3 and 20 one ulp above it: some bin has zero width.
+        rows = [(f"A{k:02d}", 1, 1.0, 3) for k in range(20)]
+        rows += [(f"B{k:02d}", 10**16 + 1, 1.0, 3 * 10**16) for k in range(20)]
+        store_rows(tmp_path, rows, year=2000)
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"params": {"a": -0.5, "b": 0.8}}))
+        argv = [str(fit) if arg == "FIT" else arg for arg in argv]
+        captured = invoke(capsys, *argv, "--set", "sci:citations:2000", "--workspace",
+                          str(tmp_path), expect=2)
+        assert captured.err == f"error: cannot bin the samples into {bins} bins of positive width\n"
+
     def test_overflow_the_fits_tolerate_stays_silent(self, tmp_path, capsys):
         """A count of MAX_FLOAT_INT overflows the top Pareto candidate, which is
         dropped, and the top PDF edge, which is pinned to the maximum."""
@@ -493,6 +509,31 @@ class TestErrorPaths:
         (ws / "manifest.json").write_bytes(b"\xff{")
         captured = invoke(capsys, "report", "--workspace", str(ws), expect=2)
         assert "utf-8" in captured.err
+
+    def test_manifest_that_is_not_json_is_exit_2(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / "manifest.json").write_text("not json")
+        captured = invoke(capsys, "report", "--workspace", str(ws), expect=2)
+        assert captured.err.startswith("error: Expecting value: line 1 column 1")
+        assert "Traceback" not in captured.err
+
+    def test_failed_replace_leaves_the_workspace_as_it_was(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        before = {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()}
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        captured = invoke(
+            capsys, "ingest", "--workspace", str(workspace), "--input",
+            str(tmp_path / "fix2005.csv"), "--discipline", "sci", "--basis", "citations",
+            "--year", "2005", "--overwrite", expect=2,
+        )
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+        assert {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(
         "manifest",

@@ -287,6 +287,10 @@ class TestGumbelPdf:
         assert np.all(np.diff(cdf) >= 0)
         assert cdf[0] >= 0 and cdf[-1] <= 1
 
+    def test_cdf_of_a_scalar_is_a_float(self):
+        value = gumbel_cdf(0.0, GumbelParams(0.0, 1.0))
+        assert type(value) is float and value == math.exp(-1.0)
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
             GumbelParams(0.0, 0.0)
@@ -332,6 +336,12 @@ class TestGumbelFit:
     def test_non_finite_rates_rejected(self, bad):
         with pytest.raises(ValidationError):
             gumbel_fit([1.0, 2.0] * 20 + [bad])
+
+    @pytest.mark.parametrize("bins", [-1, 0, 1, 2, 3])
+    def test_least_squares_needs_four_bins(self, bins):
+        rates = sample_gumbel_log(-0.5, 0.8, 500, seed=3)
+        with pytest.raises(ValidationError, match=f"at least 4 bins, got {bins}$"):
+            gumbel_fit(rates, method=FitMethod.LOG_LOG_LEAST_SQUARES, lsq_bins=bins)
 
     def test_unsupported_method_rejected(self):
         rates = sample_gumbel_log(-0.5, 0.65, 200, seed=6)
@@ -422,6 +432,14 @@ class TestBrentq:
     def test_unbracketed_root_is_fit_error(self):
         with pytest.raises(FitConvergenceError, match="not bracketed"):
             distfit._brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12, maxiter=100)
+
+    @pytest.mark.parametrize("xa, xb", [(1.0, 3.0), (-2.0, 1.0)])
+    def test_root_at_an_end_is_returned_as_scipy_does(self, xa, xb):
+        def f(x):
+            return x - 1.0
+
+        expected = brentq(f, xa, xb, xtol=1e-12, maxiter=100)
+        assert distfit._brentq(f, xa, xb, xtol=1e-12, maxiter=100) == expected == 1.0
 
 
 class TestGumbelMleEvaluations:
@@ -563,16 +581,15 @@ class TestGumbelLeastSquares:
     @pytest.mark.parametrize("bins", [1, 2])
     def test_few_bins_fit_or_fit_error(self, bins):
         # One or two residuals for two parameters: J'J is singular or nearly so.
+        # gumbel_fit rejects so few bins, but the solver must not divide by zero.
         for seed in range(30):
-            rates = sample_gumbel_log(-0.5, 0.8, 200, seed=seed)
+            x = np.log(sample_gumbel_log(-0.5, 0.8, 200, seed=seed))
             with np.errstate(**RAISE):
                 try:
-                    params, _ = gumbel_fit(
-                        rates, method=FitMethod.LOG_LOG_LEAST_SQUARES, lsq_bins=bins
-                    )
+                    a, b, _ = distfit._gumbel_lsq(x, bins)
                 except FitConvergenceError:
                     continue
-            assert math.isfinite(params.a) and params.b > 0
+            assert math.isfinite(a) and b > 0
 
     def test_flat_start_returns_without_division(self):
         # Far right of the curve with a tiny scale the density is 0 at every
@@ -590,6 +607,22 @@ class TestGumbelLeastSquares:
         with pytest.raises(FitConvergenceError, match="after 1 iterations") as caught:
             distfit._gumbel_lsq(x, 12)
         assert caught.value.residual > 0
+
+    @pytest.mark.parametrize("log_b, message", [
+        # b = exp(709.78271) is finite; the log b step of the Jacobian overflows it.
+        (709.78271, "residuals beside the point are not finite"),
+        # The density at a center is about 1.7e153 for b = exp(-354); the a step
+        # moves it to 0, and that Jacobian column's sum of squares overflows.
+        (-354.0, "the Jacobian is not finite"),
+    ])
+    def test_non_finite_jacobian_is_fit_error(self, log_b, message):
+        x = np.log(sample_gumbel_log(-0.5, 0.8, 1_000, seed=5))
+        density, edges = distfit._binned_density(x, 12)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        residuals = distfit._curve_residuals(centers, density)
+        assert residuals(float(centers[5]), log_b) is not None
+        with np.errstate(**RAISE), pytest.raises(FitConvergenceError, match=message):
+            distfit._levenberg_marquardt(residuals, float(centers[5]), log_b)
 
 
 class TestKsStatistic:
@@ -624,6 +657,10 @@ class TestKsStatistic:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="misaligned"):
             ks_statistic([(0.0, 0.1)], [(0.0, 0.1), (1.0, 0.5)])
+
+    def test_empty_sequences_rejected(self):
+        with pytest.raises(ValidationError, match="empty CDF sequences"):
+            ks_statistic([], [])
 
     def test_decreasing_cdf_rejected(self):
         a = [(0.0, 0.5), (1.0, 0.4)]
@@ -717,3 +754,11 @@ class TestGumbelCurveKs:
     def test_unusable_rates_or_points_rejected(self, rates, n_points, message):
         with pytest.raises(ValidationError, match=message):
             gumbel_curve_ks(rates, GumbelParams(-0.5, 0.65), n_points)
+
+    def test_rates_an_ulp_apart_leave_zero_width_bins(self):
+        # 20 journals at 1/3 and 20 one ulp above: every log edge rounds to one of two values.
+        third = 1 / 3
+        rates = [third] * 20 + [float(np.nextafter(third, 1.0))] * 20
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError, match="into 12 bins of positive width"):
+                gumbel_curve_ks(rates, GumbelParams(-0.5, 0.65), 12)

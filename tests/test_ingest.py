@@ -29,6 +29,7 @@ from citemetrics.model import (
     JournalYearRecord,
     build_ranked_set,
 )
+from citemetrics.synthgen import build_fixture
 
 
 def write_table(path, rows, header="journal_id,year,citations,impact_factor,articles"):
@@ -206,6 +207,40 @@ class TestParseRows:
                 return ("error", str(exc))
 
         assert outcome(lambda p: parse_csv(p).records(), f) == outcome(per_row_parse_csv, f)
+
+
+class TestFastPath:
+    """A valid file is converted whole; the row checker runs only after a fault."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        rows = []
+        real = ingest._check_row
+
+        def counting(row, *args):
+            rows.append(row)
+            return real(row, *args)
+
+        monkeypatch.setattr(ingest, "_check_row", counting)
+        return rows
+
+    def test_a_valid_fixture_file_skips_the_row_checker(self, tmp_path, checked):
+        f = tmp_path / "fixture.csv"
+        write_csv(f, build_fixture("sci_set_i", 2005).table)
+        assert len(parse_csv(f)) == 1000
+        assert checked == []
+
+    @pytest.mark.parametrize("k", [2, 500, 1001])
+    def test_a_bad_row_stops_the_row_checker_at_its_line(self, tmp_path, checked, k):
+        f = tmp_path / "fixture.csv"
+        write_csv(f, build_fixture("sci_set_i", 2005).table)
+        lines = f.read_bytes().split(b"\r\n")
+        lines[k - 1] = b"BAD,2005,x,1.0,3"
+        f.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValidationError, match=f"^line {k}: column 'citations'"):
+            parse_csv(f)
+        assert len(checked) == k - 1
+        assert checked[-1][0] == "BAD"
 
 
 class TestWorkspace:

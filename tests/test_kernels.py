@@ -9,8 +9,10 @@ KS distance, the Pareto MLE and CDF and the Gumbel scale equation and
 location form their temporaries in reused buffers. The references below are
 the former loops and expressions, copied unchanged except that the
 ``RankSeries`` loop also rejects str and bytes values; every property
-requires equal results (``==``) or the same error message. A last test
-bounds the peak memory of the large-n fits.
+requires equal results (``==``) or the same error message, except that
+``_binned_density`` rejects a grid with a bin of no positive width, where
+the former expressions divided by zero. A last test bounds the peak memory
+of the large-n fits.
 """
 
 import math
@@ -606,8 +608,19 @@ def former_curve_density(r, edges):
 positive = st.sampled_from([0.1, 1.0, 1.5, 7.0]) | st.floats(1e-3, 1e4)
 
 
+def binned_or_error(x, bins, grid):
+    """``_binned_density(x, bins)``, or None once it has raised the ValidationError
+    that a grid with a bin of no positive width calls for."""
+    if np.all(np.diff(grid) > 0):
+        return distfit._binned_density(x, bins)
+    with pytest.raises(ValidationError, match=f"into {len(grid) - 1} bins of positive width"):
+        distfit._binned_density(x, bins)
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(samples=st.lists(positive, min_size=2, max_size=60), n_points=st.integers(1, 25))
+@example(samples=[0.001, 0.0010000000000000002], n_points=1)  # unpinned edges coincide
 def test_binned_density_equals_the_three_former_expressions(samples, n_points):
     x = np.array(samples)
     lo, hi = float(x.min()), float(x.max())
@@ -616,18 +629,22 @@ def test_binned_density_equals_the_three_former_expressions(samples, n_points):
     unpinned = np.logspace(math.log10(lo), math.log10(hi), n_points + 1)
     pinned = unpinned.copy()
     pinned[0], pinned[-1] = lo, hi
+    counted = np.linspace(lo, hi, n_points + 1)  # np.histogram's edges for a bin count
 
-    density, edges = distfit._binned_density(x, pinned)
-    want, want_edges, n = former_empirical_pdf_density(x, pinned)
-    assert n == x.size  # pinned edges bin every sample: empirical_pdf's n_samples
-    np.testing.assert_array_equal(density, want)
-    np.testing.assert_array_equal(edges, want_edges)
+    got = binned_or_error(x, pinned, pinned)
+    if got is not None:
+        want, want_edges, n = former_empirical_pdf_density(x, pinned)
+        assert n == x.size  # pinned edges bin every sample: empirical_pdf's n_samples
+        np.testing.assert_array_equal(got[0], want)
+        np.testing.assert_array_equal(got[1], want_edges)
 
     with np.errstate(invalid="ignore"):  # rounded edges can leave both of two samples out: 0/0
-        density, _ = distfit._binned_density(x, unpinned)
-        np.testing.assert_array_equal(density, former_curve_density(x, unpinned))
+        got = binned_or_error(x, unpinned, unpinned)
+        if got is not None:
+            np.testing.assert_array_equal(got[0], former_curve_density(x, unpinned))
 
-    density, edges = distfit._binned_density(x, n_points)  # a bin count bins every sample
-    want, want_edges = former_lsq_density(x, n_points)
-    np.testing.assert_array_equal(density, want)
-    np.testing.assert_array_equal(edges, want_edges)
+    got = binned_or_error(x, n_points, counted)  # a bin count bins every sample
+    if got is not None:
+        want, want_edges = former_lsq_density(x, n_points)
+        np.testing.assert_array_equal(got[0], want)
+        np.testing.assert_array_equal(got[1], want_edges)

@@ -75,6 +75,10 @@ class TestRankSeries:
         with pytest.raises(ValidationError):
             RankSeries((2, 1), (2.0, 1.0), LABEL)
 
+    def test_rejects_ragged_ranks(self):
+        with pytest.raises(ValidationError, match="ranks must be strictly increasing"):
+            RankSeries(((1, 2), (3,)), (2.0, 1.0), LABEL)
+
     def test_rate_series_skips_zero_article_journals(self):
         records = [
             JournalYearRecord("a", 2000, 100, 1.0, 10),
@@ -235,6 +239,11 @@ class TestBinnedRankAverage:
         s = series([1.0] * 20)
         with pytest.raises(ValidationError, match="cover"):
             binned_rank_average(s, bin_edges=[1, 10])
+
+    @pytest.mark.parametrize("edges", [[1, 10, 10, 30], [30, 1]])
+    def test_bins_must_increase(self, edges):
+        with pytest.raises(ValidationError, match="strictly increasing 1-d sequence"):
+            binned_rank_average(series([1.0] * 20), bin_edges=edges)
 
     def test_default_bins_cover_three_decades(self):
         edges = log_rank_bins(1000)
