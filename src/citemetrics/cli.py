@@ -271,12 +271,12 @@ def _cmd_fit_gumbel(args) -> None:
 
 def _cmd_ks(args) -> None:
     ranked = _load(args, args.set)
-    # integers read as floats: a literal of any length converts (past 1e308 to inf)
-    fit_payload = json.loads(Path(args.fit).read_text(encoding="utf-8"), parse_int=float)
     try:
+        # integers read as floats: a literal of any length converts (past 1e308 to inf)
+        fit_payload = json.loads(Path(args.fit).read_text(encoding="utf-8-sig"), parse_int=float)
         a, b = float(fit_payload["params"]["a"]), float(fit_payload["params"]["b"])
         log_base = float(fit_payload["params"].get("log_base", math.e))
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, RecursionError):  # bad bytes or JSON, deep nesting
         raise ValidationError(f"{args.fit}: expected a fit report with params.a and params.b") from None
     params = GumbelParams(a, b)
     scaled, _ = _scaled_rates(ranked)
@@ -562,8 +562,7 @@ def run(argv=None) -> int:
     except FitConvergenceError as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return 3
-    except (*_DATA_FAULTS, CitemetricsError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (*_DATA_FAULTS, CitemetricsError, OSError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 

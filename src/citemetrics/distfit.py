@@ -129,7 +129,7 @@ def empirical_pdf(
     # pin the boundary edges so min/max samples cannot round out of range
     edges[0], edges[-1] = lo, hi
 
-    densities, edges = _binned_density(x, edges)
+    densities = _binned_density(x, edges)
     return EmpiricalDistribution(
         bin_edges=tuple(float(e) for e in edges),
         densities=tuple(float(d) for d in densities),
@@ -139,20 +139,15 @@ def empirical_pdf(
     )
 
 
-def _binned_density(x: np.ndarray, bins: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Density count / (n * width), n the samples binned, and the edges of
-    ``np.histogram``'s ``bins``: a bin count, or edges taken as given.
-    ValidationError if a bin has no positive width (a range a few ulps wide)."""
-    n = bins if np.ndim(bins) == 0 else len(bins) - 1
-    fault = f"cannot bin the samples into {n} bins of positive width"
-    try:
-        counts, edges = np.histogram(x, bins=bins)
-    except ValueError:  # more bins than the range holds, or decreasing edges
-        raise ValidationError(fault) from None
+def _binned_density(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Density count / (n * width) over the bins between ``edges``, n the
+    samples binned. ValidationError if a bin has no positive width (a range
+    a few ulps wide)."""
     widths = np.diff(edges)
-    if not np.all(widths > 0):  # equal edges
-        raise ValidationError(fault)
-    return counts / (counts.sum() * widths), edges
+    if not np.all(widths > 0):  # equal, decreasing or NaN edges
+        raise ValidationError(f"cannot bin the samples into {len(widths)} bins of positive width")
+    counts, _ = np.histogram(x, bins=edges)
+    return counts / (counts.sum() * widths)
 
 
 def pdf_peak_location(dist: EmpiricalDistribution) -> float:
@@ -613,7 +608,8 @@ def _gumbel_lsq(x: np.ndarray, bins: int) -> tuple[float, float, float]:
     from the moment estimates, whose residuals are always finite. Returns
     a, b and that sum.
     """
-    density, edges = _binned_density(x, bins)
+    edges = np.linspace(x.min(), x.max(), bins + 1)  # np.histogram's grid for a bin count
+    density = _binned_density(x, edges)
     residuals = _curve_residuals(0.5 * (edges[:-1] + edges[1:]), density)
     b0 = max(float(x.std(ddof=0)) * math.sqrt(6.0) / math.pi, 1e-6)
     a0 = float(x.mean()) - EULER_GAMMA * b0
@@ -815,7 +811,7 @@ def gumbel_curve_ks(
     if not hi > lo:
         raise ValidationError("degenerate sample: all rates equal")
     edges = np.logspace(math.log10(lo), math.log10(hi), n_points + 1)
-    densities, _ = _binned_density(r, edges)
+    densities = _binned_density(r, edges)
     pattern = np.cumsum(densities) / densities.sum()
     xs = np.log(edges[1:]) / math.log(log_base)
     model = np.minimum(np.asarray(gumbel_cdf(xs, params), dtype=float), 1.0)

@@ -1,6 +1,7 @@
 """CSV ingestion and workspace persistence for journal-year tables.
 
-Input schema (UTF-8, comma separated, dot decimals, header required):
+Input schema (UTF-8, optionally with a byte-order mark, comma separated,
+dot decimals, header required):
 
     journal_id,year,citations,impact_factor,articles
 
@@ -16,6 +17,7 @@ interrupted runs. Reads are freely concurrent.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import fcntl
 import hashlib
@@ -102,10 +104,11 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
 
 
 def _lines(data: bytes):
-    """The file's lines for ``csv.reader``, line ends kept as ``newline=""`` does,
-    each decoded when the reader reaches it: a bad byte raises UnicodeDecodeError
-    only after every line above it was read, on line ``reader.line_num + 1``."""
-    return map(bytes.decode, data.splitlines(keepends=True))
+    """The file's lines for ``csv.reader``, line ends kept as ``newline=""`` does
+    and a leading byte-order mark dropped, each decoded when the reader reaches
+    it: a bad byte raises UnicodeDecodeError only after every line above it was
+    read, on line ``reader.line_num + 1``."""
+    return map(bytes.decode, data.removeprefix(codecs.BOM_UTF8).splitlines(keepends=True))
 
 
 def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTable:
@@ -209,20 +212,19 @@ def _atomic_write(path: Path, data: str) -> None:
 def read_manifest(workspace_dir: str | Path) -> list[dict]:
     """Manifest entries of a workspace; empty list if none exists yet.
 
-    Raises WorkspaceError unless the manifest is an object whose ``entries``
-    is a list of objects, each carrying every key in ``ENTRY_KEYS`` with a
-    known discipline and basis, an integer year (and cap, if given) and a
-    string source path inside the workspace: relative, with no ``..`` part.
+    The manifest is UTF-8 JSON, optionally after a byte-order mark. Raises
+    WorkspaceError naming the manifest if its bytes do not decode or parse,
+    and unless it is an object whose ``entries`` is a list of objects, each
+    carrying every key in ``ENTRY_KEYS`` with a known discipline and basis,
+    an integer year (and cap, if given) and a string source path inside the
+    workspace: relative, with no ``..`` part.
     """
     manifest_path = Path(workspace_dir) / MANIFEST_NAME
     if not manifest_path.exists():
         return []
-    text = manifest_path.read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        payload = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
+    except (ValueError, RecursionError) as exc:  # bad bytes or JSON, a huge integer, deep nesting
         raise WorkspaceError(f"{manifest_path}: {exc}") from None
     entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, list):

@@ -187,14 +187,14 @@ def rank_scatter(a: RankedSet, b: RankedSet) -> list[tuple[str, int, int]]:
     return list(zip(ids, (rows_a + 1).tolist(), (rows_b + 1).tolist()))
 
 
-def log_rank_bins(k_max: int, per_decade: int = BINS_PER_DECADE) -> np.ndarray:
-    """Logarithmically spaced rank bin edges covering [1, k_max]."""
+def log_rank_bins(k_max: int) -> np.ndarray:
+    """Logarithmically spaced rank bin edges covering [1, k_max], ``BINS_PER_DECADE`` a decade."""
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    n_steps = max(1, math.ceil(math.log10(k_max) * per_decade))
-    edges = np.power(10.0, np.arange(n_steps + 1) / per_decade)
+    n_steps = max(1, math.ceil(math.log10(k_max) * BINS_PER_DECADE))
+    edges = np.power(10.0, np.arange(n_steps + 1) / BINS_PER_DECADE)
     while edges[-1] < k_max:
-        edges = np.append(edges, edges[-1] * 10 ** (1 / per_decade))
+        edges = np.append(edges, edges[-1] * 10 ** (1 / BINS_PER_DECADE))
     return edges
 
 

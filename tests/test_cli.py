@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import hashlib
 import io
@@ -96,6 +97,21 @@ class TestSynthAndIngest:
             "--overwrite",
         )
 
+    def test_csv_with_byte_order_mark_ingests_as_without(self, tmp_path, capsys):
+        plain = tmp_path / "plain.csv"
+        invoke(capsys, "synth", "--profile", "sci_set_i", "--year", "2005", "--out", str(plain))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        stored = []
+        for csv in (plain, marked):
+            ws = tmp_path / f"ws_{csv.stem}"
+            entry = load_json(invoke(
+                capsys, "ingest", "--workspace", str(ws), "--input", str(csv),
+                "--discipline", "sci", "--basis", "citations", "--year", "2005",
+            ))["stored"]
+            stored.append((entry["content_digest"], (ws / entry["source_path"]).read_bytes()))
+        assert stored[0] == stored[1]
+
 
 class TestAnalysisCommands:
     def test_fit_zipf_reports_band_exponent(self, workspace, capsys):
@@ -175,6 +191,21 @@ class TestAnalysisCommands:
         ks_payload = load_json(captured)
         assert ks_payload["ks"]["critical"] == 0.295
         assert ks_payload["ks"]["pass"] is True
+
+    def test_ks_reads_a_fit_report_after_a_byte_order_mark(self, workspace, tmp_path, capsys):
+        fit = load_json(invoke(
+            capsys, "fit-gumbel", "--workspace", str(workspace), "--set", "sci:citations:2005",
+        ))
+        fit_file = tmp_path / "fit.json"
+        outcomes = []
+        for mark in (b"", codecs.BOM_UTF8):
+            fit_file.write_bytes(mark + json.dumps(fit).encode())
+            captured = invoke(
+                capsys, "ks", "--workspace", str(workspace),
+                "--set", "sci:citations:2005", "--fit", str(fit_file),
+            )
+            outcomes.append((captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
 
     def test_correlate_pair_self_is_unity(self, workspace, capsys):
         captured = invoke(
@@ -273,6 +304,16 @@ class TestErrorPaths:
         )
         assert captured.err.startswith("fit did not converge:")
         assert "Traceback" not in captured.err
+
+    def test_unbracketed_gumbel_scale_equation_is_exit_3(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(distfit, "_gumbel_scale_equation", lambda x, xs: lambda b: 1.0)
+        captured = invoke(
+            capsys, "fit-gumbel", "--workspace", str(workspace), "--set", "sci:citations:2005",
+            expect=3,
+        )
+        assert captured.err == (
+            "fit did not converge: could not bracket the Gumbel scale equation\n"
+        )
 
     def test_missing_workspace_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("CITEMETRICS_WORKSPACE", raising=False)
@@ -515,8 +556,19 @@ class TestErrorPaths:
         ws.mkdir()
         (ws / "manifest.json").write_text("not json")
         captured = invoke(capsys, "report", "--workspace", str(ws), expect=2)
-        assert captured.err.startswith("error: Expecting value: line 1 column 1")
+        assert captured.err.startswith(f"error: {ws / 'manifest.json'}: Expecting value: line 1")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("data", [b"\xff{}", b"not json", b"[" * 200_000 + b"]" * 200_000],
+                             ids=["not_utf8", "not_json", "deep"])
+    def test_unreadable_fit_report_is_exit_2(self, workspace, tmp_path, capsys, data):
+        fit = tmp_path / "fit.json"
+        fit.write_bytes(data)
+        captured = invoke(
+            capsys, "ks", "--workspace", str(workspace), "--set", "sci:citations:2005",
+            "--fit", str(fit), expect=2,
+        )
+        assert captured.err == f"error: {fit}: expected a fit report with params.a and params.b\n"
 
     def test_failed_replace_leaves_the_workspace_as_it_was(
         self, workspace, tmp_path, capsys, monkeypatch

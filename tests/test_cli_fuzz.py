@@ -4,9 +4,12 @@
 replaced (``per_row_csv.per_row_parse_csv``, a frozen test-local copy)
 followed by the same ranking step, so each rejection keeps its message and
 line number. `report` and `rank` run over fuzzed manifests, and `ks` over
-fuzzed fit reports.
+fuzzed fit reports; each of those files is sometimes written raw instead:
+not UTF-8, not JSON, after a byte-order mark, or nested past the parser's
+recursion limit.
 """
 
+import codecs
 import contextlib
 import io
 import json
@@ -137,6 +140,37 @@ def as_json(payload):
     return json.dumps(payload).replace('"<huge>"', "9" * 5000)
 
 
+# How a drawn payload is written: as JSON, or as a file of another kind.
+FILE_KINDS = ["json"] * 4 + ["not utf-8", "not json", "bom", "deep"]
+DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+def run_on_file(path, text, kind, cut, argv):
+    """``argv``'s exit code and stderr with ``text`` written to ``path`` as a file of
+    the given kind: as it is, with a 0xff byte or an "x" after its first ``cut``
+    characters, after a byte-order mark, or replaced by arrays nested 200,000
+    deep. Every exit is clean; a file that cannot be read as JSON is a data error
+    naming it, and the mark changes nothing."""
+    data = text.encode()
+    if kind == "not utf-8":
+        data = data[:cut] + b"\xff" + data[cut:]
+    elif kind == "not json":
+        data = (text[:cut] + "x").encode()
+    elif kind == "bom":
+        data = codecs.BOM_UTF8 + data
+    elif kind == "deep":
+        data = DEEP
+    path.write_bytes(data)
+    code, err = quiet_run(argv)
+    assert_clean_exit(code, err)
+    if kind == "bom":
+        path.write_bytes(text.encode())
+        assert quiet_run(argv) == (code, err)
+    elif kind != "json":
+        assert code == 2 and err.startswith(f"error: {path}: "), err
+    return code, err
+
+
 def mostly(likely, other=junk):
     """Draws from ``likely`` three times in four and from ``other`` otherwise."""
     return st.sampled_from([likely] * 3 + [other]).flatmap(lambda strategy: strategy)
@@ -194,13 +228,13 @@ def concrete(payload, root, entry):
     ["report"],
     ["rank", "--set", "sci:citations:2000", "--measure", "n"],
     ["rank", "--set", "socsci:if:2001", "--measure", "if"],
-]))
-def test_fuzzed_manifest_exits_cleanly(stored, payload, argv):
+]), kind=st.sampled_from(FILE_KINDS), cut=st.integers(0, 300))
+@example(payload={"entries": []}, argv=["report"], kind="deep", cut=0)
+def test_fuzzed_manifest_exits_cleanly(stored, payload, argv, kind, cut):
     root, entry = stored
     payload = concrete(payload, root, entry)
-    (root / "fuzzed" / "manifest.json").write_text(as_json(payload), encoding="utf-8")
-    code, err = quiet_run(argv + ["--workspace", str(root / "fuzzed")])
-    assert_clean_exit(code, err)
+    code, _ = run_on_file(root / "fuzzed" / "manifest.json", as_json(payload), kind, cut,
+                          argv + ["--workspace", str(root / "fuzzed")])
     entries = payload.get("entries") if isinstance(payload, dict) else None
     paths = [e.get("source_path") for e in entries or () if isinstance(e, dict)]
     if any(isinstance(p, str) and (p.startswith("/") or ".." in p.split("/")) for p in paths):
@@ -218,11 +252,14 @@ fit_params = mostly(
 
 
 @settings(max_examples=150, deadline=None)
-@given(payload=mostly(st.fixed_dictionaries({"params": fit_params}), junk))
-def test_fuzzed_fit_report_exits_cleanly(stored, payload):
+@given(payload=mostly(st.fixed_dictionaries({"params": fit_params}), junk),
+       kind=st.sampled_from(FILE_KINDS), cut=st.integers(0, 60))
+@example(payload={"params": {"a": -0.5, "b": 0.8}}, kind="deep", cut=0)
+def test_fuzzed_fit_report_exits_cleanly(stored, payload, kind, cut):
     root, _ = stored
     fit = root / "fit.json"
-    fit.write_text(as_json(payload), encoding="utf-8")
-    code, err = quiet_run(["ks", "--set", "sci:citations:2000", "--fit", str(fit),
-                           "--workspace", str(root / "ws")])
-    assert_clean_exit(code, err)
+    code, err = run_on_file(fit, as_json(payload), kind, cut, [
+        "ks", "--set", "sci:citations:2000", "--fit", str(fit), "--workspace", str(root / "ws"),
+    ])
+    if kind not in ("json", "bom"):
+        assert err == f"error: {fit}: expected a fit report with params.a and params.b\n"

@@ -482,13 +482,27 @@ class TestGumbelMleEvaluations:
             bracket = round(math.log2(b0 / lo)) + round(math.log2(hi / b0)) + 1
             assert len(points) == bracket + info.function_calls - 2
 
+    def test_unbracketed_scale_equation_is_fit_error(self, monkeypatch):
+        # An equation positive at every scale: halving b 64 times finds no sign change.
+        monkeypatch.setattr(distfit, "_gumbel_scale_equation", lambda x, xs: lambda b: 1.0)
+        x = np.log(sample_gumbel_log(-0.5, 0.8, 200, seed=3))
+        with pytest.raises(FitConvergenceError, match="could not bracket") as caught:
+            distfit._gumbel_mle(x)
+        assert caught.value.residual == 1.0
+
 
 RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
+def _lsq_density(x, bins):
+    """The binned density ``_gumbel_lsq`` fits, and its edges."""
+    edges = np.linspace(x.min(), x.max(), bins + 1)
+    return distfit._binned_density(x, edges), edges
+
+
 def _curve_problem(x, bins):
     """The binned-curve residuals of ``_gumbel_lsq`` over (a, log b) and its start."""
-    density, edges = distfit._binned_density(x, bins)
+    density, edges = _lsq_density(x, bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     def residuals(p):
@@ -549,7 +563,7 @@ class TestGumbelLeastSquares:
 
     def test_overflowing_first_step_is_rejected(self):
         x = np.log(sample_gumbel_log(-0.55, 0.8, 1_000, seed=7))
-        density, edges = distfit._binned_density(x, 12)
+        density, edges = _lsq_density(x, 12)
         residuals = distfit._curve_residuals(0.5 * (edges[:-1] + edges[1:]), density)
         reference = distfit._gumbel_lsq(x, 12)
         # From (-6, -0.5) the Gauss-Newton step puts log b past the float range.
@@ -595,7 +609,7 @@ class TestGumbelLeastSquares:
         # Far right of the curve with a tiny scale the density is 0 at every
         # center and beside it, so J = 0 and J'J is exactly singular.
         x = np.log(sample_gumbel_log(-0.5, 0.8, 200, seed=1))
-        density, edges = distfit._binned_density(x, 2)
+        density, edges = _lsq_density(x, 2)
         residuals = distfit._curve_residuals(0.5 * (edges[:-1] + edges[1:]), density)
         with np.errstate(**RAISE):
             got = distfit._levenberg_marquardt(residuals, 50.0, -3.0)
@@ -617,12 +631,25 @@ class TestGumbelLeastSquares:
     ])
     def test_non_finite_jacobian_is_fit_error(self, log_b, message):
         x = np.log(sample_gumbel_log(-0.5, 0.8, 1_000, seed=5))
-        density, edges = distfit._binned_density(x, 12)
+        density, edges = _lsq_density(x, 12)
         centers = 0.5 * (edges[:-1] + edges[1:])
         residuals = distfit._curve_residuals(centers, density)
         assert residuals(float(centers[5]), log_b) is not None
         with np.errstate(**RAISE), pytest.raises(FitConvergenceError, match=message):
             distfit._levenberg_marquardt(residuals, float(centers[5]), log_b)
+
+    @pytest.mark.parametrize("a, log_b", [
+        (0.0, -800.0),  # exp(-800) underflows to b = 0
+        (math.inf, 0.0),
+        (-math.inf, 0.0),
+        (math.nan, 0.0),
+    ])
+    def test_residuals_at_a_point_off_the_model_are_none(self, a, log_b):
+        x = np.log(sample_gumbel_log(-0.5, 0.8, 1_000, seed=5))
+        density, edges = _lsq_density(x, 12)
+        residuals = distfit._curve_residuals(0.5 * (edges[:-1] + edges[1:]), density)
+        with np.errstate(**RAISE):
+            assert residuals(a, log_b) is None
 
 
 class TestKsStatistic:

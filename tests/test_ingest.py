@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import os
@@ -158,6 +159,16 @@ class TestParseCsv:
         f.write_text("")
         with pytest.raises(ValidationError, match="header"):
             parse_csv(f)
+
+    def test_byte_order_mark_is_dropped_and_lines_keep_their_numbers(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_table(plain, ["A,2000,5,1.5,3", "B,2000,4,1.0,2"])
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse_csv(marked) == parse_csv(plain)
+        write_table(marked, ["A,2000,5,1.5,3", "B,2000,x,1.0,2"])
+        marked.write_bytes(codecs.BOM_UTF8 + marked.read_bytes())
+        with pytest.raises(ValidationError, match="^line 3: column 'citations' must be an integer"):
+            parse_csv(marked)
 
     def test_roundtrip_random_tables(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -379,6 +390,30 @@ class TestWorkspace:
         (tmp_path / "manifest.json").write_text('{"entries": [{"year": %s}]}' % ("9" * 5000))
         with pytest.raises(WorkspaceError, match="manifest.json: Exceeds the limit"):
             read_manifest(tmp_path)
+
+    def test_manifest_after_a_byte_order_mark_is_read(self, tmp_path):
+        ranked = self.make_set(np.random.default_rng(7))
+        store_dataset(tmp_path, ranked)
+        manifest = tmp_path / "manifest.json"
+        entries = read_manifest(tmp_path)
+        manifest.write_bytes(codecs.BOM_UTF8 + manifest.read_bytes())
+        assert read_manifest(tmp_path) == entries
+        assert load_dataset(tmp_path, ranked.discipline, ranked.basis, ranked.year) == ranked
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"entries": [\xff]}', "'utf-8' codec can't decode byte 0xff"),
+            (b'{"entries": []', "Expecting ',' delimiter"),
+            (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not_utf8", "not_json", "deep"],
+    )
+    def test_unreadable_manifest_is_workspace_error_naming_it(self, tmp_path, data, message):
+        (tmp_path / "manifest.json").write_bytes(data)
+        with pytest.raises(WorkspaceError) as caught:
+            read_manifest(tmp_path)
+        assert str(caught.value).startswith(f"{tmp_path / 'manifest.json'}: {message}")
 
 
 # --- a set the model accepts loads back -------------------------------------

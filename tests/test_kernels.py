@@ -608,13 +608,13 @@ def former_curve_density(r, edges):
 positive = st.sampled_from([0.1, 1.0, 1.5, 7.0]) | st.floats(1e-3, 1e4)
 
 
-def binned_or_error(x, bins, grid):
-    """``_binned_density(x, bins)``, or None once it has raised the ValidationError
+def binned_or_error(x, edges):
+    """``_binned_density(x, edges)``, or None once it has raised the ValidationError
     that a grid with a bin of no positive width calls for."""
-    if np.all(np.diff(grid) > 0):
-        return distfit._binned_density(x, bins)
-    with pytest.raises(ValidationError, match=f"into {len(grid) - 1} bins of positive width"):
-        distfit._binned_density(x, bins)
+    if np.all(np.diff(edges) > 0):
+        return distfit._binned_density(x, edges)
+    with pytest.raises(ValidationError, match=f"into {len(edges) - 1} bins of positive width"):
+        distfit._binned_density(x, edges)
     return None
 
 
@@ -629,22 +629,24 @@ def test_binned_density_equals_the_three_former_expressions(samples, n_points):
     unpinned = np.logspace(math.log10(lo), math.log10(hi), n_points + 1)
     pinned = unpinned.copy()
     pinned[0], pinned[-1] = lo, hi
-    counted = np.linspace(lo, hi, n_points + 1)  # np.histogram's edges for a bin count
+    counted = np.linspace(lo, hi, n_points + 1)  # the least-squares fit's grid for a bin count
 
-    got = binned_or_error(x, pinned, pinned)
+    got = binned_or_error(x, pinned)
     if got is not None:
-        want, want_edges, n = former_empirical_pdf_density(x, pinned)
+        want, _, n = former_empirical_pdf_density(x, pinned)
         assert n == x.size  # pinned edges bin every sample: empirical_pdf's n_samples
-        np.testing.assert_array_equal(got[0], want)
-        np.testing.assert_array_equal(got[1], want_edges)
+        np.testing.assert_array_equal(got, want)
 
     with np.errstate(invalid="ignore"):  # rounded edges can leave both of two samples out: 0/0
-        got = binned_or_error(x, unpinned, unpinned)
+        got = binned_or_error(x, unpinned)
         if got is not None:
-            np.testing.assert_array_equal(got[0], former_curve_density(x, unpinned))
+            np.testing.assert_array_equal(got, former_curve_density(x, unpinned))
 
-    got = binned_or_error(x, n_points, counted)  # a bin count bins every sample
-    if got is not None:
+    got = binned_or_error(x, counted)  # the grid np.histogram builds for a bin count
+    if got is None:
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(x, bins=n_points)
+    else:
         want, want_edges = former_lsq_density(x, n_points)
-        np.testing.assert_array_equal(got[0], want)
-        np.testing.assert_array_equal(got[1], want_edges)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(counted, want_edges)
