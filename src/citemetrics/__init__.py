@@ -28,7 +28,6 @@ from .ingest import load_dataset, parse_csv, read_manifest, store_dataset, write
 from .rankstats import (
     RankSeries,
     SeriesLabel,
-    binned_rank_average,
     rank_scatter,
     rank_series,
     scale_by_mean,
@@ -46,7 +45,6 @@ from .distfit import (
     gumbel_log_pdf,
     ks_critical_value,
     ks_statistic,
-    ks_statistic_samples,
     pareto_tail_fit,
     pdf_peak_location,
     zipf_pareto_predict,

@@ -31,6 +31,7 @@ from .correlate import (
 from .distfit import (
     GumbelParams,
     Scaling,
+    check_log_base,
     empirical_pdf,
     gumbel_curve_ks,
     gumbel_fit,
@@ -181,7 +182,11 @@ def _curve_points(ranked: RankedSet) -> int:
 def _cmd_ingest(args) -> None:
     discipline = Discipline(args.discipline)
     basis = Basis(args.basis)
-    ranked = build_ranked_set(parse_csv(args.input), discipline, basis, args.year, cap=args.top)
+    table = parse_csv(args.input)
+    try:
+        ranked = build_ranked_set(table, discipline, basis, args.year, cap=args.top)
+    except ValidationError as exc:  # duplicate ids, another year, no rows
+        raise ValidationError(f"{args.input}: {exc}") from None
     entry = store_dataset(_workspace(args), ranked, overwrite=args.overwrite)
     _emit(
         {"stored": entry},
@@ -276,9 +281,12 @@ def _cmd_ks(args) -> None:
         fit_payload = json.loads(Path(args.fit).read_text(encoding="utf-8-sig"), parse_int=float)
         a, b = float(fit_payload["params"]["a"]), float(fit_payload["params"]["b"])
         log_base = float(fit_payload["params"].get("log_base", math.e))
+        params = GumbelParams(a, b)
+        check_log_base(log_base)
+    except ValidationError as exc:  # numbers out of range
+        raise ValidationError(f"{args.fit}: {exc}") from None
     except (KeyError, TypeError, ValueError, RecursionError):  # bad bytes or JSON, deep nesting
         raise ValidationError(f"{args.fit}: expected a fit report with params.a and params.b") from None
-    params = GumbelParams(a, b)
     scaled, _ = _scaled_rates(ranked)
     ks = gumbel_curve_ks(
         scaled, params, _curve_points(ranked),

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Measure, RankedSet, common_rows, finite_samples, id_positions
-from .rankstats import binned_mean
 
 MIN_PAIRS = 2
 
@@ -156,14 +155,13 @@ def cross_measure_correlation(
 
 
 def binned_trend(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    bin_edges: Sequence[float] | None = None,
-    n_bins: int = 10,
+    xs: Sequence[float], ys: Sequence[float], n_bins: int = 10
 ) -> list[tuple[float, float, float]]:
-    """Mean of y over x-bins with standard errors; empty bins omitted.
+    """(center, mean, standard error) of y over ``n_bins`` equal-width x-bins
+    spanning the x range; empty bins omitted.
 
-    Default bins are ``n_bins`` equal-width intervals over the x range.
+    Bin i holds edges[i] <= x < edges[i + 1]; the last bin also holds the
+    largest x.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -171,18 +169,27 @@ def binned_trend(
         raise ValidationError("xs and ys must be equally long 1-d series")
     finite_samples(x, "xs")
     finite_samples(y, "ys")
-    if bin_edges is None:
-        if n_bins < 1:
-            raise ValidationError(f"bin count must be >= 1, got {n_bins}")
-        lo, hi = float(x.min()), float(x.max())
-        if not hi > lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, n_bins + 1)
-    else:
-        edges = np.asarray(bin_edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-            raise ValidationError("bin edges must be a strictly increasing 1-d sequence")
-    return binned_mean(x, y, edges, 0.5 * (edges[:-1] + edges[1:]))
+    if n_bins < 1:
+        raise ValidationError(f"bin count must be >= 1, got {n_bins}")
+    lo, hi = float(x.min()), float(x.max())
+    if not hi > lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, n_bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    idx = np.searchsorted(edges, x, side="right") - 1
+    idx[x == edges[-1]] = n_bins - 1
+    out = []
+    for i in range(n_bins):
+        sel = y[idx == i]
+        if sel.size == 0:
+            continue
+        mean = float(sel.mean())
+        if sel.size < 2 or np.all(sel == sel[0]):
+            stderr = 0.0
+        else:
+            stderr = float(sel.std(ddof=1) / math.sqrt(sel.size))
+        out.append((float(centers[i]), mean, stderr))
+    return out
 
 
 def correlation_matrix(

@@ -66,10 +66,6 @@ class EmpiricalDistribution:
         if not abs(total - 1.0) <= 1e-9:
             raise ValidationError(f"density must integrate to 1, got {total!r}")
 
-    def widths(self) -> np.ndarray:
-        edges = np.asarray(self.bin_edges)
-        return np.diff(edges)
-
     def centers(self) -> np.ndarray:
         """Geometric bin centers under log binning, arithmetic otherwise."""
         edges = np.asarray(self.bin_edges)
@@ -81,17 +77,14 @@ class EmpiricalDistribution:
 def empirical_pdf(
     samples: Sequence[float],
     binning: str = "log",
-    bins: int | None = None,
     scaling: Scaling = Scaling.RAW,
-    bounds: tuple[float, float] | None = None,
 ) -> EmpiricalDistribution:
     """Histogram density of the samples: count / (n_samples * bin_width).
 
-    binning "log" uses ``bins`` bins per decade (default 10) on geometric
-    edges; "linear" uses ``bins`` equal-width bins (default 20). MeanScaled
-    divides samples by their mean first, which collapses datasets differing
-    only by a positive factor onto identical bins. ``bounds`` overrides the
-    (min, max) support; samples outside are discarded.
+    binning "log" uses 10 bins per decade on geometric edges; "linear" uses
+    20 equal-width bins. Both span the samples' range. MeanScaled divides
+    samples by their mean first, which collapses datasets differing only by
+    a positive factor onto identical bins.
     """
     x = finite_samples(samples, "samples")
     if scaling is Scaling.MEAN_SCALED:
@@ -101,29 +94,16 @@ def empirical_pdf(
         x = x / mean
     if binning == "log" and np.any(x <= 0):
         raise ValidationError("log binning requires strictly positive samples")
-
-    if bounds is not None:
-        lo, hi = float(bounds[0]), float(bounds[1])
-        x = x[(x >= lo) & (x <= hi)]
-        if x.size == 0:
-            raise ValidationError("no samples inside the requested bounds")
-    else:
-        lo, hi = float(x.min()), float(x.max())
+    lo, hi = float(x.min()), float(x.max())
     if not hi > lo:
         raise ValidationError("degenerate sample: all values equal, nothing to bin")
 
     if binning == "log":
-        if lo <= 0:
-            raise ValidationError("log binning requires a positive lower bound")
-        per_decade = bins if bins is not None else 10
-        n_bins = max(1, math.ceil((math.log10(hi) - math.log10(lo)) * per_decade))
+        n_bins = max(1, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
         with np.errstate(over="ignore"):  # the top edge may overflow; it is pinned to hi below
             edges = np.logspace(math.log10(lo), math.log10(hi), n_bins + 1)
     elif binning == "linear":
-        n_bins = bins if bins is not None else 20
-        if n_bins < 1:
-            raise ValidationError(f"bin count must be >= 1, got {n_bins}")
-        edges = np.linspace(lo, hi, n_bins + 1)
+        edges = np.linspace(lo, hi, 20 + 1)
     else:
         raise ValidationError(f"unknown binning {binning!r}, expected 'log' or 'linear'")
     # pin the boundary edges so min/max samples cannot round out of range
@@ -776,14 +756,6 @@ def _ks_sorted(x: np.ndarray, model_cdf: Callable) -> float:
     del upper  # before the second buffer is made
     lower = np.arange(0, n, dtype=float)
     return float(max(d_upper, np.max(np.subtract(f, np.divide(lower, n, out=lower), out=lower))))
-
-
-def ks_statistic_samples(samples: Sequence[float], model_cdf: Callable) -> float:
-    """KS distance of raw samples against a model CDF callable.
-
-    ValidationError if the sample is empty or holds NaN or inf.
-    """
-    return _ks_sorted(np.sort(finite_samples(samples, "samples")), model_cdf)
 
 
 def gumbel_curve_ks(

@@ -49,10 +49,11 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
 
     Fields are whitespace-trimmed; numerics use the dot decimal separator
     regardless of locale. Blank rows are skipped. Unknown extra columns are
-    ignored with a warning. Errors carry the 1-based line number of the
-    offending row. ``data`` is the file's content when the caller has read
-    it already; ``path`` then only names the file in messages. A valid file
-    is converted whole; after any fault ``_check_row`` finds the first one.
+    ignored with a warning. Errors name ``path`` and, for a bad row, the
+    1-based line it starts on. ``data`` is the file's content when the
+    caller has read it already; ``path`` then only names the file in
+    messages. A valid file is converted whole; after any fault
+    ``_check_row`` finds the first one.
     """
     path = Path(path)
     if data is None:
@@ -65,9 +66,9 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
     except StopIteration:
         raise ValidationError(f"{path}: empty file, header row required") from None
     except csv.Error as exc:  # a field beyond csv.field_size_limit()
-        raise ValidationError(f"line 1: {exc}") from None
+        raise ValidationError(f"{path}: line 1: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"line {reader.line_num + 1}: {exc}") from None
+        raise ValidationError(f"{path}: line {reader.line_num + 1}: {exc}") from None
     missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -93,13 +94,13 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
                 try:
                     _check_row(row, index, width)
                 except ValidationError as exc:
-                    raise ValidationError(f"line {start}: {exc}") from None
+                    raise ValidationError(f"{path}: line {start}: {exc}") from None
                 kept.append(row)
             start = reader.line_num + 1
     except csv.Error as exc:  # a field beyond csv.field_size_limit()
-        raise ValidationError(f"line {start}: {exc}") from None
+        raise ValidationError(f"{path}: line {start}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"line {reader.line_num + 1}: {exc}") from None
+        raise ValidationError(f"{path}: line {reader.line_num + 1}: {exc}") from None
     return _table_of(kept, index, width)
 
 

@@ -293,13 +293,6 @@ class RankedSet:
         except KeyError:
             raise ValidationError(f"unknown measure {measure!r}") from None
 
-    def rank_of(self, journal_id: str) -> int:
-        """1-based rank of a journal; raises KeyError if absent."""
-        try:
-            return self.table.journal_id.index(journal_id) + 1
-        except ValueError:
-            raise KeyError(journal_id) from None
-
     def journal_ids(self) -> tuple[str, ...]:
         """Journal ids in rank order."""
         return tuple(self.table.journal_id)

@@ -12,7 +12,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .model import (
 )
 
 DEFAULT_K_MIN = 10
-BINS_PER_DECADE = 10
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -187,81 +186,16 @@ def rank_scatter(a: RankedSet, b: RankedSet) -> list[tuple[str, int, int]]:
     return list(zip(ids, (rows_a + 1).tolist(), (rows_b + 1).tolist()))
 
 
-def log_rank_bins(k_max: int) -> np.ndarray:
-    """Logarithmically spaced rank bin edges covering [1, k_max], ``BINS_PER_DECADE`` a decade."""
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    n_steps = max(1, math.ceil(math.log10(k_max) * BINS_PER_DECADE))
-    edges = np.power(10.0, np.arange(n_steps + 1) / BINS_PER_DECADE)
-    while edges[-1] < k_max:
-        edges = np.append(edges, edges[-1] * 10 ** (1 / BINS_PER_DECADE))
-    return edges
-
-
-def binned_mean(
-    x: np.ndarray, y: np.ndarray, edges: np.ndarray, centers: np.ndarray
-) -> list[tuple[float, float, float]]:
-    """(center, mean, standard error) of y over the x-bins, empty bins omitted.
-
-    Bin i holds edges[i] <= x < edges[i + 1]; the last bin also holds
-    x == edges[-1]. An x outside the edges, or NaN, falls in no bin.
-    ``centers`` labels bin i with ``centers[i]``.
-    """
-    idx = np.searchsorted(edges, x, side="right") - 1
-    idx[x == edges[-1]] = edges.size - 2
-    out = []
-    for i in range(edges.size - 1):
-        sel = y[idx == i]
-        if sel.size == 0:
-            continue
-        mean = float(sel.mean())
-        if sel.size < 2 or np.all(sel == sel[0]):
-            stderr = 0.0
-        else:
-            stderr = float(sel.std(ddof=1) / math.sqrt(sel.size))
-        out.append((float(centers[i]), mean, stderr))
-    return out
-
-
-def binned_rank_average(
-    series: RankSeries, bin_edges: Sequence[float] | None = None
-) -> list[tuple[float, float, float]]:
-    """Per-bin mean and standard error of the values over rank bins.
-
-    Empty bins are omitted. Bin centers are geometric (edges are positive by
-    construction). Default bins are logarithmic, 10 per decade, since ranks
-    span several decades.
-    """
-    ranks, values = series.ranks, series.values
-    if bin_edges is None:
-        edges = log_rank_bins(int(ranks.max()))
-    else:
-        edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-        raise ValidationError("bin edges must be a strictly increasing 1-d sequence")
-    if edges[0] > ranks.min() or edges[-1] < ranks.max():
-        raise ValidationError(
-            f"bins [{edges[0]}, {edges[-1]}] do not cover rank range "
-            f"[{ranks.min():g}, {ranks.max():g}]"
-        )
-    return binned_mean(ranks, values, edges, np.sqrt(edges[:-1] * edges[1:]))
-
-
 def write_series_csv(
-    path: str | Path,
-    label: str,
-    xs: Iterable[float],
-    ys: Iterable[float],
-    yerr: Iterable[float] | None = None,
+    path: str | Path, label: str, xs: Iterable[float], ys: Iterable[float]
 ) -> None:
-    """Emit a plot series as CSV: `x,y[,yerr]` under a `# label:` comment header.
+    """Emit a plot series as CSV: `x,y` under a `# label:` comment header.
 
     Floats are written with 9 significant digits so emitted files are
     portable golden-test material.
     """
-    columns = [list(xs), list(ys)] + ([list(yerr)] if yerr is not None else [])
-    if len({len(c) for c in columns}) != 1:
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
         raise ValidationError("series columns must have equal length")
-    lines = [f"# label: {label}", ",".join(("x", "y", "yerr")[:len(columns)])]
-    lines += [",".join(f"{v:.9g}" for v in row) for row in zip(*columns)]
+    lines = [f"# label: {label}", "x,y"] + [f"{x:.9g},{y:.9g}" for x, y in zip(xs, ys)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

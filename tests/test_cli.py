@@ -475,6 +475,8 @@ class TestErrorPaths:
             ('"a": NaN, "b": 0.8', "Gumbel location must be finite, got nan"),
             # past int()'s digit limit, read as a float
             ('"a": %s, "b": 0.8' % ("9" * 5000), "Gumbel location must be finite, got inf"),
+            ('"a": -0.5, "b": -1', "Gumbel scale must be positive, got -1.0"),
+            ('"a": -0.5, "b": 0.8, "log_base": 1', "log base must be finite and exceed 1, got 1.0"),
         ],
     )
     def test_non_finite_fit_params_is_exit_2(self, workspace, tmp_path, capsys, params, message):
@@ -484,8 +486,7 @@ class TestErrorPaths:
             capsys, "ks", "--workspace", str(workspace), "--set", "sci:citations:2005",
             "--fit", str(fit), expect=2,
         )
-        assert captured.err.startswith(f"error: {message}")
-        assert "Traceback" not in captured.err
+        assert captured.err == f"error: {fit}: {message}\n"
 
     @pytest.mark.parametrize("where", ["absolute", "dotdot"])
     def test_manifest_path_outside_workspace_is_exit_2(self, workspace, tmp_path, capsys, where):
@@ -541,7 +542,7 @@ class TestErrorPaths:
             capsys, "ingest", "--workspace", str(tmp_path / "ws"), "--input", str(csv),
             "--discipline", "sci", "--basis", "citations", "--year", "2005", expect=2,
         )
-        assert "error: line 3: 'utf-8' codec can't decode" in captured.err
+        assert captured.err.startswith(f"error: {csv}: line 3: 'utf-8' codec can't decode")
         assert "Traceback" not in captured.err
 
     def test_undecodable_manifest_is_exit_2(self, tmp_path, capsys):

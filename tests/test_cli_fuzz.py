@@ -3,7 +3,8 @@
 `ingest` of fuzzed CSV text must match the per-row parser the columnar loader
 replaced (``per_row_csv.per_row_parse_csv``, a frozen test-local copy)
 followed by the same ranking step, so each rejection keeps its message and
-line number. `report` and `rank` run over fuzzed manifests, and `ks` over
+line number; every exit-2 message of `ingest` and `ks` starts with the path of
+the file it read. `report` and `rank` run over fuzzed manifests, and `ks` over
 fuzzed fit reports; each of those files is sometimes written raw instead:
 not UTF-8, not JSON, after a byte-order mark, or nested past the parser's
 recursion limit.
@@ -70,13 +71,19 @@ def cli_outcome(path, workspace, basis):
 
 
 def reference_outcome(path, basis):
+    """The per-row parser and the ranking step, with every fault prefixed by the
+    CSV's path as `ingest` prefixes it; the frozen parser names the file in its
+    header faults only."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             records = per_row_parse_csv(path)
         ranked = build_ranked_set(records, Discipline.SCI, Basis(basis), 2000)
     except ValidationError as exc:
-        return 2, f"error: {exc}\n"
+        message = str(exc)
+        if not message.startswith(f"{path}: "):
+            message = f"{path}: {message}"
+        return 2, f"error: {message}\n"
     return 0, f"ingested {len(ranked)} rows as sci:{basis}:2000\n"
 
 
@@ -92,6 +99,8 @@ def test_ingest_of_fuzzed_csv_matches_per_row_parser(tmp_path_factory, text, bas
     code, err = cli_outcome(source, root / "ws", basis)
     assert code in (0, 2)
     assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"error: {source}: "), err
     assert (code, err) == reference_outcome(source, basis)
 
 
@@ -255,11 +264,14 @@ fit_params = mostly(
 @given(payload=mostly(st.fixed_dictionaries({"params": fit_params}), junk),
        kind=st.sampled_from(FILE_KINDS), cut=st.integers(0, 60))
 @example(payload={"params": {"a": -0.5, "b": 0.8}}, kind="deep", cut=0)
+@example(payload={"params": {"a": -0.5, "b": -1}}, kind="json", cut=0)
 def test_fuzzed_fit_report_exits_cleanly(stored, payload, kind, cut):
     root, _ = stored
     fit = root / "fit.json"
     code, err = run_on_file(fit, as_json(payload), kind, cut, [
         "ks", "--set", "sci:citations:2000", "--fit", str(fit), "--workspace", str(root / "ws"),
     ])
+    if code == 2:
+        assert err.startswith(f"error: {fit}: "), err
     if kind not in ("json", "bom"):
         assert err == f"error: {fit}: expected a fit report with params.a and params.b\n"

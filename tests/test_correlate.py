@@ -158,9 +158,8 @@ class TestBinnedTrend:
     def test_single_bin_gives_global_mean(self):
         xs = [1.0, 2.0, 3.0, 4.0]
         ys = [10.0, 20.0, 30.0, 40.0]
-        rows = binned_trend(xs, ys, bin_edges=[1.0, 4.0])
-        assert len(rows) == 1
-        assert rows[0][1] == pytest.approx(25.0)
+        rows = binned_trend(xs, ys, n_bins=1)
+        assert rows == [(2.5, 25.0, pytest.approx(math.sqrt(500 / 3) / 2))]
 
     def test_constant_y_has_zero_stderr(self):
         rng = np.random.default_rng(67)
@@ -172,8 +171,9 @@ class TestBinnedTrend:
         rng = np.random.default_rng(68)
         xs = rng.uniform(0, 100, 1000)
         ys = rng.uniform(0, 50, 1000)
-        edges = np.array([0.0, 25.0, 50.0, 100.0])
-        rows = binned_trend(xs, ys, bin_edges=edges)
+        rows = binned_trend(xs, ys, n_bins=4)
+        edges = np.linspace(xs.min(), xs.max(), 5)
+        assert len(rows) == 4
         for i, (center, mean, stderr) in enumerate(rows):
             last = i == len(edges) - 2
             mask = (xs >= edges[i]) & ((xs <= edges[i + 1]) if last else (xs < edges[i + 1]))
@@ -182,30 +182,21 @@ class TestBinnedTrend:
             assert mean == pytest.approx(sel.mean(), abs=1e-12)
             assert stderr == pytest.approx(sel.std(ddof=1) / math.sqrt(sel.size), abs=1e-12)
 
-    def test_two_dimensional_edges_rejected(self):
-        with pytest.raises(ValidationError, match="1-d"):
-            binned_trend([0.5, 2.5], [1.0, 2.0], bin_edges=[[0, 1], [2, 3]])
-
     def test_empty_bins_omitted(self):
-        rows = binned_trend([1.0, 9.0], [5.0, 6.0], bin_edges=[0, 2, 4, 6, 8, 10])
-        assert len(rows) == 2
+        rows = binned_trend([1.0, 9.0], [5.0, 6.0], n_bins=5)
+        assert [(mean, stderr) for _, mean, stderr in rows] == [(5.0, 0.0), (6.0, 0.0)]
 
-    @pytest.mark.parametrize("edges", [None, [0.0, 5.0, 10.0]])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_values_rejected(self, bad, edges):
+    def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValidationError, match="xs must be finite"):
-            binned_trend([1.0, bad, 9.0], [5.0, 6.0, 7.0], bin_edges=edges)
+            binned_trend([1.0, bad, 9.0], [5.0, 6.0, 7.0])
         with pytest.raises(ValidationError, match="ys must be finite"):
-            binned_trend([1.0, 2.0, 9.0], [5.0, bad, 7.0], bin_edges=edges)
+            binned_trend([1.0, 2.0, 9.0], [5.0, bad, 7.0])
 
     @pytest.mark.parametrize("n_bins", [0, -1])
     def test_bin_count_below_one_rejected(self, n_bins):
         with pytest.raises(ValidationError, match=f"bin count must be >= 1, got {n_bins}"):
             binned_trend([1.0, 9.0], [5.0, 6.0], n_bins=n_bins)
-
-    def test_nan_edges_rejected(self):
-        with pytest.raises(ValidationError, match="increasing"):
-            binned_trend([1.0, 9.0], [5.0, 6.0], bin_edges=[0.0, math.nan, 10.0])
 
 
 class TestCorrelationMatrix:

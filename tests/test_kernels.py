@@ -1,18 +1,18 @@
 """Shared numeric kernels against test-local copies of the loops they replaced.
 
-``binned_rank_average`` and ``binned_trend`` share ``rankstats.binned_mean``;
-``empirical_pdf``, the least-squares Gumbel fit and ``gumbel_curve_ks`` share
-``distfit._binned_density``; the Pareto auto-``x_min`` scan scores each
+``binned_trend`` drops the former loop's per-bin range mask;
+``empirical_pdf``, the least-squares Gumbel fit and ``gumbel_curve_ks``
+share ``distfit._binned_density``; the Pareto auto-``x_min`` scan scores each
 candidate from suffix log sums of the sample sorted once and re-scores the
 near-minimal ones exactly; ``RankSeries`` checks its fields as arrays; the
 KS distance, the Pareto MLE and CDF and the Gumbel scale equation and
 location form their temporaries in reused buffers. The references below are
 the former loops and expressions, copied unchanged except that the
-``RankSeries`` loop also rejects str and bytes values; every property
-requires equal results (``==``) or the same error message, except that
-``_binned_density`` rejects a grid with a bin of no positive width, where
-the former expressions divided by zero. A last test bounds the peak memory
-of the large-n fits.
+``RankSeries`` loop also rejects str and bytes values and the binning loop
+keeps only its equal-width bins; every property requires equal results
+(``==``) or the same error message, except that ``_binned_density`` rejects
+a grid with a bin of no positive width, where the former expressions
+divided by zero. A last test bounds the peak memory of the large-n fits.
 """
 
 import math
@@ -32,9 +32,6 @@ from citemetrics.model import Basis, Discipline, Measure, basis_measure
 from citemetrics.rankstats import (
     RankSeries,
     SeriesLabel,
-    binned_mean,
-    binned_rank_average,
-    log_rank_bins,
     zipf_fit,
 )
 from citemetrics.synthgen import sample_pareto
@@ -49,55 +46,18 @@ def outcome(fn, *args, **kwargs):
         return ("error", str(exc))
 
 
-# --- former binning loops ------------------------------------------------------
+# --- former binning loop ------------------------------------------------------
 
 
-def former_binned_rank_average(series, bin_edges=None):
-    ranks = np.asarray(series.ranks, dtype=float)
-    values = np.asarray(series.values, dtype=float)
-    if bin_edges is None:
-        edges = log_rank_bins(int(ranks.max()))
-    else:
-        edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValidationError("bin edges must be a strictly increasing 1-d sequence")
-    if edges[0] > ranks.min() or edges[-1] < ranks.max():
-        raise ValidationError(
-            f"bins [{edges[0]}, {edges[-1]}] do not cover rank range "
-            f"[{ranks.min():g}, {ranks.max():g}]"
-        )
-
-    idx = np.searchsorted(edges, ranks, side="right") - 1
-    idx[ranks == edges[-1]] = edges.size - 2  # top edge belongs to the last bin
-    out = []
-    for i in range(edges.size - 1):
-        sel = values[idx == i]
-        if sel.size == 0:
-            continue
-        center = math.sqrt(edges[i] * edges[i + 1])
-        mean = float(sel.mean())
-        if sel.size < 2 or np.all(sel == sel[0]):
-            stderr = 0.0
-        else:
-            stderr = float(sel.std(ddof=1) / math.sqrt(sel.size))
-        out.append((center, mean, stderr))
-    return out
-
-
-def former_binned_trend(xs, ys, bin_edges=None, n_bins=10):
+def former_binned_trend(xs, ys, n_bins=10):
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
         raise ValidationError("xs and ys must be equally long 1-d series")
-    if bin_edges is None:
-        lo, hi = float(x.min()), float(x.max())
-        if not hi > lo:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, n_bins + 1)
-    else:
-        edges = np.asarray(bin_edges, dtype=float)
-        if edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValidationError("bin edges must be strictly increasing")
+    lo, hi = float(x.min()), float(x.max())
+    if not hi > lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, n_bins + 1)
 
     idx = np.searchsorted(edges, x, side="right") - 1
     idx[x == edges[-1]] = edges.size - 2
@@ -117,29 +77,10 @@ def former_binned_trend(xs, ys, bin_edges=None, n_bins=10):
 
 
 # Few distinct values, so bins with one sample, constant bins and x on an
-# edge (the top edge included) come up often; -5 and 20 lie outside every
-# edge set drawn from GRID.
+# edge (the top edge included) come up often.
 GRID = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0]
-edge_lists = st.lists(st.sampled_from(GRID), min_size=2, max_size=6, unique=True).map(sorted)
 finite_x = st.sampled_from(GRID + [-5.0, 20.0]) | st.floats(-6.0, 21.0)
 y_values = st.sampled_from([0.0, 1.0, 2.5, 7.0]) | st.floats(-100.0, 100.0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    points=st.lists(st.tuples(finite_x | st.just(math.nan), y_values), min_size=1, max_size=40),
-    edges=edge_lists,
-)
-def test_binned_mean_equals_former_trend_loop(points, edges):
-    x = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
-    edges = np.array(edges)
-    want = former_binned_trend(x, y, edges)
-    assert binned_mean(x, y, edges, 0.5 * (edges[:-1] + edges[1:])) == want
-    if np.isnan(x).any():
-        assert outcome(binned_trend, x, y, edges)[0] == "error"
-    else:
-        assert binned_trend(x, y, edges) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,28 +92,6 @@ def test_binned_trend_default_bins_equal_former_loop(points, n_bins):
     x = [p[0] for p in points]
     y = [p[1] for p in points]
     assert binned_trend(x, y, n_bins=n_bins) == former_binned_trend(x, y, n_bins=n_bins)
-
-
-rank_sets = st.sets(st.integers(1, 60), min_size=1, max_size=30).map(sorted)
-rank_edges = st.none() | st.lists(
-    st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 8.0, 10.0, 20.0, 30.0, 60.0, 64.0]),
-    min_size=2, max_size=6, unique=True,
-).map(sorted)
-
-
-@settings(max_examples=300, deadline=None)
-@given(ranks=rank_sets, data=st.data(), edges=rank_edges)
-def test_binned_rank_average_equals_former_loop(ranks, data, edges):
-    values = data.draw(
-        st.lists(
-            st.sampled_from([1.0, 2.0, 3.5]) | st.floats(0.01, 1e3),
-            min_size=len(ranks), max_size=len(ranks),
-        )
-    )
-    series = RankSeries(tuple(ranks), tuple(values), LABEL)
-    assert outcome(binned_rank_average, series, edges) == outcome(
-        former_binned_rank_average, series, edges
-    )
 
 
 # --- former Pareto auto-x_min scan ----------------------------------------------
@@ -495,7 +414,7 @@ def test_large_n_fits_bound_their_temporaries():
         Discipline.SCI, Basis.CITATIONS, 2000, Measure.CITATIONS))
     assert peak_per_sample(lambda: zipf_fit(series), n) <= 4.5
     assert peak_per_sample(lambda: pareto_tail_fit(x), n) <= 4.5
-    assert peak_per_sample(lambda: distfit.ks_statistic_samples(x, lambda t: 1.0 - 1.0 / t), n) <= 3.5
+    assert peak_per_sample(lambda: distfit._ks_sorted(np.sort(x), lambda t: 1.0 - 1.0 / t), n) <= 3.5
 
 
 # --- former RankSeries loops ------------------------------------------------------

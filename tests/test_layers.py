@@ -49,7 +49,7 @@ def build_workspace(workspace, inputs=None):
             ingest.store_dataset(workspace, ranked)
             if inputs is not None:
                 name = f"{ranked.discipline.value}_{ranked.basis.value}_{year}.csv"
-                ingest.write_csv(inputs / name, ranked.records)
+                ingest.write_csv(inputs / name, ranked.table)
 
 
 def called_layers(recorder, run):

@@ -174,16 +174,6 @@ class TestRankedSetInvariants:
         with pytest.raises(ValidationError):
             RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, JournalTable.from_records(records))
 
-    def test_rank_of(self):
-        ranked = build_ranked_set(
-            [rec("a", citations=5), rec("b", citations=9)],
-            Discipline.SCI, Basis.CITATIONS, 2000,
-        )
-        assert ranked.rank_of("b") == 1
-        assert ranked.rank_of("a") == 2
-        with pytest.raises(KeyError):
-            ranked.rank_of("zzz")
-
 
 class TestFitResult:
     def test_requires_ordered_range(self):

@@ -9,8 +9,6 @@ from citemetrics.rankstats import (
     Measure,
     RankSeries,
     SeriesLabel,
-    binned_rank_average,
-    log_rank_bins,
     rank_scatter,
     rank_series,
     scale_by_mean,
@@ -203,67 +201,11 @@ class TestRankScatter:
         assert tuple(jid for jid, _, _ in pairs) == common
 
 
-class TestBinnedRankAverage:
-    def test_single_bin_gives_global_mean(self):
-        s = series([4.0, 6.0, 5.0, 9.0])
-        rows = binned_rank_average(s, bin_edges=[1, 5])
-        assert len(rows) == 1
-        assert rows[0][1] == pytest.approx(6.0)
-
-    def test_constant_values_have_zero_stderr(self):
-        s = series([3.0] * 50)
-        for _, _, stderr in binned_rank_average(s):
-            assert stderr == 0.0
-
-    def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(25)
-        vals = list(rng.uniform(0.5, 20.0, 500))
-        s = series(vals)
-        edges = [1, 10, 100, 500]
-        rows = binned_rank_average(s, bin_edges=edges)
-        ranks = np.arange(1, 501)
-        values = np.asarray(vals)
-        expected = []
-        for lo, hi, last in ((1, 10, False), (10, 100, False), (100, 500, True)):
-            mask = (ranks >= lo) & ((ranks <= hi) if last else (ranks < hi))
-            sel = values[mask]
-            mean = sel.mean()
-            stderr = sel.std(ddof=1) / math.sqrt(sel.size)
-            expected.append((math.sqrt(lo * hi), mean, stderr))
-        for got, want in zip(rows, expected):
-            assert got[0] == pytest.approx(want[0], abs=1e-12)
-            assert got[1] == pytest.approx(want[1], abs=1e-12)
-            assert got[2] == pytest.approx(want[2], abs=1e-12)
-
-    def test_bins_must_cover_range(self):
-        s = series([1.0] * 20)
-        with pytest.raises(ValidationError, match="cover"):
-            binned_rank_average(s, bin_edges=[1, 10])
-
-    @pytest.mark.parametrize("edges", [[1, 10, 10, 30], [30, 1]])
-    def test_bins_must_increase(self, edges):
-        with pytest.raises(ValidationError, match="strictly increasing 1-d sequence"):
-            binned_rank_average(series([1.0] * 20), bin_edges=edges)
-
-    def test_default_bins_cover_three_decades(self):
-        edges = log_rank_bins(1000)
-        assert edges[0] <= 1.0
-        assert edges[-1] >= 1000.0
-        assert len(edges) == 31
-
-    def test_bins_need_a_positive_rank(self):
-        with pytest.raises(ValidationError, match="k_max must be >= 1, got 0"):
-            log_rank_bins(0)
-
-
 class TestSeriesCsv:
     def test_writes_label_and_columns(self, tmp_path):
         path = tmp_path / "series.csv"
-        write_series_csv(path, "sci:citations:2000:n", [1, 2], [0.5, 0.25], [0.01, 0.02])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# label: sci:citations:2000:n"
-        assert lines[1] == "x,y,yerr"
-        assert lines[2] == "1,0.5,0.01"
+        write_series_csv(path, "sci:citations:2000:n", [1, 2], [0.5, 0.25])
+        assert path.read_text() == "# label: sci:citations:2000:n\nx,y\n1,0.5\n2,0.25\n"
 
     def test_rejects_mismatched_columns(self, tmp_path):
         with pytest.raises(ValidationError):
