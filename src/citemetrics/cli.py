@@ -17,7 +17,7 @@ import sys
 from functools import cache
 from itertools import groupby
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -285,6 +285,8 @@ def _cmd_ks(args) -> None:
         check_log_base(log_base)
     except ValidationError as exc:  # numbers out of range
         raise ValidationError(f"{args.fit}: {exc}") from None
+    except OSError as exc:  # missing, a directory, no permission
+        raise ValidationError(f"{args.fit}: {exc.strerror}") from None
     except (KeyError, TypeError, ValueError, RecursionError):  # bad bytes or JSON, deep nesting
         raise ValidationError(f"{args.fit}: expected a fit report with params.a and params.b") from None
     scaled, _ = _scaled_rates(ranked)
@@ -436,40 +438,42 @@ def _year_pairs(sets: list[RankedSet]) -> list[dict]:
     ]
 
 
+def _group_report(workspace: Path, entries: list[dict], keys: Iterable[tuple[str, str, int]],
+                  report: dict) -> None:
+    """Load the sets of one discipline+basis group, ``keys`` in ascending years,
+    and append their sections to ``report``; the sets die when this returns."""
+    sets = [load_dataset(workspace, Discipline(d), Basis(b), year, entries=entries)
+            for d, b, year in keys]
+    for ds in sets:
+        report["datasets"].append(_dataset_report(ds))
+        report["cross_measure_correlations"].append(_cross_measure(ds))
+        report["if_vs_articles_trends"].append(_if_vs_articles(ds))
+    if len(sets) > 1:
+        report["dynamic_correlations"] += _year_pairs(sets)
+        report["consecutive_overlaps"] += [
+            {**_key(a, b), "count": set_overlap(a, b)[1]} for a, b in zip(sets, sets[1:])
+        ]
+
+
 def _cmd_report(args) -> None:
     workspace = _workspace(args)
     entries = read_manifest(workspace)
     if not entries:
         raise WorkspaceError(f"workspace {workspace} holds no datasets")
-    entries = sorted(entries, key=lambda e: (e["discipline"], e["basis"], e["year"]))
-    datasets = {}  # a key the manifest repeats names one set
-    for e in entries:
-        datasets[e["discipline"], e["basis"], e["year"]] = load_dataset(
-            workspace, Discipline(e["discipline"]), Basis(e["basis"]), e["year"],
-            entries=entries,
-        )
-
+    # a key the manifest repeats names one set
+    keys = sorted({(e["discipline"], e["basis"], e["year"]) for e in entries})
     report = {name: [] for name in ("datasets", "dynamic_correlations", "consecutive_overlaps",
                                     "cross_measure_correlations", "if_vs_articles_trends")}
-    # entries are sorted, so each discipline+basis group is a run of ascending years
-    for _, group in groupby(datasets.values(), key=lambda ds: (ds.discipline, ds.basis)):
-        sets = list(group)
-        for ds in sets:
-            report["datasets"].append(_dataset_report(ds))
-            report["cross_measure_correlations"].append(_cross_measure(ds))
-            report["if_vs_articles_trends"].append(_if_vs_articles(ds))
-        if len(sets) > 1:
-            report["dynamic_correlations"] += _year_pairs(sets)
-            report["consecutive_overlaps"] += [
-                {**_key(a, b), "count": set_overlap(a, b)[1]} for a, b in zip(sets, sets[1:])
-            ]
+    # one group in memory at a time: each is a run of ascending years of the sorted keys
+    for _, group in groupby(keys, key=lambda k: k[:2]):
+        _group_report(workspace, entries, group, report)
 
     text = _json(report) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     written = f" -> {args.out}" if args.out else ""
-    print(f"report over {len(datasets)} datasets{written}", file=sys.stderr)
+    print(f"report over {len(keys)} datasets{written}", file=sys.stderr)
 
 
 # --- parser ------------------------------------------------------------------

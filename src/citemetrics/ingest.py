@@ -57,9 +57,10 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
     """
     path = Path(path)
     if data is None:
-        if not path.exists():
-            raise ValidationError(f"no such file: {path}")
-        data = path.read_bytes()
+        try:
+            data = path.read_bytes()
+        except OSError as exc:  # missing, a directory, no permission
+            raise ValidationError(f"{path}: {exc.strerror}") from None
     reader = csv.reader(_lines(data))
     try:
         header = [h.strip() for h in next(reader)]

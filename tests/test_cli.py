@@ -1,11 +1,14 @@
 import codecs
 import contextlib
+import errno
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,15 @@ def workspace(tmp_path, capsys):
             capsys, "ingest", "--workspace", str(ws), "--input", str(csv),
             "--discipline", "sci", "--basis", "citations", "--year", str(year),
         )
+    return ws
+
+
+def four_group_workspace(root):
+    """The first two years of every synthgen profile: one group per discipline+basis."""
+    ws = root / "ws"
+    for profile, spec in PROFILES.items():
+        for year in (spec.base_year, spec.base_year + 1):
+            store_dataset(ws, build_fixture(profile, year, 20001000))
     return ws
 
 
@@ -571,6 +583,23 @@ class TestErrorPaths:
         )
         assert captured.err == f"error: {fit}: expected a fit report with params.a and params.b\n"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("option", ["--input", "--fit"])
+    def test_unopenable_file_is_exit_2_naming_it(self, workspace, tmp_path, capsys, option, kind):
+        path = tmp_path / "given"
+        strerror = errno.ENOENT
+        if kind == "directory":
+            path.mkdir()
+            strerror = errno.EISDIR
+        if option == "--input":
+            argv = ["ingest", "--input", str(path), "--discipline", "sci", "--basis", "citations",
+                    "--year", "2007"]
+        else:
+            argv = ["ks", "--set", "sci:citations:2005", "--fit", str(path)]
+        captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=2)
+        assert captured.err == f"error: {path}: {os.strerror(strerror)}\n"
+        assert captured.out == ""
+
     def test_failed_replace_leaves_the_workspace_as_it_was(
         self, workspace, tmp_path, capsys, monkeypatch
     ):
@@ -702,6 +731,50 @@ class TestReport:
         for part in ("zipf", "pareto"):
             assert zero_set[part] == {"error": f"no positive {measure!r} values in set"}
         assert [d["year"] for d in report["datasets"]] == [2005, 2006, 2007]
+
+    def test_report_releases_each_group_before_the_next_loads(self, tmp_path, capsys,
+                                                              monkeypatch):
+        ws = four_group_workspace(tmp_path)
+        loaded = {}  # (discipline, basis) -> weak references to its loaded sets
+        alive_at_start = {}  # (discipline, basis) -> sets of earlier groups alive as it began
+        load = cli.load_dataset
+
+        def tracked(workspace, discipline, basis, year, **kwargs):
+            group = (discipline.value, basis.value)
+            if group not in loaded:
+                gc.collect()
+                alive_at_start[group] = sum(
+                    ref() is not None for refs in loaded.values() for ref in refs)
+                loaded[group] = []
+            ranked = load(workspace, discipline, basis, year, **kwargs)
+            loaded[group].append(weakref.ref(ranked))
+            return ranked
+
+        monkeypatch.setattr(cli, "load_dataset", tracked)
+        invoke(capsys, "report", "--workspace", str(ws))
+        assert alive_at_start == {group: 0 for group in GROUPS}
+        assert all(len(refs) == 2 for refs in loaded.values())
+
+    def test_fault_in_the_last_group_leaves_no_partial_report(self, tmp_path, capsys):
+        ws = four_group_workspace(tmp_path)
+        data = ws / "data" / "socsci_if_2008.csv"
+        data.write_bytes(data.read_bytes() + b"X,2008,1,1.0,1\r\n")
+        out = tmp_path / "f.json"
+        captured = invoke(capsys, "report", "--workspace", str(ws), "--out", str(out), expect=2)
+        assert captured.err.startswith("error: digest mismatch for socsci_if_2008.csv: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_repeated_manifest_entry_names_one_set(self, tmp_path, capsys):
+        ws = four_group_workspace(tmp_path)
+        once = invoke(capsys, "report", "--workspace", str(ws))
+        manifest = ws / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["entries"].append(payload["entries"][3])
+        manifest.write_text(json.dumps(payload))
+        twice = invoke(capsys, "report", "--workspace", str(ws))
+        assert twice.out == once.out
+        assert twice.err == once.err == "report over 8 datasets\n"
 
     def test_report_on_empty_workspace_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty_ws"

@@ -161,8 +161,9 @@ class TestParseCsv:
         assert len(records) == 1
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValidationError, match="no such file"):
-            parse_csv(tmp_path / "absent.csv")
+        absent = tmp_path / "absent.csv"
+        with pytest.raises(ValidationError, match=at_file(absent, "No such file or directory$")):
+            parse_csv(absent)
 
     def test_empty_file_needs_header(self, tmp_path):
         f = tmp_path / "t.csv"
