@@ -19,6 +19,8 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable
 
+# Nothing here calls BLAS, and OpenBLAS's idle thread pool costs CPU at import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .correlate import (

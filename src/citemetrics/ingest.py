@@ -339,7 +339,10 @@ def load_dataset(
     resolved = data_path.resolve()
     if not resolved.is_relative_to(workspace_dir.resolve()):
         raise WorkspaceError(f"{data_path} resolves to {resolved}, outside the workspace")
-    data = resolved.read_bytes()
+    try:
+        data = resolved.read_bytes()
+    except OSError as exc:  # a directory, no permission
+        raise WorkspaceError(f"{data_path}: {exc.strerror}") from None
     actual = _digest(data)
     if actual != entry["content_digest"]:
         raise WorkspaceError(

@@ -600,6 +600,18 @@ class TestErrorPaths:
         assert captured.err == f"error: {path}: {os.strerror(strerror)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv", [["rank", "--set", "sci:citations:2005", "--measure", "n"], ["report"]],
+        ids=["rank", "report"],
+    )
+    def test_unreadable_data_file_is_exit_2_naming_it(self, workspace, capsys, argv):
+        data = workspace / "data" / "sci_citations_2005.csv"
+        data.unlink()
+        data.mkdir()
+        captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=2)
+        assert captured.err == f"error: {data}: {os.strerror(errno.EISDIR)}\n"
+        assert captured.out == ""
+
     def test_failed_replace_leaves_the_workspace_as_it_was(
         self, workspace, tmp_path, capsys, monkeypatch
     ):
@@ -809,12 +821,55 @@ class TestRowType:
 
 
 class TestColdImport:
-    def run_child(self, code, *args):
+    def run_child(self, code, *args, **env):
+        """Run ``code`` in a fresh interpreter. ``OPENBLAS_NUM_THREADS`` is
+        dropped from the environment (this process may have set it by importing
+        ``cli``) unless ``env`` sets it again."""
         src = str(Path(citemetrics.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
         return subprocess.run(
-            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+            [sys.executable, "-c", code, *args], env=env | {"PYTHONPATH": src},
+            capture_output=True, text=True,
         )
+
+    def test_package_import_does_not_load_numpy(self):
+        done = self.run_child("import sys, citemetrics; assert 'numpy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    def test_every_public_name_is_its_modules_own(self):
+        code = (
+            "import sys\n"
+            "from citemetrics import *\n"
+            "import citemetrics\n"
+            "assert len(citemetrics.__all__) == 55, len(citemetrics.__all__)\n"
+            "for name in citemetrics.__all__:\n"
+            "    exec(f'from citemetrics import {name} as value')\n"
+            "    assert value is globals()[name], name\n"
+            "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+            "    assert value.__module__.startswith('citemetrics.'), name\n"
+        )
+        done = self.run_child(code)
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_name_is_attribute_error(self):
+        # hasattr is False on AttributeError only; any other exception fails the child
+        done = self.run_child("import citemetrics; assert not hasattr(citemetrics, 'no_such_name')")
+        assert done.returncode == 0, done.stderr
+
+    def test_cli_import_starts_one_blas_thread(self):
+        code = (
+            "import os, citemetrics.cli\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+            "if os.path.isdir('/proc/self/task'):\n"
+            "    assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n"
+        )
+        done = self.run_child(code)
+        assert done.returncode == 0, done.stderr
+
+    def test_cli_import_keeps_the_users_thread_count(self):
+        code = "import os, citemetrics.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '2'"
+        done = self.run_child(code, OPENBLAS_NUM_THREADS="2")
+        assert done.returncode == 0, done.stderr
 
     def test_cli_import_does_not_load_scipy(self):
         done = self.run_child("import sys, citemetrics.cli; assert 'scipy' not in sys.modules")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citemetrics.errors import ValidationError
 from citemetrics.model import Basis, Discipline, JournalYearRecord, build_ranked_set
@@ -86,6 +88,96 @@ class TestRankSeries:
         ranked = build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2000)
         s = rank_series(ranked, Measure.RATE)
         assert s.ranks.tolist() == [1, 3]
+
+
+# --- which rank inputs RankSeries accepts ------------------------------------------
+
+INT64_MAX = 2**63 - 1
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def int_typed(value):
+    """``value`` as a Python int, as each numpy integer type that holds it, and
+    (0 and 1) as a Python or numpy bool."""
+    forms = [value] + [t(value) for t in INT_DTYPES if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    if value in (0, 1):
+        forms += [bool(value), np.bool_(value)]
+    return st.sampled_from(forms)
+
+
+edge_values = st.sampled_from([-2, -1, 0, INT64_MAX, 2**63, 2**64 - 1, 2**64, -(2**63) - 1])
+increasing = st.tuples(
+    st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True),
+    st.just([]) | st.just([]) | edge_values.map(lambda v: [v]),
+).map(lambda parts: sorted(set(parts[0] + parts[1])))
+not_ints = st.sampled_from([1.0, 2.5, np.float64(3.0), np.float32(2.0), "3", b"4", None, (1, 2), (3,)])
+rank_sequences = (
+    increasing.flatmap(lambda vs: st.tuples(*map(int_typed, vs)))
+    | st.lists((st.integers(-2, 40) | edge_values).flatmap(int_typed) | not_ints,
+               min_size=1, max_size=6).map(tuple)
+).flatmap(lambda t: st.sampled_from([t, list(t)]))
+
+
+@st.composite
+def rank_arrays(draw):
+    """A 1-D array of one integer or bool dtype, mostly increasing, or an array
+    of floats, strings or two dimensions."""
+    dtype = draw(st.sampled_from(INT_DTYPES + (np.bool_,)))
+    lo, hi = (0, 1) if dtype is np.bool_ else map(int, (np.iinfo(dtype).min, np.iinfo(dtype).max))
+    in_range = st.integers(max(lo, 1), min(hi, 40)) | st.sampled_from(
+        [v for v in (lo, -1, 0, hi, INT64_MAX, INT64_MAX + 1) if lo <= v <= hi])
+    values = draw(st.lists(in_range, min_size=1, max_size=8))
+    if draw(st.integers(0, 3)):
+        values = sorted(set(values))
+    shape = draw(st.sampled_from(["1-d"] * 5 + ["float", "str", "2-d"]))
+    if shape == "float":
+        return np.array(values, dtype=float)
+    if shape == "str":
+        return np.array(values).astype(str)
+    return np.array([values] * 2 if shape == "2-d" else values, dtype=dtype)
+
+
+def expected_ranks(ranks):
+    """The ranks RankSeries stores, as ints, or None where it rejects them:
+    a 1-D sequence of Python or numpy integers (bools count as 0 and 1),
+    strictly increasing from at least 1 up to the int64 maximum. numpy reads a
+    uint64 scalar beside a signed integer as float64, so those are rejected."""
+    if isinstance(ranks, np.ndarray):
+        if ranks.dtype.kind not in "biu" or ranks.ndim != 1:
+            return None
+        items = ranks.tolist()
+    else:
+        items = list(ranks)
+        if not all(isinstance(k, (int, np.integer, np.bool_)) for k in items):
+            return None
+        signed = any(type(k) is int or isinstance(k, np.signedinteger) for k in items)
+        if signed and any(isinstance(k, np.uint64) for k in items):
+            return None
+    items = [int(k) for k in items]
+    if items[0] >= 1 and items[-1] <= INT64_MAX and all(a < b for a, b in zip(items, items[1:])):
+        return items
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranks=rank_sequences | rank_arrays())
+@example(ranks=(np.uint64(1), np.uint64(2**63 - 1)))
+@example(ranks=(np.uint64(1), 2))
+@example(ranks=(True, 2, np.int8(3)))
+@example(ranks=np.array([1, 2**63], dtype=np.uint64))
+def test_rank_inputs_accepted_and_stored(ranks):
+    """Pins which rank inputs RankSeries accepts today and the int64 array it
+    stores; a constructor that reads ranks another way must keep both."""
+    want = expected_ranks(ranks)
+    values = (1.0,) * len(ranks)
+    if want is None:
+        with pytest.raises(ValidationError, match="^ranks must be strictly increasing integers >= 1$"):
+            RankSeries(ranks, values, LABEL)
+        return
+    s = RankSeries(ranks, values, LABEL)
+    assert s.ranks.dtype == np.int64 and s.ranks.tolist() == want
+    assert not s.ranks.flags.writeable
+    assert not np.shares_memory(s.ranks, ranks)
 
 
 class TestScaleByMean:
