@@ -177,6 +177,8 @@ def _pareto_cdf(t: np.ndarray, x_min: float, gamma: float) -> np.ndarray:
 # fast minimum lies over _SCAN_SLACK / 2 above the exact minimum: it can
 # neither win nor tie.
 _SCAN_SLACK = 1e-9
+# The fast pass scores a tail this many samples at a time, in one buffer.
+_SCAN_BLOCK = 1 << 16
 
 
 def _near_minimal_cutoffs(x: np.ndarray, candidates: np.ndarray, min_tail: int) -> list[float]:
@@ -204,18 +206,21 @@ def _near_minimal_cutoffs(x: np.ndarray, candidates: np.ndarray, min_tail: int) 
     trusted = (sums > 0) & (bound <= _SCAN_SLACK / 4)
 
     d_fast = np.full(n_scan, np.inf)
-    largest = int(sizes[trusted].max(initial=0))
-    buf = np.empty(largest)
-    steps = np.arange(largest, 0, -1, dtype=float)  # m - i for a tail of m, as a suffix
+    buf = np.empty(min(int(sizes[trusted].max(initial=0)), _SCAN_BLOCK))
     for j in np.flatnonzero(trusted).tolist():
-        m = int(sizes[j])
-        v = buf[:m]
-        np.subtract(log_c[j], logs[starts[j]:], out=v)
-        v *= g[j] - 1.0
-        np.exp(v, out=v)  # 1 - F, the fitted survival function
-        v *= -m
-        v += steps[largest - m:]  # v_i = m F_i - i, and m D = max(max v, 1 - min v)
-        d_fast[j] = max(v.max(), 1.0 - v.min()) / m
+        tail = logs[starts[j]:]
+        m = tail.size
+        top, bottom = -math.inf, math.inf  # of v_i = m F_i - i; m D = max(top, 1 - bottom)
+        for i in range(0, m, _SCAN_BLOCK):
+            block = tail[i:i + _SCAN_BLOCK]
+            v = buf[:block.size]
+            np.subtract(log_c[j], block, out=v)
+            v *= g[j] - 1.0
+            np.exp(v, out=v)  # 1 - F, the fitted survival function
+            v *= -m
+            v += np.arange(m - i, m - i - block.size, -1, dtype=float)
+            top, bottom = max(top, v.max()), min(bottom, v.min())
+        d_fast[j] = max(top, 1.0 - bottom) / m
     near = ~trusted | (d_fast <= d_fast.min() + _SCAN_SLACK)
     return cands[near].tolist()
 
@@ -419,17 +424,18 @@ def _brentq(
     )
 
 
-def _gumbel_scale_equation(x: np.ndarray, xs: np.ndarray) -> Callable[[float], float]:
+def _gumbel_scale_equation(x: np.ndarray, shift: float) -> Callable[[float], float]:
     """g(b) = b - mean(x) + sum(x w)/sum(w), w = exp(-xs/b): the MLE scale is its root.
 
-    ``xs`` is x shifted by its minimum, which keeps the weights from
-    overflowing. Every evaluation forms the weights, then x w, in one buffer;
-    xs / -b is the same float as -xs / b.
+    ``xs`` is x less ``shift``, its minimum, which keeps the weights from
+    overflowing. Every evaluation forms xs, then the weights, then x w, in one
+    buffer; xs / -b is the same float as -xs / b.
     """
     x_bar = float(x.mean())
-    w = np.empty_like(xs)
+    w = np.empty_like(x)
 
     def imbalance(b: float) -> float:
+        xs = np.subtract(x, shift, out=w)
         w_sum = np.exp(np.divide(xs, -b, out=w), out=w).sum()
         return b - x_bar + float(np.multiply(x, w, out=w).sum() / w_sum)
 
@@ -451,10 +457,9 @@ def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
     scipy import for this fit. The scale equation is evaluated once per
     point: the bracket's end values are handed to the root finder.
     """
-    b0 = float(x.std(ddof=0)) * math.sqrt(6.0) / math.pi  # before xs and w: std makes a copy
+    b0 = float(x.std(ddof=0)) * math.sqrt(6.0) / math.pi  # before w: std makes a copy
     shift = float(x.min())
-    xs = x - shift
-    imbalance = _gumbel_scale_equation(x, xs)
+    imbalance = _gumbel_scale_equation(x, shift)
     f0 = imbalance(b0)
     lo, f_lo = b0, f0
     for _ in range(64):
@@ -480,7 +485,9 @@ def _gumbel_mle(x: np.ndarray) -> tuple[float, float]:
         raise FitConvergenceError(
             f"Gumbel scale equation: {exc}", residual=exc.residual
         ) from None
-    w = np.exp(np.divide(xs, -b, out=xs), out=xs)  # xs is not needed again
+    del imbalance  # and with it the closure's buffer, before w is made
+    w = np.subtract(x, shift)
+    np.exp(np.divide(w, -b, out=w), out=w)
     a = shift - b * math.log(float(w.mean()))
     return a, float(b)
 

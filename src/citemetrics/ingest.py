@@ -199,15 +199,22 @@ def _workspace_lock(workspace_dir: Path):
 
 
 def _atomic_write(path: Path, data: str) -> None:
-    """Replace ``path`` with ``data``, written as is (no newline translation)."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Replace ``path`` with ``data``, written as is (no newline translation).
+
+    A failed write leaves no temporary file; an OSError is raised again as a
+    WorkspaceError naming ``path``.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise WorkspaceError(f"{path}: {exc.strerror}") from None
         raise
 
 

@@ -146,16 +146,23 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
     if ranks.size < 10:
         raise ValidationError(f"need at least 10 points with rank > {k_min}, have {ranks.size}")
 
+    # Two sample-sized buffers, each term formed in place by the operations of
+    # the plain expression in its comment; x and y are formed twice, as the
+    # sums for the slope overwrite them.
+    n = ranks.size
     x = np.log(ranks)
-    y = np.log(values)
-    n = x.size
-    x_bar, y_bar = x.mean(), y.mean()
-    sxx = float(np.sum((x - x_bar) ** 2))
-    sxy = float(np.sum((x - x_bar) * (y - y_bar)))
+    x_bar = x.mean()
+    dev = np.subtract(x, x_bar)
+    sxx = float(np.sum(np.square(dev, out=dev)))  # sum((x - x_bar) ** 2)
+    y = np.log(values, out=dev)
+    y_bar = y.mean()
+    centred = np.multiply(np.subtract(x, x_bar, out=x), np.subtract(y, y_bar, out=y), out=x)
+    sxy = float(np.sum(centred))  # sum((x - x_bar) * (y - y_bar))
     slope = sxy / sxx
     intercept = y_bar - slope * x_bar
-    residuals = y - (intercept + slope * x)
-    rss = float(np.sum(residuals**2))
+    line = np.add(intercept, np.multiply(slope, np.log(ranks, out=x), out=x), out=x)
+    residuals = np.subtract(np.log(values, out=y), line, out=y)  # y - (intercept + slope * x)
+    rss = float(np.sum(np.square(residuals, out=residuals)))
     sigma2 = rss / (n - 2) if n > 2 else 0.0
     slope_err = math.sqrt(max(sigma2, 0.0) / sxx)
     intercept_err = math.sqrt(max(sigma2, 0.0) * (1.0 / n + x_bar**2 / sxx))

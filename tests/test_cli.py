@@ -626,7 +626,22 @@ class TestErrorPaths:
             str(tmp_path / "fix2005.csv"), "--discipline", "sci", "--basis", "citations",
             "--year", "2005", "--overwrite", expect=2,
         )
-        assert captured.err == "error: [Errno 28] No space left on device\n"
+        data = workspace / "data" / "sci_citations_2005.csv"
+        assert captured.err == f"error: {data}: No space left on device\n"
+        assert {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()} == before
+
+    def test_data_file_name_too_long_is_exit_2_naming_it(self, workspace, tmp_path, capsys):
+        year = 10**300  # the model takes it; the file name it gives exceeds NAME_MAX
+        rows = (tmp_path / "fix2005.csv").read_text().replace(",2005,", f",{year},")
+        (tmp_path / "huge.csv").write_text(rows)
+        before = {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()}
+        captured = invoke(
+            capsys, "ingest", "--workspace", str(workspace), "--input", str(tmp_path / "huge.csv"),
+            "--discipline", "sci", "--basis", "citations", "--year", str(year), expect=2,
+        )
+        data = workspace / "data" / f"sci_citations_{year}.csv"
+        assert captured.err == f"error: {data}: {os.strerror(errno.ENAMETOOLONG)}\n"
+        assert "[Errno" not in captured.err
         assert {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(

@@ -4,9 +4,10 @@
 ``empirical_pdf``, the least-squares Gumbel fit and ``gumbel_curve_ks``
 share ``distfit._binned_density``; the Pareto auto-``x_min`` scan scores each
 candidate from suffix log sums of the sample sorted once and re-scores the
-near-minimal ones exactly; ``RankSeries`` checks its fields as arrays; the
-KS distance, the Pareto MLE and CDF and the Gumbel scale equation and
-location form their temporaries in reused buffers. The references below are
+near-minimal ones exactly, in blocks of ``_SCAN_BLOCK`` samples;
+``RankSeries`` checks its fields as arrays; the KS distance, the Pareto MLE
+and CDF and the Gumbel scale equation and location form their temporaries in
+reused buffers. The references below are
 the former loops and expressions, copied unchanged except that the
 ``RankSeries`` loop also rejects str and bytes values and the binning loop
 keeps only its equal-width bins; every property requires equal results
@@ -21,22 +22,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from citemetrics import distfit
 from citemetrics.correlate import binned_trend
 from citemetrics.distfit import pareto_tail_fit
 from citemetrics.errors import ValidationError
-from citemetrics.model import Basis, Discipline, Measure, basis_measure
+from citemetrics.model import Basis, Discipline, FitMethod, Measure, basis_measure
 from citemetrics.rankstats import (
     RankSeries,
     SeriesLabel,
     zipf_fit,
 )
-from citemetrics.synthgen import sample_pareto
+from citemetrics.synthgen import sample_gumbel_log, sample_pareto
 
 LABEL = SeriesLabel(Discipline.SCI, Basis.CITATIONS, 2000, Measure.RATE)
+# Block sizes for the fast Pareto scan under which the property draws' tails
+# span many blocks and end in a partial one; the module's block is larger
+# than those draws.
+SMALL_SCAN_BLOCKS = (1, 7, 64)
 
 
 def outcome(fn, *args, **kwargs):
@@ -164,6 +169,25 @@ def test_pareto_auto_xmin_equals_former_scan(gamma, x_min, count, seed, min_tail
         assert (fit.params, fit.stderr, fit.fit_range) == auto
 
 
+@pytest.mark.parametrize("block", SMALL_SCAN_BLOCKS)
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(1.3, 4.0),
+    x_min=st.floats(0.01, 100.0),
+    count=st.integers(20, 600),
+    seed=st.integers(0, 2**32 - 1),
+    min_tail=st.sampled_from([5, 20, 50]),
+    decimals=st.none() | st.integers(0, 2),
+)
+def test_pareto_auto_xmin_equals_former_scan_across_blocks(
+    block, gamma, x_min, count, seed, min_tail, decimals
+):
+    with mock.patch.object(distfit, "_SCAN_BLOCK", block):
+        test_pareto_auto_xmin_equals_former_scan.hypothesis.inner_test(
+            gamma, x_min, count, seed, min_tail, decimals
+        )
+
+
 def scan_candidates(samples):
     lo, hi = float(np.min(samples)), float(np.max(samples))
     n_candidates = max(2, math.ceil((math.log10(hi) - math.log10(lo)) * 10))
@@ -288,6 +312,17 @@ def test_pareto_two_pass_scan_equals_progressive_scan(slack, inputs):
     assert got == outcome(progressive_pareto_scan, samples, min_tail)
 
 
+@pytest.mark.parametrize("block", SMALL_SCAN_BLOCKS)
+@settings(max_examples=40, deadline=None)
+@given(inputs=scan_inputs())
+def test_pareto_two_pass_scan_across_blocks_equals_progressive_scan(block, inputs):
+    # A block of 1 scores each sample in a step of its own: at most 600 samples,
+    # as in the former-scan property, keep its run short.
+    assume(block > 1 or inputs[0].size <= 600)
+    with mock.patch.object(distfit, "_SCAN_BLOCK", block):
+        test_pareto_two_pass_scan_equals_progressive_scan.hypothesis.inner_test("default", inputs)
+
+
 # --- former large-n fit expressions ----------------------------------------------
 
 # Above 256 KiB (32,768 float64) numpy forms some of an expression's
@@ -366,7 +401,8 @@ def test_gumbel_scale_equation_and_location_equal_former_expressions(n):
             x = np.round(x, 2)
         shift = float(x.min())
         xs = x - shift
-        new, former = distfit._gumbel_scale_equation(x, xs), former_gumbel_scale_equation(x, xs)
+        new = distfit._gumbel_scale_equation(x, shift)
+        former = former_gumbel_scale_equation(x, xs)
         b0 = float(x.std()) * math.sqrt(6.0) / math.pi
         for b in (b0 / 64, b0 / 2, b0, 1.7 * b0, 8 * b0, 0.3, 2.0):
             assert new(b) == former(b)
@@ -404,16 +440,23 @@ def peak_per_sample(fn, n):
 
 
 def test_large_n_fits_bound_their_temporaries():
-    """At n = 1e5 each fit holds at most about four sample-sized arrays at once.
+    """At n = 1e5 each fit holds at most two sample-sized float arrays besides
+    its input, and the KS distance, with the sort of its sample, three.
 
-    Before the kernels reused their buffers the peaks were 6.1, 6.1 and 5.1.
+    The peaks of ``zipf_fit``, ``pareto_tail_fit`` and the MLE and LSQ
+    ``gumbel_fit`` were 4.0, 3.0, 3.0 and 2.0 copies before the fits kept to
+    two buffers, and 6.1, 6.1 and 5.1 (the first three) before they reused
+    buffers at all.
     """
     n = 100_000
     x = sample_pareto(2.43, 1.0, n, 20001000 + n)
     series = RankSeries(np.arange(1, n + 1), np.sort(x)[::-1], SeriesLabel(
         Discipline.SCI, Basis.CITATIONS, 2000, Measure.CITATIONS))
-    assert peak_per_sample(lambda: zipf_fit(series), n) <= 4.5
-    assert peak_per_sample(lambda: pareto_tail_fit(x), n) <= 4.5
+    rates = sample_gumbel_log(-0.55, 0.8, n, seed=20001000 + n)
+    assert peak_per_sample(lambda: zipf_fit(series), n) <= 2.5
+    assert peak_per_sample(lambda: pareto_tail_fit(x), n) <= 2.5
+    for method in (FitMethod.MAXIMUM_LIKELIHOOD, FitMethod.LOG_LOG_LEAST_SQUARES):
+        assert peak_per_sample(lambda: distfit.gumbel_fit(rates, method=method), n) <= 2.5
     assert peak_per_sample(lambda: distfit._ks_sorted(np.sort(x), lambda t: 1.0 - 1.0 / t), n) <= 3.5
 
 
