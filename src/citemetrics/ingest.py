@@ -23,7 +23,6 @@ import fcntl
 import hashlib
 import io
 import json
-import math
 import os
 import tempfile
 import warnings
@@ -32,9 +31,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ValidationError, WorkspaceError
-from .model import (
-    MAX_FLOAT_INT, Basis, Discipline, JournalTable, JournalYearRecord, RankedSet,
-)
+from .model import Basis, Discipline, JournalTable, JournalYearRecord, RankedSet, row_fault
 
 COLUMNS = ("journal_id", "year", "citations", "impact_factor", "articles")
 MANIFEST_NAME = "manifest.json"
@@ -53,7 +50,7 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
     1-based line it starts on. ``data`` is the file's content when the
     caller has read it already; ``path`` then only names the file in
     messages. A valid file is converted whole; after any fault
-    ``_check_row`` finds the first one.
+    ``_check_row`` finds the first one, worded by ``model.row_fault``.
     """
     path = Path(path)
     if data is None:
@@ -92,10 +89,8 @@ def parse_csv(path: str | Path, data: bytes | None = None) -> JournalTable:
     try:
         for row in reader:
             if any(map(str.strip, row)):  # blank rows are skipped
-                try:
-                    _check_row(row, index, width)
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}: line {start}: {exc}") from None
+                if fault := _check_row(row, index, width):
+                    raise ValidationError(f"{path}: line {start}: {fault}")
                 kept.append(row)
             start = reader.line_num + 1
     except csv.Error as exc:  # a field beyond csv.field_size_limit()
@@ -123,33 +118,21 @@ def _table_of(rows: list[list[str]], index: list[int], width: int) -> JournalTab
     return JournalTable(ids, *(list(map(kind, col)) for kind, col in zip(_KINDS, cells)))
 
 
-def _check_row(row: list[str], index: list[int], width: int) -> None:
-    """ValidationError, without a line number, naming the row's first fault in
-    the order width, year, citations, impact factor, articles, id."""
+def _check_row(row: list[str], index: list[int], width: int) -> str | None:
+    """The row's first fault, in the order width, year, citations, impact
+    factor, articles, id; None for a valid row."""
     if len(row) < width:
-        raise ValidationError(f"expected {width} fields, got {len(row)}")
+        return f"expected {width} fields, got {len(row)}"
     journal_id, *cells = (row[i].strip() for i in index)
-    JournalTable.from_rows([(journal_id, *map(_cell, cells, COLUMNS[1:], _KINDS))])
+    return row_fault(journal_id, *map(_cell, cells, _KINDS))
 
 
-def _cell(text: str, name: str, kind: type) -> int | float:
-    """A year or count as an int in 0..MAX_FLOAT_INT, or an impact factor as
-    a finite float >= 0; the ValidationError names the cell's first fault."""
+def _cell(text: str, kind: type) -> int | float | str:
+    """The cell as an ``int`` or ``float``, or its text if it is not one."""
     try:
-        value = kind(text)
+        return kind(text)
     except ValueError:
-        what = "an integer" if kind is int else "numeric"
-        raise ValidationError(f"column {name!r} must be {what}, got {text!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ValidationError(f"column {name!r} must be finite, got {text!r}")
-    if value < 0:
-        raise ValidationError(f"column {name!r} must be >= 0, got {value}")
-    if value > MAX_FLOAT_INT:  # above every finite float
-        raise ValidationError(
-            f"column {name!r} exceeds the float range (about 1.8e308), "
-            f"got a {len(str(value))}-digit integer"
-        )
-    return value
+        return text
 
 
 def _csv_text(table: JournalTable) -> str:
@@ -357,4 +340,7 @@ def load_dataset(
             f"actual {actual}; file is corrupt"
         )
     table = parse_csv(data_path, data)
-    return RankedSet(discipline, basis, year, table, entry.get("cap", max(len(table), 1)))
+    try:
+        return RankedSet(discipline, basis, year, table, entry.get("cap", max(len(table), 1)))
+    except ValidationError as exc:  # the entry's year or cap contradicts the file
+        raise ValidationError(f"{data_path}: {exc}") from None

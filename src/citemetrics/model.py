@@ -4,8 +4,8 @@ fit results.
 All types are immutable after construction and validate their invariants in
 ``__post_init__``, so a constructed object can be shared freely. Inside the
 package journal-year rows travel as a ``JournalTable``: a ``RankedSet`` stores
-one, and ``JournalYearRecord`` objects are built only for a caller that passes
-or reads records, or to name a bad row.
+one. Each row rule and its message are written once, in ``row_fault``, which
+the record, the table's search for its first bad row and ``parse_csv`` share.
 """
 
 from __future__ import annotations
@@ -85,46 +85,9 @@ class JournalYearRecord:
     articles: int
 
     def __post_init__(self):
-        if not isinstance(self.journal_id, str) or not self.journal_id:
-            raise ValidationError("journal_id must be a non-empty string")
-        if self.journal_id != self.journal_id.strip():  # a CSV field is read back trimmed
-            raise ValidationError(
-                f"journal_id {self.journal_id!r} must not start or end with whitespace"
-            )
-        if type(self.year) is not int or not 0 <= self.year <= MAX_FLOAT_INT:
-            raise ValidationError(
-                f"{self.journal_id!r}: year must be a non-negative integer within the "
-                f"float range (about 1.8e308), got {self.year!r}"
-            )
-        if type(self.citations) is not int or self.citations < 0:
-            raise ValidationError(
-                f"{self.journal_id!r}: citations must be a non-negative integer, "
-                f"got {self.citations!r}"
-            )
-        if type(self.articles) is not int or self.articles < 0:
-            raise ValidationError(
-                f"{self.journal_id!r}: articles must be a non-negative integer, "
-                f"got {self.articles!r}"
-            )
-        if self.citations > MAX_FLOAT_INT or self.articles > MAX_FLOAT_INT:
-            name = "citations" if self.citations > MAX_FLOAT_INT else "articles"
-            raise ValidationError(
-                f"{self.journal_id!r}: {name} exceeds the float range (about 1.8e308)"
-            )
-        try:
-            valid = math.isfinite(self.impact_factor) and self.impact_factor >= 0
-        except (TypeError, OverflowError):  # not a real number, or an int past the float range
-            valid = False
-        if not valid:
-            raise ValidationError(
-                f"{self.journal_id!r}: impact_factor must be finite and >= 0, "
-                f"got {self.impact_factor!r}"
-            )
-        if type(self.impact_factor) is int and float(self.impact_factor) != self.impact_factor:
-            raise ValidationError(
-                f"{self.journal_id!r}: an int impact_factor must be exactly a float, "
-                f"got {self.impact_factor!r}"
-            )
+        if fault := row_fault(self.journal_id, self.year, self.citations,
+                              self.impact_factor, self.articles):
+            raise ValidationError(f"{_shown(self.journal_id)}: {fault}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,10 +112,9 @@ class JournalTable:
                                          self.articles)):
             raise ValidationError("table columns must be equally long")
         try:
-            "".join(self.journal_id)  # a TypeError unless every id is a str
             valid = (
                 all(self.journal_id)
-                and list(map(str.strip, self.journal_id)) == self.journal_id
+                and list(map(str.strip, self.journal_id)) == self.journal_id  # non-str: TypeError
                 and all(_ints_valid(col) for col in (self.year, self.citations, self.articles))
                 and all(map(math.isfinite, self.impact_factor))
                 # as floats: numpy casts a Python float to float32 to compare the two
@@ -160,7 +122,7 @@ class JournalTable:
                 and (int not in set(map(type, self.impact_factor))
                      or all(float(v) == v for v in self.impact_factor if type(v) is int))
             )
-        except (TypeError, OverflowError):
+        except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
             self.records()  # raises the first invalid row's error, as its record would
@@ -197,6 +159,48 @@ def _ints_valid(col: list[int]) -> bool:
     )
 
 
+def row_fault(journal_id, year, citations, impact_factor, articles) -> str | None:
+    """The row's first fault in the CSV's order (year, citations, impact factor,
+    articles, id), or None: every row rule's one wording. A record prefixes it
+    with the row's id, ``parse_csv`` with the file line."""
+    fault = (_int_fault("year", year) or _int_fault("citations", citations)
+             or _impact_fault(impact_factor) or _int_fault("articles", articles))
+    if fault or not isinstance(journal_id, str) or not journal_id:
+        return fault or "journal_id must be a non-empty string"
+    if journal_id != journal_id.strip():  # a CSV field is read back trimmed
+        return "journal_id must not start or end with whitespace"
+
+
+def _int_fault(name: str, value) -> str | None:
+    if type(value) is not int:
+        return f"column {name!r} must be an integer, got {_shown(value)}"
+    if value < 0:
+        return f"column {name!r} must be >= 0, got {_shown(value)}"
+    if value > MAX_FLOAT_INT:  # above every finite float
+        return f"column {name!r} exceeds the float range (about 1.8e308)"
+
+
+def _impact_fault(value) -> str | None:
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, ValueError):  # not a real number
+        return f"column 'impact_factor' must be numeric, got {_shown(value)}"
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        return f"column 'impact_factor' must be finite, got {_shown(value)}"
+    if value < 0:
+        return f"column 'impact_factor' must be >= 0, got {_shown(value)}"
+    if type(value) is int and float(value) != value:
+        return f"column 'impact_factor' must be exactly a float, got {value}"
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in for an int past the float range: its digits are unbounded."""
+    huge = isinstance(value, int) and not -MAX_FLOAT_INT <= value <= MAX_FLOAT_INT
+    return "an integer past the float range" if huge else repr(value)
+
+
 @dataclass(frozen=True)
 class RankedSet:
     """A discipline+basis+year labelled collection, sorted by the basis field.
@@ -222,7 +226,7 @@ class RankedSet:
     def __post_init__(self):
         table = self.table
         if self.cap < 1:
-            raise ValidationError(f"cap must be >= 1, got {self.cap}")
+            raise ValidationError(f"cap must be >= 1, got {_shown(self.cap)}")
         if not len(table):
             raise ValidationError("a RankedSet cannot be empty")
         if len(table) > self.cap:
@@ -235,7 +239,7 @@ class RankedSet:
             for journal_id, year in zip(ids, table.year):
                 if year != self.year:
                     raise ValidationError(
-                        f"{journal_id!r}: record year {year} != set year {self.year}"
+                        f"{journal_id!r}: record year {year} != set year {_shown(self.year)}"
                     )
                 if journal_id in seen:
                     raise ValidationError(f"duplicate journal_id {journal_id!r}")
@@ -375,7 +379,7 @@ def build_ranked_set(
     are kept.
     """
     if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
+        raise ValidationError(f"cap must be >= 1, got {_shown(cap)}")
     table = JournalTable.from_records(records)
     if not len(table):
         raise ValidationError("cannot rank an empty record list")
@@ -386,7 +390,7 @@ def build_ranked_set(
     for i, (journal_id, row_year, *_) in enumerate(rows):
         if row_year != year:
             raise ValidationError(
-                f"{journal_id!r}: record year {row_year} does not match set year {year}"
+                f"{journal_id!r}: record year {row_year} does not match set year {_shown(year)}"
             )
         if rows[first.setdefault(journal_id, i)] != rows[i]:
             raise ValidationError(f"duplicate journal_id {journal_id!r} with conflicting values")

@@ -612,6 +612,27 @@ class TestErrorPaths:
         assert captured.err == f"error: {data}: {os.strerror(errno.EISDIR)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "edit, fault",
+        [({"cap": 5}, "1000 records exceed cap 5"),
+         ({"year": 2001}, "record year 2005 != set year 2001")],
+        ids=["cap", "year"],
+    )
+    def test_manifest_entry_contradicting_its_file_is_exit_2_naming_it(
+        self, workspace, capsys, edit, fault
+    ):
+        manifest = workspace / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        next(e for e in payload["entries"] if e["year"] == 2005).update(edit)
+        manifest.write_text(json.dumps(payload))
+        data = workspace / "data" / "sci_citations_2005.csv"
+        year = edit.get("year", 2005)
+        for argv in (["rank", "--set", f"sci:citations:{year}", "--measure", "n"], ["report"]):
+            captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=2)
+            assert captured.err.startswith(f"error: {data}: ")
+            assert captured.err.endswith(f"{fault}\n")
+            assert captured.out == ""
+
     def test_failed_replace_leaves_the_workspace_as_it_was(
         self, workspace, tmp_path, capsys, monkeypatch
     ):

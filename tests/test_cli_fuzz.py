@@ -27,6 +27,7 @@ from citemetrics.ingest import COLUMNS, store_dataset
 from citemetrics.model import Basis, Discipline, build_ranked_set
 from citemetrics.synthgen import build_fixture
 from per_row_csv import per_row_parse_csv
+from per_row_wording import reworded
 
 
 # Quotes, NUL, the \x1c separator that str.strip() removes, huge integers,
@@ -72,15 +73,15 @@ def cli_outcome(path, workspace, basis):
 
 def reference_outcome(path, basis):
     """The per-row parser and the ranking step, with every fault prefixed by the
-    CSV's path as `ingest` prefixes it; the frozen parser names the file in its
-    header faults only."""
+    CSV's path as `ingest` prefixes it (the frozen parser names the file in its
+    header faults only) and in today's wording."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             records = per_row_parse_csv(path)
         ranked = build_ranked_set(records, Discipline.SCI, Basis(basis), 2000)
     except ValidationError as exc:
-        message = str(exc)
+        message = reworded(str(exc))
         if not message.startswith(f"{path}: "):
             message = f"{path}: {message}"
         return 2, f"error: {message}\n"

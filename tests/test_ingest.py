@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from per_row_csv import per_row_parse_csv
+from per_row_wording import reworded
 
-from citemetrics import ingest
+from citemetrics import ingest, model
 from citemetrics.errors import ValidationError, WorkspaceError
 from citemetrics.ingest import (
     COLUMNS,
@@ -231,9 +232,34 @@ class TestParseRows:
 
         want = outcome(per_row_parse_csv, f)
         # the frozen reference names the file in its header faults only
-        if want[0] == "error" and want[1].startswith("line "):
-            want = ("error", f"{f}: {want[1]}")
+        if want[0] == "error":
+            message = f"{f}: {want[1]}" if want[1].startswith("line ") else want[1]
+            want = ("error", reworded(message))
         assert outcome(lambda p: parse_csv(p).records(), f) == want
+
+
+# Cells that all convert, to values valid or not; ids blank, padded or odd.
+int_texts = st.integers(-5, 10**25).map(str) | st.sampled_from(
+    ["9" * 400, " 12 ", "1_000", "\u0661\u0662", "-0", "\x1c4"])
+float_texts = st.floats().map(repr) | st.sampled_from(
+    ["nan", "-inf", "1e400", " 1.5 ", "-0.0", "INF", "NaN", "-1e-320"])
+id_texts = st.sampled_from(["J1", "", "  ", " J2 ", "\x1c", "a\x00"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.tuples(id_texts, int_texts, int_texts, float_texts, int_texts))
+def test_a_converted_row_is_worded_by_row_fault(tmp_path_factory, row):
+    f = tmp_path_factory.mktemp("row") / "t.csv"
+    write_table(f, [",".join(row)])
+    journal_id, *cells = (cell.strip() for cell in row)
+    values = [kind(cell) for kind, cell in zip((int, int, float, int), cells)]
+    fault = model.row_fault(journal_id, *values)
+    if fault is None:
+        assert parse_csv(f).records() == [JournalYearRecord(journal_id, *values)]
+    else:
+        with pytest.raises(ValidationError) as err:
+            parse_csv(f)
+        assert str(err.value) == f"{f}: line 2: {fault}"
 
 
 class TestFastPath:
@@ -256,6 +282,31 @@ class TestFastPath:
         write_csv(f, build_fixture("sci_set_i", 2005).table)
         assert len(parse_csv(f)) == 1000
         assert checked == []
+
+    @pytest.fixture
+    def faults(self, monkeypatch):
+        calls = []
+        real = model.row_fault
+
+        def counting(*row):
+            calls.append(row)
+            return real(*row)
+
+        for module in (model, ingest):
+            monkeypatch.setattr(module, "row_fault", counting)
+        return calls
+
+    def test_a_valid_file_or_table_never_calls_row_fault(self, tmp_path, faults):
+        f = tmp_path / "fixture.csv"
+        table = build_fixture("sci_set_i", 2005).table
+        write_csv(f, table)
+        assert len(parse_csv(f)) == 1000
+        rows = zip(table.journal_id, table.year, table.citations, table.impact_factor,
+                   table.articles)
+        assert len(JournalTable.from_rows(rows)) == 1000
+        assert faults == []
+        JournalYearRecord("J", 2005, 1, 1.0, 1)  # a record is checked row by row
+        assert faults == [("J", 2005, 1, 1.0, 1)]
 
     @pytest.mark.parametrize("k", [2, 500, 1001])
     def test_a_bad_row_stops_the_row_checker_at_its_line(self, tmp_path, checked, k):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestRecordValidation:
     @pytest.mark.parametrize("field", ["citations", "articles"])
     def test_counts_must_fit_a_float(self, field):
         assert np.isfinite(float(getattr(rec("J", **{field: MAX_FLOAT_INT}), field)))
-        with pytest.raises(ValidationError, match=f"{field} exceeds the float range"):
+        with pytest.raises(ValidationError, match=f"'{field}' exceeds the float range"):
             rec("J", **{field: MAX_FLOAT_INT + 1})
         with pytest.raises(OverflowError):
             float(MAX_FLOAT_INT + 1)
@@ -253,6 +254,53 @@ def test_columnar_checks_equal_former_record_loop(records, basis, cap):
                    cap) == expected
 
 
+# (column, value, the record's wording before row_fault, row_fault's wording)
+TABLE_FAULTS = [
+    ("journal_id", "", "journal_id must be a non-empty string",
+     "'': journal_id must be a non-empty string"),
+    ("journal_id", 5, "journal_id must be a non-empty string",
+     "5: journal_id must be a non-empty string"),
+    ("citations", -1, "'b': citations must be a non-negative integer, got -1",
+     "'b': column 'citations' must be >= 0, got -1"),
+    ("citations", 2.0, "'b': citations must be a non-negative integer, got 2.0",
+     "'b': column 'citations' must be an integer, got 2.0"),
+    ("articles", MAX_FLOAT_INT + 1, "'b': articles exceeds the float range",
+     "'b': column 'articles' exceeds the float range (about 1.8e308)"),
+    ("impact_factor", math.inf, "'b': impact_factor must be finite and >= 0, got inf",
+     "'b': column 'impact_factor' must be finite, got inf"),
+    ("impact_factor", "1.0", "'b': impact_factor must be finite and >= 0, got '1.0'",
+     "'b': column 'impact_factor' must be numeric, got '1.0'"),
+    ("impact_factor", None, "'b': impact_factor must be finite and >= 0, got None",
+     "'b': column 'impact_factor' must be numeric, got None"),
+    ("impact_factor", 10**400, "'b': impact_factor must be finite and >= 0, got 1000",
+     "'b': column 'impact_factor' must be finite, got an integer past the float range"),
+    ("year", 2000.0, "'b': year must be a non-negative integer within the float range",
+     "'b': column 'year' must be an integer, got 2000.0"),
+    ("year", -5, "'b': year must be a non-negative integer within the float range",
+     "'b': column 'year' must be >= 0, got -5"),
+    ("year", "2000", "'b': year must be a non-negative integer within the float range",
+     "'b': column 'year' must be an integer, got '2000'"),
+    ("year", True, "'b': year must be a non-negative integer within the float range",
+     "'b': column 'year' must be an integer, got True"),
+    ("year", np.int64(2000), "'b': year must be a non-negative integer within the",
+     "'b': column 'year' must be an integer, got "),
+    ("year", MAX_FLOAT_INT + 1, "'b': year must be a non-negative integer within the",
+     "'b': column 'year' exceeds the float range (about 1.8e308)"),
+    ("citations", True, "'b': citations must be a non-negative integer, got True",
+     "'b': column 'citations' must be an integer, got True"),
+    ("articles", False, "'b': articles must be a non-negative integer, got False",
+     "'b': column 'articles' must be an integer, got False"),
+    ("journal_id", " b", "journal_id ' b' must not start or end with whitespace",
+     "' b': journal_id must not start or end with whitespace"),
+    ("journal_id", "b\x1c", "journal_id 'b\\x1c' must not start or end with whitespace",
+     "'b\\x1c': journal_id must not start or end with whitespace"),
+    ("impact_factor", 2**60 + 1,
+     "'b': an int impact_factor must be exactly a float, got 1152921504606846977",
+     "'b': column 'impact_factor' must be exactly a float, got 1152921504606846977"),
+]
+FORMER_WORDING = {message: former for *_, former, message in TABLE_FAULTS}
+
+
 class TestColumnarSet:
     def test_table_and_records_builds_agree(self):
         records = (rec("b", citations=9, impact=2.5), rec("a", citations=5, articles=0))
@@ -281,29 +329,9 @@ class TestColumnarSet:
 
     @pytest.mark.parametrize(
         "column, value, message",
-        [
-            ("journal_id", "", "journal_id must be a non-empty string"),
-            ("journal_id", 5, "journal_id must be a non-empty string"),
-            ("citations", -1, "'b': citations must be a non-negative integer, got -1"),
-            ("citations", 2.0, "'b': citations must be a non-negative integer, got 2.0"),
-            ("articles", MAX_FLOAT_INT + 1, "'b': articles exceeds the float range"),
-            ("impact_factor", math.inf, "'b': impact_factor must be finite and >= 0, got inf"),
-            ("impact_factor", "1.0", "'b': impact_factor must be finite and >= 0, got '1.0'"),
-            ("impact_factor", None, "'b': impact_factor must be finite and >= 0, got None"),
-            ("impact_factor", 10**400, "'b': impact_factor must be finite and >= 0, got 1000"),
-            ("year", 2000.0, "'b': year must be a non-negative integer within the float range"),
-            ("year", -5, "'b': year must be a non-negative integer within the float range"),
-            ("year", "2000", "'b': year must be a non-negative integer within the float range"),
-            ("year", True, "'b': year must be a non-negative integer within the float range"),
-            ("year", np.int64(2000), "'b': year must be a non-negative integer within the"),
-            ("year", MAX_FLOAT_INT + 1, "'b': year must be a non-negative integer within the"),
-            ("citations", True, "'b': citations must be a non-negative integer, got True"),
-            ("articles", False, "'b': articles must be a non-negative integer, got False"),
-            ("journal_id", " b", "journal_id ' b' must not start or end with whitespace"),
-            ("journal_id", "b\x1c", "journal_id 'b\\x1c' must not start or end with whitespace"),
-            ("impact_factor", 2**60 + 1,
-             "'b': an int impact_factor must be exactly a float, got 1152921504606846977"),
-        ],
+        [(column, value, message) for column, value, _, message in TABLE_FAULTS],
+        # each case keeps the id it had when the record worded its own faults
+        ids=lambda v: FORMER_WORDING.get(v) if type(v) is str else None,
     )
     def test_table_rejects_what_a_record_rejects(self, column, value, message):
         columns = {"journal_id": ["a", "b"], "year": [2000, 2000], "citations": [3, 2],
@@ -327,6 +355,54 @@ class TestColumnarSet:
     def test_table_columns_must_be_equally_long(self):
         with pytest.raises(ValidationError, match="equally long"):
             JournalTable(["a"], [2000], [1], [1.0], [])
+
+
+# --- one row rule for the record, the table and the CSV --------------------------
+
+
+@pytest.mark.parametrize("huge", [10**5000, -10**5000], ids=["plus", "minus"])
+@pytest.mark.parametrize("field", ["year", "citations", "impact_factor", "articles"])
+def test_an_int_too_long_to_print_is_a_validation_error(field, huge):
+    row = {"journal_id": "a", "year": 2000, "citations": 1, "impact_factor": 1.0, "articles": 1}
+    table = JournalTable.from_rows([tuple(row.values())])
+    row[field] = huge
+    with pytest.raises(ValidationError):
+        JournalYearRecord(**row)
+    with pytest.raises(ValidationError):
+        JournalTable.from_rows([tuple(row.values())])
+    if field == "year":  # a valid table in a set of that year
+        with pytest.raises(ValidationError):
+            RankedSet(Discipline.SCI, Basis.CITATIONS, huge, table)
+        with pytest.raises(ValidationError):
+            build_ranked_set(table, Discipline.SCI, Basis.CITATIONS, huge)
+    if huge < 0:  # and as a cap
+        with pytest.raises(ValidationError):
+            RankedSet(Discipline.SCI, Basis.CITATIONS, 2000, table, cap=huge)
+        with pytest.raises(ValidationError):
+            build_ranked_set(table, Discipline.SCI, Basis.CITATIONS, 2000, cap=huge)
+
+
+# Ids and values of every type a caller might pass: bools, numpy scalars, ints past
+# the float range and past any printable length, NaN and infinities, text, and a
+# Decimal that float() refuses.
+any_ids = st.sampled_from(["a", "", " a", "a ", "b\x1c", "\u00e9", 5, 10**5000, None, b"a",
+                          np.str_("a")])
+any_ints = (
+    st.integers(-2, 3) | st.integers(2**53, 2**53 + 2)
+    | st.sampled_from([MAX_FLOAT_INT, MAX_FLOAT_INT + 1, 10**400, -10**5000, True, False,
+                       np.int64(3), np.int32(-1), 2000.0, "7", None, math.nan])
+)
+any_impacts = (
+    st.floats() | st.integers(-2, 2**60 + 2)
+    | st.sampled_from([2**60 + 1, 10**400, -10**5000, True, np.float64(1.5), np.float32("nan"),
+                       np.float64("-inf"), np.int64(2), "1.0", None, Decimal("sNaN")])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=st.tuples(any_ids, any_ints, any_ints, any_impacts, any_ints))
+def test_a_record_and_a_one_row_table_accept_and_word_alike(row):
+    assert outcome(JournalTable.from_rows, [row]) == outcome(JournalYearRecord, *row)
 
 
 # --- build_ranked_set on tables against the former record sort -------------------
