@@ -26,7 +26,7 @@ print(f"citation rate      r = {citation_rate(154983, 5410):.3f}")
 
 # Set-wide rates: journals without articles are dropped and reported.
 fixture = build_fixture("sci_set_i", 2000)
-rates, dropped = derive_rates(fixture)
-print(f"\nfixture set: {len(rates)} rates derived, {len(dropped)} journals dropped")
-top_id, top_rate = rates[0]
-print(f"rank-1 journal {top_id}: r = {top_rate:.2f}")
+derived = derive_rates(fixture)
+print(f"\nfixture set: {len(derived.rates)} rates derived, "
+      f"{len(derived.dropped)} journals dropped")
+print(f"rank-1 journal {derived.ids[0]}: r = {derived.rates[0]:.2f}")

@@ -9,8 +9,6 @@ follows a Gumbel density in the log of the scaled rate.
 
 from pathlib import Path
 
-import numpy as np
-
 from citemetrics import (
     Scaling,
     empirical_pdf,
@@ -44,7 +42,7 @@ print(f"synthetic gamma=2.52 recovered as "
       f"{pareto_tail_fit(synth, x_min=1.0).params['gamma']:.3f}")
 
 # The citation-rate collapse: peak near half the average, log-Gumbel shape.
-rates = np.array([r for _, r in derive_rates(ranked).rates])
+rates = derive_rates(ranked).rates
 dist = empirical_pdf(rates, binning="log", scaling=Scaling.MEAN_SCALED)
 print(f"\nscaled rate peak at r/<r> = {pdf_peak_location(dist):.2f}")
 

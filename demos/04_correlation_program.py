@@ -48,8 +48,7 @@ print(f"\nIF vs rate within the citation ranking:   R = {r_if.r_value:.4f}")
 print(f"citations vs rate within the IF ranking:  R = {r_n.r_value:.4f}")
 
 # Mean impact factor over article-count bins.
-xs = [float(r.articles) for r in set_ii.records]
-ys = [r.impact_factor for r in set_ii.records]
+xs, ys = set_ii.column("articles"), set_ii.column("if")
 print("\nmean IF per article-count bin:")
 for center, mean, stderr in binned_trend(xs, ys, n_bins=8):
     print(f"  N ~ {center:7.0f}: <I> = {mean:6.2f} ± {stderr:.2f}")

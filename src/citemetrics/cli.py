@@ -160,17 +160,9 @@ def _fit_json(measure: str, fit: FitResult, extra: dict | None = None) -> dict:
 
 
 def _scaled_rates(ranked: RankedSet) -> tuple[np.ndarray, int]:
-    derivation = derive_rates(ranked)
-    rates = np.array([r for _, r in derivation.rates])
-    return rates / rates.mean(), len(derivation.dropped)
-
-
-def _samples(ranked: RankedSet, measure: Measure) -> list[float] | np.ndarray:
-    """Values of a measure for ``dist`` and ``fit-pareto``: every defined rate,
-    or the positive values of another measure."""
-    if measure is Measure.RATE:
-        return [r for _, r in derive_rates(ranked).rates]
-    return rank_series(ranked, measure).values
+    dropped = len(derive_rates(ranked).dropped)
+    rates = rank_series(ranked, Measure.RATE).values
+    return rates / rates.mean(), dropped
 
 
 def _curve_points(ranked: RankedSet) -> int:
@@ -228,7 +220,7 @@ def _cmd_fit_zipf(args) -> None:
 
 
 def _cmd_dist(args) -> None:
-    samples = _samples(_load(args, args.set), Measure(args.measure))
+    samples = rank_series(_load(args, args.set), Measure(args.measure)).values
     scaling = Scaling.MEAN_SCALED if args.collapse else Scaling.RAW
     dist = empirical_pdf(samples, binning=args.binning, scaling=scaling)
     centers = [float(c) for c in dist.centers()]
@@ -249,7 +241,7 @@ def _cmd_dist(args) -> None:
 
 
 def _cmd_fit_pareto(args) -> None:
-    samples = _samples(_load(args, args.set), Measure(args.measure))
+    samples = rank_series(_load(args, args.set), Measure(args.measure)).values
     fit = pareto_tail_fit(samples, x_min=args.xmin)
     _emit(
         _fit_json(args.measure, fit),

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Measure, RankedSet, common_rows, finite_samples, id_positions
+from .rankstats import SeriesLabel
 
 MIN_PAIRS = 2
 
@@ -100,8 +101,8 @@ def pearson(
     )
 
 
-def _label(ranked: RankedSet, field_name: str) -> str:
-    return f"{ranked.discipline.value}:{ranked.basis.value}:{ranked.year}:{field_name}"
+def _label(ranked: RankedSet, measure: Measure) -> str:
+    return SeriesLabel(ranked.discipline, ranked.basis, ranked.year, measure).text()
 
 
 def dynamic_correlation(
@@ -130,7 +131,7 @@ def dynamic_correlation(
         xs,
         ys,
         transform=Transform.RANK_RANK if field_ is Measure.RANK else Transform.LOG_LOG,
-        subjects=(_label(year_a, field_.value), _label(year_b, field_.value)),
+        subjects=(_label(year_a, field_), _label(year_b, field_)),
     )
 
 
@@ -150,7 +151,7 @@ def cross_measure_correlation(
         xs,
         ys,
         transform=Transform.LOG_LOG,
-        subjects=(_label(ranked, measure_x.value), _label(ranked, measure_y.value)),
+        subjects=(_label(ranked, measure_x), _label(ranked, measure_y)),
     )
 
 
@@ -217,7 +218,7 @@ def correlation_matrix(
         for j, b in enumerate(sets[i:], start=i):
             try:
                 if j == i:
-                    label = _label(a, field_.value)
+                    label = _label(a, field_)
                     cell = CorrelationReport(1.0, len(a), transform, (label, label))
                 else:
                     cell = dynamic_correlation(

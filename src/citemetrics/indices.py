@@ -9,6 +9,7 @@ citation_rate:   r(T) = n(T) / N(T), citations per article published in T
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -49,12 +50,15 @@ def impact_factor(raw: RawCounts) -> float:
     """Two-year impact factor from raw counts.
 
     Single exact division of the integer sums; raises when there are no
-    citable articles in the window.
+    citable articles in the window or the quotient passes the float range.
     """
     denominator = raw.articles_y_minus_2 + raw.articles_y_minus_1
     if denominator == 0:
         raise ValidationError("no citable articles: impact factor undefined")
-    return (raw.cites_to_y_minus_2 + raw.cites_to_y_minus_1) / denominator
+    try:
+        return (raw.cites_to_y_minus_2 + raw.cites_to_y_minus_1) / denominator
+    except OverflowError:
+        raise ValidationError("impact factor exceeds the float range (about 1.8e308)") from None
 
 
 def annual_citations(per_paper_citations: Iterable[int]) -> int:
@@ -78,13 +82,17 @@ def citation_rate(citations: int, articles: int) -> float:
         raise ValidationError(f"articles must be a non-negative integer, got {articles!r}")
     if articles == 0:
         raise ValidationError("citation rate undefined for zero articles")
-    return citations / articles
+    try:
+        return citations / articles
+    except OverflowError:
+        raise ValidationError("citation rate exceeds the float range (about 1.8e308)") from None
 
 
 class RateDerivation(NamedTuple):
-    """Per-journal rates in rank order plus the ids dropped for N = 0."""
+    """Defined rates in rank order as a float array, their ids, and the ids dropped for N = 0."""
 
-    rates: list[tuple[str, float]]
+    ids: tuple[str, ...]
+    rates: np.ndarray
     dropped: list[str]
 
 
@@ -98,7 +106,7 @@ def derive_rates(ranked: RankedSet) -> RateDerivation:
     defined = ~np.isnan(rate)
     if not defined.any():
         raise ValidationError("every record has zero articles: no rates derivable")
-    ids = np.array(ranked.journal_ids(), dtype=object)
+    ids = ranked.table.journal_id
     return RateDerivation(
-        list(zip(ids[defined].tolist(), rate[defined].tolist())), ids[~defined].tolist()
+        tuple(compress(ids, defined)), rate[defined], list(compress(ids, ~defined))
     )

@@ -205,17 +205,19 @@ def read_manifest(workspace_dir: str | Path) -> list[dict]:
     """Manifest entries of a workspace; empty list if none exists yet.
 
     The manifest is UTF-8 JSON, optionally after a byte-order mark. Raises
-    WorkspaceError naming the manifest if its bytes do not decode or parse,
-    and unless it is an object whose ``entries`` is a list of objects, each
-    carrying every key in ``ENTRY_KEYS`` with a known discipline and basis,
-    an integer year (and cap, if given) and a string source path inside the
-    workspace: relative, with no ``..`` part.
+    WorkspaceError naming the manifest if it cannot be read or its bytes do
+    not decode or parse, and unless it is an object whose ``entries`` is a
+    list of objects, each carrying every key in ``ENTRY_KEYS`` with a known
+    discipline and basis, an integer year (and cap, if given) and a string
+    source path inside the workspace: relative, with no ``..`` part.
     """
     manifest_path = Path(workspace_dir) / MANIFEST_NAME
     if not manifest_path.exists():
         return []
     try:
         payload = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
+    except OSError as exc:  # a directory, no permission
+        raise WorkspaceError(f"{manifest_path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # bad bytes or JSON, a huge integer, deep nesting
         raise WorkspaceError(f"{manifest_path}: {exc}") from None
     entries = payload.get("entries") if isinstance(payload, dict) else None

@@ -251,8 +251,7 @@ class RankedSet:
         out_of_order = value[1:] > value[:-1]
         tie = value[1:] == value[:-1]
         if tie.any():
-            id_array = np.array(ids, dtype=object)
-            out_of_order[tie] = id_array[1:][tie] < id_array[:-1][tie]
+            out_of_order[tie] = [ids[i + 1] < ids[i] for i in np.flatnonzero(tie).tolist()]
         if out_of_order.any():
             raise ValidationError(
                 f"records out of order at {ids[int(np.argmax(out_of_order)) + 1]!r}: "
@@ -296,10 +295,6 @@ class RankedSet:
             return self._columns[key]
         except KeyError:
             raise ValidationError(f"unknown measure {measure!r}") from None
-
-    def journal_ids(self) -> tuple[str, ...]:
-        """Journal ids in rank order."""
-        return tuple(self.table.journal_id)
 
 
 @dataclass(frozen=True)
@@ -390,7 +385,7 @@ def build_ranked_set(
     for i, (journal_id, row_year, *_) in enumerate(rows):
         if row_year != year:
             raise ValidationError(
-                f"{journal_id!r}: record year {row_year} does not match set year {_shown(year)}"
+                f"{journal_id!r}: record year {row_year} != set year {_shown(year)}"
             )
         if rows[first.setdefault(journal_id, i)] != rows[i]:
             raise ValidationError(f"duplicate journal_id {journal_id!r} with conflicting values")

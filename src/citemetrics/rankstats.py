@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, common_rows,
-    id_positions,
+    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, _shown, basis_measure,
+    common_rows, id_positions,
 )
 
 DEFAULT_K_MIN = 10
@@ -49,9 +50,9 @@ class RankSeries:
     The constructor takes any sequences and converts each once; an array is
     copied, so a later write to it cannot change the series. Ranks may be
     Python or numpy integers (or bools, as Python counts them) up to the int64
-    maximum; values are converted as floats, and str or bytes values are
-    rejected. Two series are equal when their labels and both arrays are;
-    the hash is the label's.
+    maximum; values are converted as floats, and any value that is no number,
+    str and bytes included, is rejected. Two series are equal when their
+    labels and both arrays are; the hash is the label's.
     """
 
     ranks: np.ndarray
@@ -77,15 +78,15 @@ class RankSeries:
             # str and bytes, which fromiter would parse as numbers.
             numeric = isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "biuf"
             v = v.astype(float) if numeric else np.frombuffer(array("d", v))
-        except TypeError:
-            # NaN stands in for each str or bytes value, so the check below names it.
-            v = np.fromiter(
-                (math.nan if isinstance(x, (str, bytes)) else x for x in self.values), float, n
-            )
+        except (TypeError, ValueError, OverflowError):
+            v = np.full(n, math.nan)  # NaN stays for each value that is no number, named below
+            for i, x in enumerate(self.values):
+                with suppress(TypeError, ValueError, OverflowError):
+                    v[i] = array("d", (x,))[0]
         ok = (v > 0) & np.isfinite(v)
         if not ok.all():
             bad = self.values[int(np.argmin(ok))]
-            raise ValidationError(f"series values must be positive and finite, got {bad!r}")
+            raise ValidationError(f"series values must be positive and finite, got {_shown(bad)}")
         if self.label.measure is basis_measure(self.label.basis) and np.any(v[1:] > v[:-1]):
             raise ValidationError(
                 "values of the ranking measure must be non-increasing in rank"

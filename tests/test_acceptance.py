@@ -171,7 +171,7 @@ def test_criterion_5_cr_universality():
         spec = PROFILES[profile]
         for year in (spec.base_year + 4, spec.base_year + 5):
             fixture = build_fixture(profile, year)
-            rates = [r for _, r in derive_rates(fixture).rates]
+            rates = derive_rates(fixture).rates
             dist = empirical_pdf(rates, binning="log", scaling=Scaling.MEAN_SCALED)
             peak = pdf_peak_location(dist)
             peaks[f"{profile.value}:{year}"] = peak

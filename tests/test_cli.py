@@ -19,7 +19,7 @@ import citemetrics
 from citemetrics import cli, distfit
 from citemetrics.cli import run
 from citemetrics.errors import FitConvergenceError
-from citemetrics.ingest import store_dataset
+from citemetrics.ingest import store_dataset, write_csv
 from citemetrics.model import (
     MAX_FLOAT_INT, Basis, Discipline, JournalTable, JournalYearRecord, build_ranked_set,
 )
@@ -613,6 +613,23 @@ class TestErrorPaths:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "argv",
+        [["rank", "--set", "sci:citations:2005", "--measure", "n"], ["report"],
+         ["ingest", "--discipline", "sci", "--basis", "citations", "--year", "2005",
+          "--overwrite"]],
+        ids=["rank", "report", "ingest"],
+    )
+    def test_unreadable_manifest_is_exit_2_naming_it(self, workspace, tmp_path, capsys, argv):
+        manifest = workspace / "manifest.json"
+        manifest.unlink()
+        manifest.mkdir()
+        if argv[0] == "ingest":
+            argv = [*argv, "--input", str(tmp_path / "fix2005.csv")]
+        captured = invoke(capsys, *argv, "--workspace", str(workspace), expect=2)
+        assert captured.err == f"error: {manifest}: {os.strerror(errno.EISDIR)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "edit, fault",
         [({"cap": 5}, "1000 records exceed cap 5"),
          ({"year": 2001}, "record year 2005 != set year 2001")],
@@ -1007,3 +1024,53 @@ def test_report_sections_stay_local(tmp_path_factory, sets):
             if (a[:3], b[:3]) not in pairs:
                 pairs[a[:3], b[:3]] = strict_report(root, [a, b])
             assert entry in pairs[a[:3], b[:3]][name]
+
+
+def test_a_zero_citation_journal_is_skipped_as_a_zero_count_is(tmp_path, capsys):
+    """Its rate is 0, which log space cannot hold: the rate samples skip it, as
+    the count samples skip its citations, and its set keeps a Gumbel fit."""
+    ws = tmp_path / "ws"
+    rows = [(f"J{k:03d}", *SET_KINDS["healthy"](k)) for k in range(1, 100)] + [("J100", 0, 1.0, 5)]
+    store_rows(ws, rows)
+    dataset = load_json(invoke(capsys, "report", "--workspace", str(ws)))["datasets"][0]
+    assert "params" in dataset["gumbel"] and dataset["dropped_zero_articles"] == 0
+    common = ("--workspace", str(ws), "--set", "sci:citations:2007")
+    n_samples = {
+        measure: load_json(invoke(capsys, "dist", *common, "--measure", measure))["n_samples"]
+        for measure in ("n", "cr")
+    }
+    assert n_samples == {"n": 99, "cr": 99}
+    invoke(capsys, "fit-pareto", *common, "--measure", "cr")
+    invoke(capsys, "fit-gumbel", *common)
+
+
+def report_text(ws):
+    """stdout of `report` over the workspace ``ws``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["report", "--workspace", str(ws)]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(sets=workspaces(), data=st.data())
+def test_shuffled_csv_rows_and_blank_rows_ingest_to_an_equal_report(
+    tmp_path_factory, sets, data
+):
+    """Row order: CSVs with their rows shuffled and blank rows added ingest to a
+    report byte-equal to that of the sets stored as drawn."""
+    root = tmp_path_factory.mktemp("rows")
+    for discipline, basis, year, rows in sets:
+        store_rows(root / "stored", rows, discipline, basis, year)
+        csv = root / f"{discipline}_{basis}_{year}.csv"
+        write_csv(csv, JournalTable.from_rows((j, year, c, i, a) for j, c, i, a in rows))
+        header, *body = csv.read_text(encoding="utf-8").splitlines()
+        body = data.draw(st.permutations(body))
+        for _ in range(data.draw(st.integers(0, 3))):
+            body.insert(data.draw(st.integers(0, len(body))),
+                        data.draw(st.sampled_from(["", ",,,,", " , ,"])))
+        csv.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(["ingest", "--workspace", str(root / "ingested"), "--input", str(csv),
+                        "--discipline", discipline, "--basis", basis, "--year", str(year)]) == 0
+    assert report_text(root / "ingested") == report_text(root / "stored")

@@ -162,7 +162,7 @@ def test_matrix_cells_equal_single_pair_results(group, order):
 @given(ranked_years())
 def test_journal_ids_match_records(pair):
     ranked = pair[0]
-    assert ranked.journal_ids() == tuple(rec.journal_id for rec in ranked.records)
+    assert ranked.table.journal_id == [rec.journal_id for rec in ranked.records]
 
 
 def make_set():
@@ -207,7 +207,7 @@ class TestColumns:
 
     def test_trailing_nul_ids_stay_distinct(self):
         ranked = make_set()
-        assert ranked.journal_ids() == ("a", "a\x00", "\u00e9")
+        assert ranked.table.journal_id == ["a", "a\x00", "\u00e9"]
         other = build_ranked_set(
             [JournalYearRecord("a\x00", 2001, 5, 1.0, 1)], Discipline.SCI, Basis.CITATIONS, 2001
         )

@@ -41,6 +41,11 @@ class TestImpactFactor:
         swapped = RawCounts(12, 7, 9, 3)
         assert impact_factor(raw) == impact_factor(swapped)
 
+    def test_quotient_past_the_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="^impact factor exceeds the float range"):
+            impact_factor(RawCounts(10**400, 0, 1, 0))
+        assert impact_factor(RawCounts(10**400, 0, 10**399, 0)) == 10.0
+
     def test_rejects_negative_counts(self):
         with pytest.raises(ValidationError):
             RawCounts(-1, 0, 1, 1)
@@ -89,6 +94,11 @@ class TestCitationRate:
         with pytest.raises(ValidationError, match="undefined"):
             citation_rate(10, 0)
 
+    def test_quotient_past_the_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="^citation rate exceeds the float range"):
+            citation_rate(10**400, 1)
+        assert citation_rate(10**400, 10**399) == 10.0
+
     @pytest.mark.parametrize("citations, articles, name", [(True, 2, "citations"),
                                                           (2, True, "articles")])
     def test_bool_counts_rejected(self, citations, articles, name):
@@ -124,12 +134,12 @@ class TestDeriveRates:
         ranked = make_set([rec("a", 50, 5), rec("b", 40, 0), rec("c", 30, 3), rec("d", 20, 0)])
         result = derive_rates(ranked)
         assert result.dropped == ["b", "d"]
-        assert [jid for jid, _ in result.rates] == ["a", "c"]
+        assert result.ids == ("a", "c")
 
     def test_constant_rate_series(self):
         ranked = make_set([rec(f"J{i}", 2 * (i + 1), i + 1) for i in range(10)])
         result = derive_rates(ranked)
-        assert all(r == 2.0 for _, r in result.rates)
+        assert all(r == 2.0 for r in result.rates)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(16)
@@ -140,13 +150,13 @@ class TestDeriveRates:
         ranked = make_set(records)
         result = derive_rates(ranked)
         by_id = {r.journal_id: r for r in ranked.records}
-        for jid, rate in result.rates:
+        for jid, rate in zip(result.ids, result.rates, strict=True):
             assert rate == citation_rate(by_id[jid].citations, by_id[jid].articles)
 
     def test_rates_in_rank_order(self):
         ranked = make_set([rec("a", 10, 1), rec("b", 30, 2), rec("c", 20, 4)])
         result = derive_rates(ranked)
-        assert [jid for jid, _ in result.rates] == list(ranked.journal_ids())
+        assert list(result.ids) == ranked.table.journal_id
 
     def test_all_dropped_rejected(self):
         ranked = make_set([rec("a", 10, 0), rec("b", 5, 0)])

@@ -62,7 +62,7 @@ class TestBuildRankedSet:
     def test_tie_breaks_by_ascending_id(self):
         records = [rec("c", citations=5), rec("b", citations=9), rec("a", citations=9)]
         ranked = build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2000)
-        assert ranked.journal_ids() == ("a", "b", "c")
+        assert ranked.table.journal_id == ["a", "b", "c"]
 
     def test_truncates_to_cap_keeping_largest(self):
         records = [rec(f"J{i:04d}", citations=i) for i in range(1500)]
@@ -80,7 +80,7 @@ class TestBuildRankedSet:
         rng = np.random.default_rng(42)
         shuffled = [records[i] for i in rng.permutation(len(records))]
         ranked = build_ranked_set(shuffled, Discipline.SCI, Basis.CITATIONS, 2000)
-        assert ranked.journal_ids() == tuple(f"J{k:04d}" for k in ks)
+        assert ranked.table.journal_id == [f"J{k:04d}" for k in ks]
 
     def test_conflicting_duplicate_rejected_naming_journal(self):
         records = [rec("DUP", citations=5), rec("DUP", citations=6)]
@@ -107,7 +107,7 @@ class TestBuildRankedSet:
     def test_impact_factor_basis(self):
         records = [rec("a", impact=1.0), rec("b", impact=9.0)]
         ranked = build_ranked_set(records, Discipline.SCI, Basis.IMPACT_FACTOR, 2000)
-        assert ranked.journal_ids() == ("b", "a")
+        assert ranked.table.journal_id == ["b", "a"]
 
 
 class TestRankingProperties:
@@ -314,7 +314,7 @@ class TestColumnarSet:
         assert hash(from_table) == hash(from_records)
         assert "records" not in vars(from_table)
         assert from_table.records == records
-        assert from_table.journal_ids() == ("b", "a")
+        assert from_table.table.journal_id == ["b", "a"]
         assert from_table.column("cr")[0] == 9 / 5 and math.isnan(from_table.column("cr")[1])
 
     def test_is_immutable(self):
@@ -449,6 +449,14 @@ def ranked_outcome(build, rows, basis, cap):
     return ranked.cap, [tuple(map(repr, row)) for row in zip(*columns)]
 
 
+def reworded(outcome):
+    """The former sort's outcome in today's wording: a stray year reads ``!=``, as in
+    ``RankedSet``, where it read ``does not match``."""
+    if outcome[0] != "error":
+        return outcome
+    return "error", outcome[1].replace(" does not match set year ", " != set year ")
+
+
 @st.composite
 def records_with_repeats(draw):
     """Distinct-id records (a few in a stray year; tied, zero and past-2**53 values) with
@@ -483,7 +491,7 @@ def records_with_repeats(draw):
 @given(records=records_with_repeats(), basis=st.sampled_from(Basis),
        cap=st.sampled_from([1, 5, 1000]))
 def test_build_ranked_set_equals_former_record_sort(records, basis, cap):
-    expected = ranked_outcome(former_build_ranked_set, records, basis, cap)
+    expected = reworded(ranked_outcome(former_build_ranked_set, records, basis, cap))
     assert ranked_outcome(build_ranked_set, records, basis, cap) == expected
     table = JournalTable.from_records(records)
     assert ranked_outcome(build_ranked_set, table, basis, cap) == expected

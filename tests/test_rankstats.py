@@ -71,6 +71,17 @@ class TestRankSeries:
         with pytest.raises(ValidationError):
             series([1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [("x", "'x'"), (b"2", "b'2'"), (None, "None"), ([2.0], "[2.0]"), ({}, "{}"),
+         (10**5000, "an integer past the float range")],
+        ids=["str", "bytes", "none", "list", "dict", "huge_int"],
+    )
+    def test_rejects_non_numbers_naming_them(self, bad, shown):
+        with pytest.raises(ValidationError) as caught:
+            RankSeries((1, 2, 3), (2.0, bad, 1.0), LABEL)
+        assert str(caught.value) == f"series values must be positive and finite, got {shown}"
+
     def test_rejects_unsorted_ranks(self):
         with pytest.raises(ValidationError):
             RankSeries((2, 1), (2.0, 1.0), LABEL)
@@ -256,7 +267,7 @@ class TestSetOverlap:
         a = make_set(range(100, 50, -1))
         common, count = set_overlap(a, a)
         assert count == len(a)
-        assert list(common) == sorted(a.journal_ids())
+        assert list(common) == sorted(a.table.journal_id)
 
     def test_disjoint_sets(self):
         a = make_set(range(100, 90, -1))

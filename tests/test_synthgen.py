@@ -138,7 +138,7 @@ class TestBuildFixture:
         spec = PROFILES[profile]
         for year in (spec.base_year + 4, spec.base_year + 5):
             fixture = build_fixture(profile, year)
-            rates = [r for _, r in derive_rates(fixture).rates]
+            rates = derive_rates(fixture).rates
             dist = empirical_pdf(rates, binning="log", scaling=Scaling.MEAN_SCALED)
             assert 0.4 <= pdf_peak_location(dist) <= 0.6
 
@@ -175,7 +175,7 @@ class TestBuildFixture:
     def test_sci_rate_curve_ks_deviation(self):
         # 12-point collapsed-curve comparison for the citation-ranked profile
         fixture = build_fixture(FixtureProfile.SCI_SET_I, 2000)
-        rates = np.array([r for _, r in derive_rates(fixture).rates])
+        rates = derive_rates(fixture).rates
         scaled = rates / rates.mean()
         params, _ = gumbel_fit(scaled)
         ks = gumbel_curve_ks(scaled, params, n_points=12)
@@ -184,7 +184,7 @@ class TestBuildFixture:
 
     def test_socsci_rate_curve_ks_below_critical(self):
         fixture = build_fixture(FixtureProfile.SOCSCI_SET_I, 2007)
-        rates = np.array([r for _, r in derive_rates(fixture).rates])
+        rates = derive_rates(fixture).rates
         scaled = rates / rates.mean()
         params, _ = gumbel_fit(scaled)
         ks = gumbel_curve_ks(scaled, params, n_points=14, significance=0.05)
@@ -197,7 +197,7 @@ class TestBuildFixture:
             (FixtureProfile.SCI_SET_II, -0.5711, 0.5986),
         ):
             fixture = build_fixture(profile, 2005)
-            rates = np.array([r for _, r in derive_rates(fixture).rates])
+            rates = derive_rates(fixture).rates
             params, _ = gumbel_fit(rates / rates.mean())
             assert abs(params.a - a) < 0.05
             assert abs(params.b - b) < 0.05
