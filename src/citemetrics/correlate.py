@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .model import Measure, RankedSet, common_rows, finite_samples, id_positions
+from .model import Measure, RankedSet, common_rows, finite_samples, float_sample, id_positions
 from .rankstats import SeriesLabel
 
 MIN_PAIRS = 2
@@ -68,12 +68,9 @@ def pearson(
     counted rather than aborting: truncated real tables contain occasional
     zeros. ValidationError if NaN or inf is left after the transform.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError(
-            f"series must be 1-d and equally long, got {x.shape} and {y.shape}"
-        )
+    x, y = float_sample(xs, "xs"), float_sample(ys, "ys")
+    if x.size != y.size:
+        raise ValidationError(f"series must be equally long, got {x.size} and {y.size}")
     dropped = 0
     if transform is Transform.LOG_LOG:
         keep = (x > 0) & (y > 0)
@@ -92,13 +89,7 @@ def pearson(
         raise ValidationError("degenerate series: zero variance after transform")
     r = float(np.sum(dx * dy) / math.sqrt(sxx * syy))
     r = max(-1.0, min(1.0, r))
-    return CorrelationReport(
-        r_value=r,
-        n_pairs=int(x.size),
-        transform=transform,
-        subjects=subjects,
-        dropped_pairs=dropped,
-    )
+    return CorrelationReport(r, int(x.size), transform, subjects, dropped)
 
 
 def _label(ranked: RankedSet, measure: Measure) -> str:
@@ -120,7 +111,7 @@ def dynamic_correlation(
     """
     if year_a.basis is not year_b.basis or year_a.discipline is not year_b.discipline:
         raise ValidationError("dynamic correlation requires matching discipline and basis")
-    rows_a, rows_b = common_rows(*id_positions([year_a, year_b])[1]) if rows is None else rows
+    rows_a, rows_b = common_rows(*id_positions([year_a, year_b])) if rows is None else rows
     if rows_a.size < MIN_PAIRS:
         raise ValidationError(f"overlap of {rows_a.size} journals is too small to correlate")
     xs = year_a.column(field_)[rows_a]
@@ -164,9 +155,8 @@ def binned_trend(
     Bin i holds edges[i] <= x < edges[i + 1]; the last bin also holds the
     largest x.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
+    x, y = float_sample(xs, "xs"), float_sample(ys, "ys")
+    if x.size != y.size or x.size == 0:
         raise ValidationError("xs and ys must be equally long 1-d series")
     finite_samples(x, "xs")
     finite_samples(y, "ys")
@@ -211,7 +201,7 @@ def correlation_matrix(
         raise ValidationError("duplicate years in correlation matrix input")
     years = tuple(sorted(by_year))
     sets = [by_year[y] for y in years]
-    _, positions = id_positions(sets)
+    positions = id_positions(sets)
     transform = Transform.RANK_RANK if field_ is Measure.RANK else Transform.LOG_LOG
     cells: dict[tuple[int, int], CorrelationReport | str] = {}
     for i, a in enumerate(sets):

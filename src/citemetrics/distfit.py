@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError, ValidationError
-from .model import FitMethod, FitResult, finite_samples
+from .model import FitMethod, FitResult, finite_samples, float_sample
 
 EULER_GAMMA = 0.5772156649015329
 MIN_TAIL_SAMPLES = 50
@@ -332,8 +332,9 @@ def gumbel_log_pdf(x, params: GumbelParams):
     """
     # Below z = -709.8 expm1(-z) overflows to inf and the density is 0; the
     # floor keeps x = -inf at that limit instead of -inf + inf = NaN.
-    z = np.maximum((np.asarray(x, dtype=float) - params.a) / params.b, -1e3)
+    # A subnormal scale overflows z to +-inf and the peak 1/(b e) to inf.
     with np.errstate(over="ignore"):  # expm1(-z) -> inf far left, pdf underflows to 0
+        z = np.maximum((np.asarray(x, dtype=float) - params.a) / params.b, -1e3)
         out = np.exp(-1.0 - np.maximum(z + np.expm1(-z), 0.0)) / params.b
     if out.ndim == 0:
         return float(out)
@@ -342,8 +343,8 @@ def gumbel_log_pdf(x, params: GumbelParams):
 
 def gumbel_cdf(x, params: GumbelParams):
     """Gumbel cumulative distribution exp(-exp(-z))."""
-    z = (np.asarray(x, dtype=float) - params.a) / params.b
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a subnormal scale sends z to +-inf: a step at a
+        z = (np.asarray(x, dtype=float) - params.a) / params.b
         out = np.exp(-np.exp(-z))
     if out.ndim == 0:
         return float(out)
@@ -624,11 +625,9 @@ def gumbel_fit(
     LogLogLeastSquares fits the binned density curve instead, which is less
     efficient but insensitive to tail outliers.
     """
-    r = np.asarray(scaled_rates, dtype=float)
+    r = float_sample(scaled_rates, "rates")
     if r.size < MIN_GUMBEL_SAMPLES:
-        raise ValidationError(
-            f"need at least {MIN_GUMBEL_SAMPLES} rates, have {r.size}"
-        )
+        raise ValidationError(f"need at least {MIN_GUMBEL_SAMPLES} rates, have {r.size}")
     finite_samples(r, "rates")
     if np.any(r <= 0):
         raise ValidationError("rates must be strictly positive")

@@ -8,14 +8,14 @@ citation_rate:   r(T) = n(T) / N(T), citations per article published in T
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import RankedSet
+from .model import RankedSet, _shown
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,16 @@ class RawCounts:
     per_paper_citations: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in (
-            "cites_to_y_minus_1",
-            "cites_to_y_minus_2",
-            "articles_y_minus_1",
-            "articles_y_minus_2",
-        ):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+        for count in fields(self)[:4]:
+            _check_count(getattr(self, count.name), f"{count.name} must be a non-negative integer")
         if self.per_paper_citations is not None:
             annual_citations(self.per_paper_citations)
+
+
+def _check_count(value, rule: str) -> None:
+    """ValidationError ``{rule}, got {value}`` unless ``value`` is an int >= 0."""
+    if type(value) is not int or value < 0:
+        raise ValidationError(f"{rule}, got {_shown(value)}")
 
 
 def impact_factor(raw: RawCounts) -> float:
@@ -68,18 +67,15 @@ def annual_citations(per_paper_citations: Iterable[int]) -> int:
     """
     total = 0
     for c in per_paper_citations:
-        if type(c) is not int or c < 0:
-            raise ValidationError(f"per-paper citation counts must be non-negative integers, got {c!r}")
+        _check_count(c, "per-paper citation counts must be non-negative integers")
         total += c
     return total
 
 
 def citation_rate(citations: int, articles: int) -> float:
     """Annual citation rate r = n(T)/N(T)."""
-    if type(citations) is not int or citations < 0:
-        raise ValidationError(f"citations must be a non-negative integer, got {citations!r}")
-    if type(articles) is not int or articles < 0:
-        raise ValidationError(f"articles must be a non-negative integer, got {articles!r}")
+    _check_count(citations, "citations must be a non-negative integer")
+    _check_count(articles, "articles must be a non-negative integer")
     if articles == 0:
         raise ValidationError("citation rate undefined for zero articles")
     try:

@@ -11,10 +11,12 @@ the record, the table's search for its first bad row and ``parse_csv`` share.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -321,8 +323,8 @@ class FitResult:
                 raise ValidationError(f"stderr[{name!r}] must be finite and >= 0, got {err}")
 
 
-def id_positions(sets: Sequence[RankedSet]) -> tuple[list[str], list[np.ndarray]]:
-    """Integer id codes shared by several sets, and each set's rows by code.
+def id_positions(sets: Sequence[RankedSet]) -> list[np.ndarray]:
+    """Each set's rows by an integer id code shared by all the sets.
 
     Code ``c`` is the ``c``-th id of the sets' sorted id union, so codes
     ascend in Python string order. Element ``c`` of a set's array is that
@@ -336,7 +338,7 @@ def id_positions(sets: Sequence[RankedSet]) -> tuple[list[str], list[np.ndarray]
         rows = np.full(len(union), -1, dtype=np.intp)
         rows[np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))] = np.arange(len(ids))
         positions.append(rows)
-    return union, positions
+    return positions
 
 
 def common_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,9 +351,34 @@ def common_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.
     return rows_a[shared], rows_b[shared]
 
 
+def float_sample(values: Sequence[float], what: str, must: str = "real numbers",
+                 ok: Callable = lambda x: True) -> np.ndarray:
+    """A caller's sample as a 1-d float64 array: the package's one rule for numbers.
+
+    A 1-d numpy array of bools, ints or floats converts whole (a float64 one
+    is not copied), any other sequence item by item as ``array("d")`` reads
+    items; NaN and inf pass. ValidationError names any other input, and the
+    first item that is no real number or fails the elementwise test ``ok``.
+    """
+    whole = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf"
+    # str, bytes and a mapping's or set's keys would iterate as numbers
+    if not whole and (isinstance(values, (str, bytes, bytearray, memoryview, Mapping, Set))
+                      or getattr(values, "ndim", 1) != 1 or not hasattr(values, "__len__")):
+        raise ValidationError(f"{what} must be a 1-d sequence of numbers, got {type(values).__name__}")
+    with suppress(TypeError, ValueError, OverflowError):  # raised by an item that is no number
+        x = values.astype(float, copy=False) if whole else np.frombuffer(array("d", values))
+        if np.all(ok(x)):
+            return x
+    for item in values:  # name the first item at fault
+        with suppress(TypeError, ValueError, OverflowError):
+            if ok(array("d", (item,))[0]):
+                continue
+        raise ValidationError(f"{what} must be {must}, got {_shown(item)}")
+
+
 def finite_samples(values: Sequence[float], what: str) -> np.ndarray:
-    """``values`` as a float array; ValidationError if it is empty or holds NaN or inf."""
-    x = np.asarray(values, dtype=float)
+    """``float_sample(values, what)``; ValidationError if it is empty or holds NaN or inf."""
+    x = float_sample(values, what)
     if x.size == 0:
         raise ValidationError(f"no {what} given")
     if not np.all(np.isfinite(x)):

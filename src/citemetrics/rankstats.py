@@ -9,8 +9,6 @@ value ~ A * k**(-b).
 from __future__ import annotations
 
 import math
-from array import array
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -19,8 +17,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, _shown, basis_measure,
-    common_rows, id_positions,
+    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure,
+    common_rows, float_sample, id_positions,
 )
 
 DEFAULT_K_MIN = 10
@@ -50,9 +48,10 @@ class RankSeries:
     The constructor takes any sequences and converts each once; an array is
     copied, so a later write to it cannot change the series. Ranks may be
     Python or numpy integers (or bools, as Python counts them) up to the int64
-    maximum; values are converted as floats, and any value that is no number,
-    str and bytes included, is rejected. Two series are equal when their
-    labels and both arrays are; the hash is the label's.
+    maximum; values are read by the package's one rule for samples,
+    ``model.float_sample``, so any value that is no number, str and bytes
+    included, is rejected. Two series are equal when their labels and both
+    arrays are; the hash is the label's.
     """
 
     ranks: np.ndarray
@@ -61,6 +60,8 @@ class RankSeries:
 
     def __post_init__(self):
         n = len(self.ranks)
+        if not hasattr(self.values, "__len__"):  # a scalar: the sample rule names it
+            float_sample(self.values, "series values")
         if n != len(self.values):
             raise ValidationError("ranks and values must have equal length")
         if not n:
@@ -72,25 +73,12 @@ class RankSeries:
         if not (k.dtype.kind in "biu" and k.ndim == 1 and k[0] >= 1 and k[-1] <= _INT64_MAX
                 and np.all(k[1:] > k[:-1])):
             raise ValidationError("ranks must be strictly increasing integers >= 1")
-        v = self.values
-        try:
-            # array("d") converts numbers as np.fromiter does but rejects
-            # str and bytes, which fromiter would parse as numbers.
-            numeric = isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "biuf"
-            v = v.astype(float) if numeric else np.frombuffer(array("d", v))
-        except (TypeError, ValueError, OverflowError):
-            v = np.full(n, math.nan)  # NaN stays for each value that is no number, named below
-            for i, x in enumerate(self.values):
-                with suppress(TypeError, ValueError, OverflowError):
-                    v[i] = array("d", (x,))[0]
-        ok = (v > 0) & np.isfinite(v)
-        if not ok.all():
-            bad = self.values[int(np.argmin(ok))]
-            raise ValidationError(f"series values must be positive and finite, got {_shown(bad)}")
+        v = float_sample(self.values, "series values", "positive and finite",
+                         lambda x: (x > 0) & np.isfinite(x))
+        if v is self.values:
+            v = v.copy()
         if self.label.measure is basis_measure(self.label.basis) and np.any(v[1:] > v[:-1]):
-            raise ValidationError(
-                "values of the ranking measure must be non-increasing in rank"
-            )
+            raise ValidationError("values of the ranking measure must be non-increasing in rank")
         k = k.astype(np.int64, copy=False)
         k.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "ranks", k)
@@ -189,7 +177,7 @@ def set_overlap(a: RankedSet, b: RankedSet) -> tuple[tuple[str, ...], int]:
 
 def rank_scatter(a: RankedSet, b: RankedSet) -> list[tuple[str, int, int]]:
     """(journal_id, rank in a, rank in b) for the common journals, by ascending id."""
-    rows_a, rows_b = common_rows(*id_positions([a, b])[1])
+    rows_a, rows_b = common_rows(*id_positions([a, b]))
     ids = map(a.table.journal_id.__getitem__, rows_a.tolist())
     return list(zip(ids, (rows_a + 1).tolist(), (rows_b + 1).tolist()))
 

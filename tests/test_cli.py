@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1074,3 +1075,42 @@ def test_shuffled_csv_rows_and_blank_rows_ingest_to_an_equal_report(
             assert run(["ingest", "--workspace", str(root / "ingested"), "--input", str(csv),
                         "--discipline", discipline, "--basis", basis, "--year", str(year)]) == 0
     assert report_text(root / "ingested") == report_text(root / "stored")
+
+
+@settings(max_examples=15, deadline=None)
+@given(sets=workspaces(),
+       prefix=st.text(st.characters(codec="utf-8", categories=("L", "N", "P", "S")),
+                      min_size=1, max_size=4))
+def test_an_order_preserving_id_map_gives_an_equal_report(tmp_path_factory, sets, prefix):
+    """Id relabelling: prefixing every journal id with one string keeps the ids'
+    order, so the report is byte-equal to that of the sets as drawn."""
+    root = tmp_path_factory.mktemp("ids")
+    relabelled = [(d, b, y, [(prefix + j, *rest) for j, *rest in rows]) for d, b, y, rows in sets]
+    for name, workspace in (("drawn", sets), ("relabelled", relabelled)):
+        for discipline, basis, year, rows in workspace:
+            store_rows(root / name, rows, discipline, basis, year)
+    assert report_text(root / "relabelled") == report_text(root / "drawn")
+
+
+@settings(max_examples=15, deadline=None)
+@given(sets=workspaces(), data=st.data())
+def test_scaling_impact_factors_by_a_power_of_two_keeps_rank_correlations_and_overlaps(
+    tmp_path_factory, sets, data
+):
+    """Impact-factor scale: multiplying the impact factors of IF-ranked sets by
+    2**j keeps their order, so every rank correlation and overlap of the report
+    is equal. j keeps each product exact: a normal float stays normal (binary
+    exponent -1021..1024), and a subnormal one is only scaled up."""
+    exponents = [math.frexp(f)[1] for _, b, _, rows in sets if b == "if" for *_, f, _ in rows if f]
+    j = data.draw(st.integers(max([-8] + [min(0, -1021 - e) for e in exponents]),
+                              min([8] + [1024 - e for e in exponents])))
+    scaled = [(d, b, y, [(i, c, f * 2.0**j if b == "if" else f, a) for i, c, f, a in rows])
+              for d, b, y, rows in sets]
+    root = tmp_path_factory.mktemp("if_scale")
+    drawn, rescaled = (strict_report(root, workspace) for workspace in (sets, scaled))
+
+    def ranks_and_overlaps(report):
+        ranks = [{k: v for k, v in e.items() if k != "value"} for e in report["dynamic_correlations"]]
+        return ranks, report["consecutive_overlaps"]
+
+    assert ranks_and_overlaps(rescaled) == ranks_and_overlaps(drawn)

@@ -266,6 +266,7 @@ fit_params = mostly(
        kind=st.sampled_from(FILE_KINDS), cut=st.integers(0, 60))
 @example(payload={"params": {"a": -0.5, "b": 0.8}}, kind="deep", cut=0)
 @example(payload={"params": {"a": -0.5, "b": -1}}, kind="json", cut=0)
+@example(payload={"params": {"a": -0.5, "b": 5e-324}}, kind="json", cut=0)  # subnormal scale
 def test_fuzzed_fit_report_exits_cleanly(stored, payload, kind, cut):
     root, _ = stored
     fit = root / "fit.json"

@@ -162,3 +162,16 @@ class TestDeriveRates:
         ranked = make_set([rec("a", 10, 0), rec("b", 5, 0)])
         with pytest.raises(ValidationError, match="zero articles"):
             derive_rates(ranked)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: citation_rate(-10**5000, 1), "^citations must"),
+     (lambda: RawCounts(-10**5000, 0, 1, 0), "^cites_to_y_minus_1 must"),
+     (lambda: annual_citations([-10**5000]), "^per-paper citation counts must")],
+    ids=["citation_rate", "RawCounts", "annual_citations"],
+)
+def test_an_int_too_long_to_print_is_named_without_its_digits(call, message):
+    with pytest.raises(ValidationError, match=message) as caught:
+        call()
+    assert str(caught.value).endswith("got an integer past the float range")
