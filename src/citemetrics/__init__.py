@@ -14,8 +14,8 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "errors": "CitemetricsError FitConvergenceError ValidationError WorkspaceError",
-        "model": "Basis Discipline FitMethod FitResult JournalTable JournalYearRecord Measure "
-                 "RankedSet build_ranked_set",
+        "model": "Basis Discipline FitMethod FitResult JournalTable Measure RankedSet "
+                 "build_ranked_set",
         "indices": "RawCounts annual_citations citation_rate derive_rates impact_factor",
         "ingest": "load_dataset parse_csv read_manifest store_dataset write_csv",
         "rankstats": "RankSeries SeriesLabel rank_scatter rank_series scale_by_mean set_overlap "

@@ -28,10 +28,9 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ValidationError, WorkspaceError
-from .model import Basis, Discipline, JournalTable, JournalYearRecord, RankedSet, row_fault
+from .model import Basis, Discipline, JournalTable, RankedSet, row_fault
 
 COLUMNS = ("journal_id", "year", "citations", "impact_factor", "articles")
 MANIFEST_NAME = "manifest.json"
@@ -154,11 +153,9 @@ def _csv_text(table: JournalTable) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: str | Path, records: JournalTable | Iterable[JournalYearRecord]) -> None:
-    """Write a table, or records, as CSV in the canonical column order (see ``_csv_text``)."""
-    Path(path).write_text(
-        _csv_text(JournalTable.from_records(records)), encoding="utf-8", newline=""
-    )
+def write_csv(path: str | Path, table: JournalTable) -> None:
+    """Write a table as CSV in the canonical column order (see ``_csv_text``)."""
+    Path(path).write_text(_csv_text(table), encoding="utf-8", newline="")
 
 
 # --- workspace -------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Core domain types: journal-year tables and records, ranked journal sets,
-fit results.
+"""Core domain types: journal-year tables, ranked journal sets, fit results.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``, so a constructed object can be shared freely. Inside the
-package journal-year rows travel as a ``JournalTable``: a ``RankedSet`` stores
-one. Each row rule and its message are written once, in ``row_fault``, which
-the record, the table's search for its first bad row and ``parse_csv`` share.
+``__post_init__``, so a constructed object can be shared freely. Journal-year
+rows travel as a ``JournalTable``: a ``RankedSet`` stores one. Each row rule
+and its message are written once, in ``row_fault``, which the table's search
+for its first bad row and ``parse_csv`` share.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ from .errors import ValidationError
 DEFAULT_CAP = 1000
 # The largest integer whose float is finite: 2**1024 - 2**970 rounds up to 2**1024.
 MAX_FLOAT_INT = 2**1024 - 2**970 - 1
+# Raised by reading an item that is no real number; float_sample makes numpy's ComplexWarning one.
+_NO_NUMBER = (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning)
 
 
 class Discipline(str, Enum):
@@ -60,46 +61,16 @@ class FitMethod(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class JournalYearRecord:
-    """One journal in one calendar year.
-
-    Attributes
-    ----------
-    journal_id : str
-        Opaque non-empty key, unique within a ranked set, with no leading or
-        trailing whitespace.
-    year : int
-        Calendar year the counts refer to, >= 0. Years and counts are ``int``,
-        not ``bool``, and at most ``MAX_FLOAT_INT``.
-    citations : int
-        Annual citations n: all citations received this year, >= 0.
-    impact_factor : float
-        Impact factor I as supplied by the source table, >= 0; an ``int`` must
-        be exactly a float.
-    articles : int
-        Articles N published this year, >= 0.
-    """
-
-    journal_id: str
-    year: int
-    citations: int
-    impact_factor: float
-    articles: int
-
-    def __post_init__(self):
-        if fault := row_fault(self.journal_id, self.year, self.citations,
-                              self.impact_factor, self.articles):
-            raise ValidationError(f"{_shown(self.journal_id)}: {fault}")
-
-
-@dataclass(frozen=True, slots=True)
 class JournalTable:
     """Journal-year rows stored as one list per field, in row order.
 
-    A table holds what a list of ``JournalYearRecord`` holds, and accepts
-    exactly the values a record accepts, but checks them column by column.
-    Counts stay Python ints, so they are exact at any size. ``records()``
-    gives the rows as records.
+    Row ``i`` is journal ``journal_id[i]`` (non-empty, unique within a ranked
+    set, no leading or trailing whitespace) in calendar year ``year[i]``, with
+    its annual citations n, impact factor I as the source gives it, and
+    articles N. Years and counts are ``int``, not ``bool``, in
+    0..``MAX_FLOAT_INT``; an impact factor is finite and >= 0, an ``int`` one
+    exactly a float. Counts stay Python ints, so they are exact at any size.
+    The columns are checked whole; after a fault, each row in turn by ``row_fault``.
     """
 
     journal_id: list[str]
@@ -127,16 +98,10 @@ class JournalTable:
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
-            self.records()  # raises the first invalid row's error, as its record would
-
-    @classmethod
-    def from_records(cls, records: JournalTable | Iterable[JournalYearRecord]) -> JournalTable:
-        """Records as a table; a table is returned as it is."""
-        if isinstance(records, JournalTable):
-            return records
-        return cls.from_rows(
-            (r.journal_id, r.year, r.citations, r.impact_factor, r.articles) for r in records
-        )
+            for row in zip(self.journal_id, self.year, self.citations, self.impact_factor,
+                           self.articles):
+                if fault := row_fault(*row):
+                    raise ValidationError(f"{_shown(row[0])}: {fault}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> JournalTable:
@@ -147,13 +112,9 @@ class JournalTable:
     def __len__(self) -> int:
         return len(self.journal_id)
 
-    def records(self) -> list[JournalYearRecord]:
-        return list(map(JournalYearRecord, self.journal_id, self.year, self.citations,
-                        self.impact_factor, self.articles))
-
 
 def _ints_valid(col: list[int]) -> bool:
-    """True if every year or count is an int in 0..MAX_FLOAT_INT, as a record requires."""
+    """True if every year or count is an int in 0..MAX_FLOAT_INT, as ``row_fault`` requires."""
     return (
         {int}.issuperset(map(type, col))
         and min(col, default=0) >= 0
@@ -163,7 +124,7 @@ def _ints_valid(col: list[int]) -> bool:
 
 def row_fault(journal_id, year, citations, impact_factor, articles) -> str | None:
     """The row's first fault in the CSV's order (year, citations, impact factor,
-    articles, id), or None: every row rule's one wording. A record prefixes it
+    articles, id), or None: every row rule's one wording. A table prefixes it
     with the row's id, ``parse_csv`` with the file line."""
     fault = (_int_fault("year", year) or _int_fault("citations", citations)
              or _impact_fault(impact_factor) or _int_fault("articles", articles))
@@ -203,6 +164,15 @@ def _shown(value) -> str:
     return "an integer past the float range" if huge else repr(value)
 
 
+def _first_rows(table: JournalTable, year: int) -> Iterable[tuple[int, int]]:
+    """Each row's index and its id's first row's index, in row order; raises at a stray year."""
+    first: dict[str, int] = {}
+    for i, (journal_id, row_year) in enumerate(zip(table.journal_id, table.year)):
+        if row_year != year:
+            raise ValidationError(f"{journal_id!r}: record year {row_year} != set year {_shown(year)}")
+        yield i, first.setdefault(journal_id, i)
+
+
 @dataclass(frozen=True)
 class RankedSet:
     """A discipline+basis+year labelled collection, sorted by the basis field.
@@ -214,9 +184,9 @@ class RankedSet:
     The stored field is ``table``, a validated ``JournalTable`` already in
     rank order: ``RankedSet(discipline, basis, year, table, cap)``, as
     ``load_dataset`` does. ``build_ranked_set`` sorts, deduplicates and
-    truncates a table or records into one. ``records`` and the per-measure
-    columns that analyses read (``column``) are built from the table on
-    first use; the columns are cached as read-only arrays.
+    truncates a table into one. The per-measure columns that analyses read
+    (``column``) are built from the table on first use and cached as
+    read-only arrays.
     """
 
     discipline: Discipline
@@ -237,15 +207,9 @@ class RankedSet:
             raise ValidationError(f"set year must be an integer, got {self.year!r}")
         ids = table.journal_id
         if table.year.count(self.year) != len(ids) or len(set(ids)) != len(ids):
-            seen = set()
-            for journal_id, year in zip(ids, table.year):
-                if year != self.year:
-                    raise ValidationError(
-                        f"{journal_id!r}: record year {year} != set year {_shown(self.year)}"
-                    )
-                if journal_id in seen:
-                    raise ValidationError(f"duplicate journal_id {journal_id!r}")
-                seen.add(journal_id)
+            for i, first in _first_rows(table, self.year):
+                if i != first:
+                    raise ValidationError(f"duplicate journal_id {ids[i]!r}")
         # build_ranked_set's order: each value no larger than the one before, and
         # equal values in ascending id order.
         values = table.citations if self.basis is Basis.CITATIONS else table.impact_factor
@@ -263,10 +227,10 @@ class RankedSet:
     def __len__(self) -> int:
         return len(self.table)
 
-    @cached_property
-    def records(self) -> tuple[JournalYearRecord, ...]:
-        """The journals as records, in rank order."""
-        return tuple(self.table.records())
+    @property
+    def records(self) -> JournalTable:
+        """``table``, read only by ``bench/run.py`` until it reads ``table`` (ROADMAP item 1a)."""
+        return self.table
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
@@ -365,15 +329,19 @@ def float_sample(values: Sequence[float], what: str, must: str = "real numbers",
     if not whole and (isinstance(values, (str, bytes, bytearray, memoryview, Mapping, Set))
                       or getattr(values, "ndim", 1) != 1 or not hasattr(values, "__len__")):
         raise ValidationError(f"{what} must be a 1-d sequence of numbers, got {type(values).__name__}")
-    with suppress(TypeError, ValueError, OverflowError):  # raised by an item that is no number
-        x = values.astype(float, copy=False) if whole else np.frombuffer(array("d", values))
-        if np.all(ok(x)):
-            return x
-    for item in values:  # name the first item at fault
-        with suppress(TypeError, ValueError, OverflowError):
-            if ok(array("d", (item,))[0]):
-                continue
-        raise ValidationError(f"{what} must be {must}, got {_shown(item)}")
+    if whole and np.all(ok(x := values.astype(float, copy=False))):
+        return x  # a real dtype holds no complex item
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with suppress(*_NO_NUMBER):
+            if np.all(ok(x := np.frombuffer(array("d", values)))):
+                return x
+        for item in values:  # name the first item at fault
+            with suppress(*_NO_NUMBER):
+                if ok(array("d", (item,))[0]):
+                    continue
+            raise ValidationError(f"{what} must be {must}, got {_shown(item)}")
 
 
 def finite_samples(values: Sequence[float], what: str) -> np.ndarray:
@@ -387,13 +355,13 @@ def finite_samples(values: Sequence[float], what: str) -> np.ndarray:
 
 
 def build_ranked_set(
-    records: JournalTable | Iterable[JournalYearRecord],
+    table: JournalTable,
     discipline: Discipline,
     basis: Basis,
     year: int,
     cap: int = DEFAULT_CAP,
 ) -> RankedSet:
-    """Sort, deduplicate and truncate a table, or records, into a RankedSet.
+    """Sort, deduplicate and truncate a table into a RankedSet.
 
     Rows sort non-increasing by the basis field, ties broken by ascending
     journal_id. Exact duplicate rows collapse silently into the first; the
@@ -402,22 +370,19 @@ def build_ranked_set(
     """
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {_shown(cap)}")
-    table = JournalTable.from_records(records)
     if not len(table):
         raise ValidationError("cannot rank an empty record list")
 
     rows = list(zip(table.journal_id, table.year, table.citations, table.impact_factor,
                     table.articles))
-    first: dict[str, int] = {}
-    for i, (journal_id, row_year, *_) in enumerate(rows):
-        if row_year != year:
-            raise ValidationError(
-                f"{journal_id!r}: record year {row_year} != set year {_shown(year)}"
-            )
-        if rows[first.setdefault(journal_id, i)] != rows[i]:
-            raise ValidationError(f"duplicate journal_id {journal_id!r} with conflicting values")
+    keep = []
+    for i, first in _first_rows(table, year):
+        if i == first:
+            keep.append(i)
+        elif rows[i] != rows[first]:
+            raise ValidationError(f"duplicate journal_id {rows[i][0]!r} with conflicting values")
 
     values = table.citations if basis is Basis.CITATIONS else table.impact_factor
-    keep = sorted(first.values(), key=lambda i: (-float(values[i]), table.journal_id[i]))
+    keep.sort(key=lambda i: (-float(values[i]), table.journal_id[i]))
     kept = JournalTable.from_rows(rows[i] for i in keep[:cap])
     return RankedSet(discipline, basis, year, kept, cap)

@@ -59,9 +59,12 @@ class RankSeries:
     label: SeriesLabel
 
     def __post_init__(self):
+        ranks_rule = "ranks must be strictly increasing integers >= 1"
+        if getattr(self.ranks, "ndim", 1) == 0 or not hasattr(self.ranks, "__len__"):  # a scalar
+            raise ValidationError(ranks_rule)
+        if getattr(self.values, "ndim", 1) == 0 or not hasattr(self.values, "__len__"):
+            float_sample(self.values, "series values")  # a scalar: the sample rule names it
         n = len(self.ranks)
-        if not hasattr(self.values, "__len__"):  # a scalar: the sample rule names it
-            float_sample(self.values, "series values")
         if n != len(self.values):
             raise ValidationError("ranks and values must have equal length")
         if not n:
@@ -72,7 +75,7 @@ class RankSeries:
             k = np.empty(0)
         if not (k.dtype.kind in "biu" and k.ndim == 1 and k[0] >= 1 and k[-1] <= _INT64_MAX
                 and np.all(k[1:] > k[:-1])):
-            raise ValidationError("ranks must be strictly increasing integers >= 1")
+            raise ValidationError(ranks_rule)
         v = float_sample(self.values, "series values", "positive and finite",
                          lambda x: (x > 0) & np.isfinite(x))
         if v is self.values:

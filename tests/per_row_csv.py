@@ -13,7 +13,7 @@ from pathlib import Path
 
 from citemetrics.errors import ValidationError
 from citemetrics.ingest import COLUMNS
-from citemetrics.model import MAX_FLOAT_INT, JournalYearRecord
+from citemetrics.model import MAX_FLOAT_INT, row_fault
 
 
 def parse_int(text, column, line_no):
@@ -48,7 +48,8 @@ def parse_float(text, column, line_no):
 
 
 def per_row_parse_csv(path):
-    """The file's rows as records, blank rows skipped, each row checked in turn."""
+    """The file's rows as ``(journal_id, year, citations, impact_factor, articles)``
+    tuples, blank rows skipped, each row checked in turn."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
@@ -82,5 +83,7 @@ def per_row_parse_csv(path):
             )
             if not journal_id:
                 raise ValidationError(f"line {line_no}: journal_id must be a non-empty string")
-            records.append(JournalYearRecord(journal_id, *fields))
+            if fault := row_fault(journal_id, *fields):  # worded as for a table row
+                raise ValidationError(f"{journal_id!r}: {fault}")
+            records.append((journal_id, *fields))
     return records

@@ -22,7 +22,7 @@ from citemetrics.cli import run
 from citemetrics.errors import FitConvergenceError
 from citemetrics.ingest import store_dataset, write_csv
 from citemetrics.model import (
-    MAX_FLOAT_INT, Basis, Discipline, JournalTable, JournalYearRecord, build_ranked_set,
+    MAX_FLOAT_INT, Basis, Discipline, JournalTable, build_ranked_set,
 )
 from citemetrics.synthgen import PROFILES, build_fixture
 
@@ -848,32 +848,6 @@ class TestReport:
         invoke(capsys, "report", "--workspace", str(empty), expect=2)
 
 
-class TestRowType:
-    def test_package_paths_build_no_records(self, tmp_path, capsys, monkeypatch):
-        """Fixtures, ingest, synth and report pass tables; no JournalYearRecord is built."""
-        built = []
-        check = JournalYearRecord.__post_init__
-
-        def counted(record):
-            built.append(record.journal_id)
-            check(record)
-
-        monkeypatch.setattr(JournalYearRecord, "__post_init__", counted)
-        ws = tmp_path / "ws"
-        for profile, spec in PROFILES.items():
-            store_dataset(ws, build_fixture(profile, spec.base_year))
-        csv = tmp_path / "f.csv"
-        invoke(capsys, "synth", "--profile", "sci_set_i", "--year", "2001", "--out", str(csv))
-        invoke(
-            capsys, "ingest", "--workspace", str(ws), "--input", str(csv),
-            "--discipline", "sci", "--basis", "citations", "--year", "2001",
-        )
-        invoke(capsys, "report", "--workspace", str(ws))
-        assert built == []
-        JournalYearRecord("J", 2001, 1, 1.0, 1)
-        assert built == ["J"]
-
-
 class TestColdImport:
     def run_child(self, code, *args, **env):
         """Run ``code`` in a fresh interpreter. ``OPENBLAS_NUM_THREADS`` is
@@ -895,7 +869,7 @@ class TestColdImport:
             "import sys\n"
             "from citemetrics import *\n"
             "import citemetrics\n"
-            "assert len(citemetrics.__all__) == 55, len(citemetrics.__all__)\n"
+            "assert len(citemetrics.__all__) == 54, len(citemetrics.__all__)\n"
             "for name in citemetrics.__all__:\n"
             "    exec(f'from citemetrics import {name} as value')\n"
             "    assert value is globals()[name], name\n"

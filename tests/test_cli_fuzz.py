@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from citemetrics.cli import run
 from citemetrics.errors import ValidationError
 from citemetrics.ingest import COLUMNS, store_dataset
-from citemetrics.model import Basis, Discipline, build_ranked_set
+from citemetrics.model import Basis, Discipline, JournalTable, build_ranked_set
 from citemetrics.synthgen import build_fixture
 from per_row_csv import per_row_parse_csv
 from per_row_wording import reworded
@@ -78,8 +78,8 @@ def reference_outcome(path, basis):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            records = per_row_parse_csv(path)
-        ranked = build_ranked_set(records, Discipline.SCI, Basis(basis), 2000)
+            rows = per_row_parse_csv(path)
+        ranked = build_ranked_set(JournalTable.from_rows(rows), Discipline.SCI, Basis(basis), 2000)
     except ValidationError as exc:
         message = reworded(str(exc))
         if not message.startswith(f"{path}: "):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rows import rows_of
 
 from citemetrics.correlate import (
     Transform,
@@ -24,7 +25,6 @@ from citemetrics.model import (
     Basis,
     Discipline,
     JournalTable,
-    JournalYearRecord,
     Measure,
     RankedSet,
     build_ranked_set,
@@ -54,8 +54,8 @@ def ranked_years(draw, years=(2000, 2001)):
     sets = []
     for year in years:
         ids = draw(st.lists(journal_ids, min_size=1, max_size=14, unique=True))
-        records = [JournalYearRecord(j, year, *draw(record_values)) for j in ids]
-        sets.append(build_ranked_set(records, Discipline.SCI, basis, year))
+        table = JournalTable.from_rows((j, year, *draw(record_values)) for j in ids)
+        sets.append(build_ranked_set(table, Discipline.SCI, basis, year))
     return sets
 
 
@@ -64,7 +64,7 @@ def ranked_years(draw, years=(2000, 2001)):
 
 def ref_values(ranked, field_):
     values = {}
-    for pos, rec in enumerate(ranked.records, start=1):
+    for pos, rec in enumerate(rows_of(ranked.table), start=1):
         if field_ is Measure.RANK:
             values[rec.journal_id] = float(pos)
         elif field_ is Measure.CITATIONS:
@@ -81,15 +81,15 @@ def ref_label(ranked, name):
 
 
 def ref_overlap(a, b):
-    ids_a = [rec.journal_id for rec in a.records]
-    ids_b = [rec.journal_id for rec in b.records]
+    ids_a = [rec.journal_id for rec in rows_of(a.table)]
+    ids_b = [rec.journal_id for rec in rows_of(b.table)]
     common = sorted(set(ids_a) & set(ids_b))
     return tuple(common), len(common)
 
 
 def ref_rank_scatter(a, b):
-    rank_a = {rec.journal_id: k for k, rec in enumerate(a.records, start=1)}
-    rank_b = {rec.journal_id: k for k, rec in enumerate(b.records, start=1)}
+    rank_a = {rec.journal_id: k for k, rec in enumerate(rows_of(a.table), start=1)}
+    rank_b = {rec.journal_id: k for k, rec in enumerate(rows_of(b.table), start=1)}
     return [(j, rank_a[j], rank_b[j]) for j in ref_overlap(a, b)[0]]
 
 
@@ -161,25 +161,27 @@ def test_matrix_cells_equal_single_pair_results(group, order):
 @settings(max_examples=200, deadline=None)
 @given(ranked_years())
 def test_journal_ids_match_records(pair):
+    """The ids are the rows sorted by non-increasing basis value, ties by ascending id."""
     ranked = pair[0]
-    assert ranked.table.journal_id == [rec.journal_id for rec in ranked.records]
+    field_ = "citations" if ranked.basis is Basis.CITATIONS else "impact_factor"
+    rows = sorted(rows_of(ranked.table), key=lambda r: (-float(getattr(r, field_)), r.journal_id))
+    assert ranked.table.journal_id == [rec.journal_id for rec in rows]
 
 
 def make_set():
-    records = [
-        JournalYearRecord("a", 2000, 30, 2.5, 10),
-        JournalYearRecord("a\x00", 2000, 20, 0.0, 0),
-        JournalYearRecord("\u00e9", 2000, 0, 1.0, 3),
-    ]
-    return build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2000)
+    table = JournalTable.from_rows([
+        ("a", 2000, 30, 2.5, 10),
+        ("a\x00", 2000, 20, 0.0, 0),
+        ("\u00e9", 2000, 0, 1.0, 3),
+    ])
+    return build_ranked_set(table, Discipline.SCI, Basis.CITATIONS, 2000)
 
 
 class TestColumns:
     def test_built_on_first_use_only(self):
         ranked = make_set()
-        rebuilt = RankedSet(
-            ranked.discipline, ranked.basis, ranked.year, JournalTable.from_records(ranked.records)
-        )
+        table = JournalTable.from_rows(rows_of(ranked.table))
+        rebuilt = RankedSet(ranked.discipline, ranked.basis, ranked.year, table)
         assert "_columns" not in vars(rebuilt)
         rebuilt.column("n")
         assert "_columns" in vars(rebuilt)
@@ -209,7 +211,8 @@ class TestColumns:
         ranked = make_set()
         assert ranked.table.journal_id == ["a", "a\x00", "\u00e9"]
         other = build_ranked_set(
-            [JournalYearRecord("a\x00", 2001, 5, 1.0, 1)], Discipline.SCI, Basis.CITATIONS, 2001
+            JournalTable.from_rows([("a\x00", 2001, 5, 1.0, 1)]), Discipline.SCI, Basis.CITATIONS,
+            2001,
         )
         assert set_overlap(ranked, other) == (("a\x00",), 1)
         assert rank_scatter(ranked, other) == [("a\x00", 2, 1)]
@@ -218,7 +221,7 @@ class TestColumns:
         # Above 2**53 float(c) / float(n) rounds twice; c / n rounds once.
         big, articles = 2081918845191089988, 484
         ranked = build_ranked_set(
-            [JournalYearRecord("a", 2000, big, 1.0, articles)],
+            JournalTable.from_rows([("a", 2000, big, 1.0, articles)]),
             Discipline.SCI, Basis.CITATIONS, 2000,
         )
         assert ranked.column("cr")[0] == big / articles

@@ -13,7 +13,7 @@ from citemetrics.correlate import (
     pearson,
 )
 from citemetrics.errors import ValidationError
-from citemetrics.model import Basis, Discipline, JournalYearRecord, Measure, build_ranked_set
+from citemetrics.model import Basis, Discipline, JournalTable, Measure, build_ranked_set
 
 
 def naive_r(xs, ys):
@@ -29,7 +29,7 @@ def make_set(values, basis=Basis.CITATIONS, year=2000, articles=None, impacts=No
     records = []
     for i, v in enumerate(values):
         records.append(
-            JournalYearRecord(
+            (
                 f"J{i:04d}",
                 year,
                 int(v),
@@ -37,7 +37,7 @@ def make_set(values, basis=Basis.CITATIONS, year=2000, articles=None, impacts=No
                 int(articles[i]) if articles is not None else 10,
             )
         )
-    return build_ranked_set(records, Discipline.SCI, basis, year)
+    return build_ranked_set(JournalTable.from_rows(records), Discipline.SCI, basis, year)
 
 
 class TestPearson:
@@ -231,8 +231,9 @@ class TestCorrelationMatrix:
 
     def test_failed_cell_records_error(self):
         a = make_set(range(100, 90, -1), year=2000)
-        records = [JournalYearRecord(f"K{i}", 2001, 10 + i, 1.0, 5) for i in range(10)]
-        b = build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2001)
+        records = [(f"K{i}", 2001, 10 + i, 1.0, 5) for i in range(10)]
+        b = build_ranked_set(JournalTable.from_rows(records), Discipline.SCI, Basis.CITATIONS,
+                             2001)
         _, cells = correlation_matrix([a, b], Measure.RANK)
         assert isinstance(cells[(2000, 2001)], str)
 

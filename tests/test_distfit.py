@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, least_squares
+from scipy.stats import kstwo
 
 from citemetrics import distfit
 from citemetrics.distfit import (
@@ -719,6 +720,16 @@ class TestKsCriticalValue:
     def test_unsupported_significance_lists_levels(self):
         with pytest.raises(ValidationError, match="0.20"):
             ks_critical_value(12, 0.42)
+
+    def test_values_are_printed_entries_near_the_exact_ones(self):
+        """For n <= 20 every level's value is a three-decimal entry of Massey's
+        table, as printed; for n <= 80 (table, interpolated and asymptotic) it
+        lies within 5 % of the exact critical value, with scipy as the oracle."""
+        for n in range(1, 81):
+            for level in distfit._KS_LEVELS:
+                value = ks_critical_value(n, level)
+                assert n > 20 or value == round(value, 3), (n, level)
+                assert value == pytest.approx(kstwo.ppf(1 - level, n), rel=0.05), (n, level)
 
     def test_interpolated_rows_are_monotone(self):
         for s in (0.20, 0.05, 0.01):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from rows import rows_of
 
 from citemetrics.errors import ValidationError
 from citemetrics.indices import (
@@ -11,7 +12,7 @@ from citemetrics.indices import (
     derive_rates,
     impact_factor,
 )
-from citemetrics.model import Basis, Discipline, JournalYearRecord, build_ranked_set
+from citemetrics.model import Basis, Discipline, JournalTable, build_ranked_set
 
 
 class TestImpactFactor:
@@ -122,11 +123,11 @@ class TestCitationRate:
 
 
 def make_set(records):
-    return build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2000)
+    return build_ranked_set(JournalTable.from_rows(records), Discipline.SCI, Basis.CITATIONS, 2000)
 
 
 def rec(jid, citations, articles):
-    return JournalYearRecord(jid, 2000, citations, 1.0, articles)
+    return (jid, 2000, citations, 1.0, articles)
 
 
 class TestDeriveRates:
@@ -149,7 +150,7 @@ class TestDeriveRates:
         ]
         ranked = make_set(records)
         result = derive_rates(ranked)
-        by_id = {r.journal_id: r for r in ranked.records}
+        by_id = {r.journal_id: r for r in rows_of(ranked.table)}
         for jid, rate in zip(result.ids, result.rates, strict=True):
             assert rate == citation_rate(by_id[jid].citations, by_id[jid].articles)
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from per_row_csv import per_row_parse_csv
 from per_row_wording import reworded
+from rows import Row, rows_of
 
 from citemetrics import ingest, model
 from citemetrics.errors import ValidationError, WorkspaceError
@@ -29,7 +30,6 @@ from citemetrics.model import (
     Basis,
     Discipline,
     JournalTable,
-    JournalYearRecord,
     build_ranked_set,
 )
 from citemetrics.synthgen import build_fixture
@@ -48,7 +48,7 @@ def random_records(rng, n, year=2000):
     records = []
     for i in range(n):
         records.append(
-            JournalYearRecord(
+            Row(
                 journal_id=f"J{i:04d}",
                 year=year,
                 citations=int(rng.integers(0, 10**6)),
@@ -63,13 +63,13 @@ class TestParseCsv:
     def test_parses_plain_row(self, tmp_path):
         f = tmp_path / "t.csv"
         write_table(f, ["PHYS REV B,2000,154983,3.065,5410"])
-        (record,) = parse_csv(f).records()
-        assert record == JournalYearRecord("PHYS REV B", 2000, 154983, 3.065, 5410)
+        (record,) = rows_of(parse_csv(f))
+        assert record == ("PHYS REV B", 2000, 154983, 3.065, 5410)
 
     def test_trims_whitespace(self, tmp_path):
         f = tmp_path / "t.csv"
         write_table(f, [" PHYS REV B , 2000 , 10 , 1.5 , 3 "])
-        (record,) = parse_csv(f).records()
+        (record,) = rows_of(parse_csv(f))
         assert record.journal_id == "PHYS REV B"
         assert record.articles == 3
 
@@ -188,8 +188,8 @@ class TestParseCsv:
         for trial in range(5):
             records = random_records(rng, int(rng.integers(1, 200)))
             f = tmp_path / f"round{trial}.csv"
-            write_csv(f, records)
-            assert parse_csv(f).records() == records
+            write_csv(f, JournalTable.from_rows(records))
+            assert rows_of(parse_csv(f)) == records
 
 
 # Valid, malformed, out-of-range and whitespace-padded cells, including
@@ -235,7 +235,7 @@ class TestParseRows:
         if want[0] == "error":
             message = f"{f}: {want[1]}" if want[1].startswith("line ") else want[1]
             want = ("error", reworded(message))
-        assert outcome(lambda p: parse_csv(p).records(), f) == want
+        assert outcome(lambda p: rows_of(parse_csv(p)), f) == want
 
 
 # Cells that all convert, to values valid or not; ids blank, padded or odd.
@@ -255,7 +255,7 @@ def test_a_converted_row_is_worded_by_row_fault(tmp_path_factory, row):
     values = [kind(cell) for kind, cell in zip((int, int, float, int), cells)]
     fault = model.row_fault(journal_id, *values)
     if fault is None:
-        assert parse_csv(f).records() == [JournalYearRecord(journal_id, *values)]
+        assert rows_of(parse_csv(f)) == [(journal_id, *values)]
     else:
         with pytest.raises(ValidationError) as err:
             parse_csv(f)
@@ -305,8 +305,10 @@ class TestFastPath:
                    table.articles)
         assert len(JournalTable.from_rows(rows)) == 1000
         assert faults == []
-        JournalYearRecord("J", 2005, 1, 1.0, 1)  # a record is checked row by row
-        assert faults == [("J", 2005, 1, 1.0, 1)]
+        bad = [("J", 2005, 1, 1.0, 1), ("K", 2005, -1, 1.0, 1), ("L", 2005, 1, 1.0, 1)]
+        with pytest.raises(ValidationError, match="^'K': "):
+            JournalTable.from_rows(bad)  # a faulty table is checked row by row to its fault
+        assert faults == bad[:2]
 
     @pytest.mark.parametrize("k", [2, 500, 1001])
     def test_a_bad_row_stops_the_row_checker_at_its_line(self, tmp_path, checked, k):
@@ -323,7 +325,7 @@ class TestFastPath:
 
 class TestWorkspace:
     def make_set(self, rng, year=2000, basis=Basis.CITATIONS, n=50):
-        records = [r for r in random_records(rng, n, year=year)]
+        records = JournalTable.from_rows(random_records(rng, n, year=year))
         return build_ranked_set(records, Discipline.SCI, basis, year)
 
     def test_store_then_load_is_bit_exact(self, tmp_path):
@@ -363,7 +365,7 @@ class TestWorkspace:
 
         def replace_then_parse(*args, **kwargs):
             # an `ingest --overwrite` of the same dataset lands between the reads
-            write_csv(tmp_path / "new.csv", replacement.records)
+            write_csv(tmp_path / "new.csv", replacement.table)
             os.replace(tmp_path / "new.csv", data_file)
             return real_parse(*args, **kwargs)
 

@@ -21,11 +21,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def bench_modules():
     sys.path.insert(0, str(BENCH))
     try:
+        import run
         import smoke
         import tracer
     finally:
         sys.path.remove(str(BENCH))
-    return smoke, tracer
+    return smoke, tracer, run
 
 
 def quiet_run(argv):
@@ -61,8 +62,28 @@ def called_layers(recorder, run):
     return {span[0] for span in recorder.spans}
 
 
+def test_the_benchmark_set_up_runs_and_writes_each_table(bench_modules, tmp_path):
+    """Both workspace workloads' set-up (smoke size) runs on the package as it is,
+    and ``cli_session``'s input CSVs are the bytes ``write_csv`` makes of each
+    fixture's table."""
+    from citemetrics import ingest, synthgen
+
+    run = bench_modules[2]
+    for name in ("cli_session", "report_workspace"):
+        run.CliWorkload(name, run.DEFAULT_SEED, True, tmp_path).setup(tmp_path / name)
+    inputs = tmp_path / "cli_session" / "inputs"
+    expected = tmp_path / "expected.csv"
+    names = []
+    for profile, year in run.fixture_years(True):
+        ranked = synthgen.build_fixture(profile, year, run.DEFAULT_SEED)
+        ingest.write_csv(expected, ranked.table)
+        names.append(f"{ranked.discipline.value}_{ranked.basis.value}_{year}.csv")
+        assert (inputs / names[-1]).read_bytes() == expected.read_bytes(), names[-1]
+    assert sorted(p.name for p in inputs.glob("*.csv")) == sorted(names)
+
+
 def test_report_calls_every_layer_the_benchmark_requires(bench_modules, tmp_path):
-    smoke, tracer = bench_modules
+    smoke, tracer, _ = bench_modules
 
     def run():
         build_workspace(tmp_path)
@@ -74,7 +95,7 @@ def test_report_calls_every_layer_the_benchmark_requires(bench_modules, tmp_path
 
 
 def test_cli_session_calls_every_layer_the_benchmark_requires(bench_modules, tmp_path):
-    smoke, tracer = bench_modules
+    smoke, tracer, _ = bench_modules
     ws, inputs = tmp_path / "ws", tmp_path / "inputs"
     inputs.mkdir()
     a, b = "sci:citations:2000", "sci:citations:2001"

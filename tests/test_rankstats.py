@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citemetrics.errors import ValidationError
-from citemetrics.model import Basis, Discipline, JournalYearRecord, build_ranked_set
+from citemetrics.model import Basis, Discipline, JournalTable, build_ranked_set
 from citemetrics.rankstats import (
     Measure,
     RankSeries,
@@ -29,10 +29,10 @@ def series(values, label=LABEL):
 
 def make_set(values, basis=Basis.CITATIONS, year=2000):
     records = [
-        JournalYearRecord(f"J{i:04d}", year, int(v), float(v) / 10.0, 10)
+        (f"J{i:04d}", year, int(v), float(v) / 10.0, 10)
         for i, v in enumerate(values)
     ]
-    return build_ranked_set(records, Discipline.SCI, basis, year)
+    return build_ranked_set(JournalTable.from_rows(records), Discipline.SCI, basis, year)
 
 
 class TestRankSeries:
@@ -90,13 +90,26 @@ class TestRankSeries:
         with pytest.raises(ValidationError, match="ranks must be strictly increasing"):
             RankSeries(((1, 2), (3,)), (2.0, 1.0), LABEL)
 
+    @pytest.mark.parametrize(
+        "ranks, values, message",
+        [(1, (1.0,), "ranks must be strictly increasing integers >= 1"),
+         (np.int64(1), (1.0,), "ranks must be strictly increasing integers >= 1"),
+         (np.array(1), (1.0,), "ranks must be strictly increasing integers >= 1"),
+         ((1,), np.array(1.0), "series values must be a 1-d sequence of numbers, got ndarray")],
+        ids=["int", "int64", "0d_ranks", "0d_values"],
+    )
+    def test_rejects_an_argument_without_a_length(self, ranks, values, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            RankSeries(ranks, values, LABEL)
+
     def test_rate_series_skips_zero_article_journals(self):
         records = [
-            JournalYearRecord("a", 2000, 100, 1.0, 10),
-            JournalYearRecord("b", 2000, 90, 1.0, 0),
-            JournalYearRecord("c", 2000, 80, 1.0, 4),
+            ("a", 2000, 100, 1.0, 10),
+            ("b", 2000, 90, 1.0, 0),
+            ("c", 2000, 80, 1.0, 4),
         ]
-        ranked = build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2000)
+        ranked = build_ranked_set(JournalTable.from_rows(records), Discipline.SCI,
+                                  Basis.CITATIONS, 2000)
         s = rank_series(ranked, Measure.RATE)
         assert s.ranks.tolist() == [1, 3]
 
@@ -253,6 +266,10 @@ class TestZipfFit:
         s = series(list(np.linspace(10, 1, 15)))
         with pytest.raises(ValidationError, match="at least 10"):
             zipf_fit(s, k_min=10)
+        # 19 points leave 9 above k_min = 10; 20 points leave the 10 a fit needs
+        with pytest.raises(ValidationError, match="at least 10 points with rank > 10, have 9$"):
+            zipf_fit(series(list(np.linspace(19, 1, 19))), k_min=10)
+        assert zipf_fit(series(list(np.linspace(20, 1, 20))), k_min=10).fit_range == (11.0, 20.0)
 
     def test_fit_range_reported(self):
         ks = np.arange(1, 101)
@@ -272,9 +289,10 @@ class TestSetOverlap:
     def test_disjoint_sets(self):
         a = make_set(range(100, 90, -1))
         records = [
-            JournalYearRecord(f"K{i}", 2000, 10 + i, 1.0, 5) for i in range(10)
+            (f"K{i}", 2000, 10 + i, 1.0, 5) for i in range(10)
         ]
-        b = build_ranked_set(records, Discipline.SCI, Basis.CITATIONS, 2000)
+        b = build_ranked_set(JournalTable.from_rows(records), Discipline.SCI, Basis.CITATIONS,
+                             2000)
         _, count = set_overlap(a, b)
         assert count == 0
 
@@ -288,10 +306,10 @@ class TestRankScatter:
     def test_reversed_ranking_gives_antidiagonal(self):
         n = 20
         ids = [f"J{i:02d}" for i in range(n)]
-        up = [JournalYearRecord(j, 2000, 100 + i, 1.0, 5) for i, j in enumerate(ids)]
-        down = [JournalYearRecord(j, 2000, 100 - i, 1.0, 5) for i, j in enumerate(ids)]
-        a = build_ranked_set(up, Discipline.SCI, Basis.CITATIONS, 2000)
-        b = build_ranked_set(down, Discipline.SCI, Basis.CITATIONS, 2000)
+        up = [(j, 2000, 100 + i, 1.0, 5) for i, j in enumerate(ids)]
+        down = [(j, 2000, 100 - i, 1.0, 5) for i, j in enumerate(ids)]
+        a = build_ranked_set(JournalTable.from_rows(up), Discipline.SCI, Basis.CITATIONS, 2000)
+        b = build_ranked_set(JournalTable.from_rows(down), Discipline.SCI, Basis.CITATIONS, 2000)
         for _, ra, rb in rank_scatter(a, b):
             assert rb == n + 1 - ra
 

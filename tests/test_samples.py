@@ -3,6 +3,7 @@
 ValidationError that names the input or the item at fault."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ BAD_SAMPLES = {
     "dict": {v: v for v in VALID},
     "2d_array": np.array(VALID).reshape(-1, 2),
     "bare_float": 1.5,
+    "complex_item": with_item(np.complex128(1 + 2j)),
+    "complex_array": np.array(with_item(1 + 2j)),
 }
 CONVERTER_FAULT = r"must be (a 1-d sequence of numbers|real numbers|positive and finite), got "
 
@@ -83,3 +86,13 @@ def test_nan_and_inf_pass_and_the_first_bad_item_is_named():
         float_sample([1.0, [2.0], "3"], "x")
     with pytest.raises(ValidationError, match="^x must be real numbers, got an integer past"):
         float_sample([1.0, 10**400], "x")
+
+
+def test_a_complex_item_is_named_whatever_the_warning_filters():
+    """numpy reads a complex item as its real part and only warns; ignoring
+    that warning must not let the imaginary part go unnoticed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for values in ([np.complex128(1 + 2j)], np.array([1 + 2j, 3 + 0j]), [np.complex64(3)]):
+            with pytest.raises(ValidationError, match=r"^x must be real numbers, got np\.complex"):
+                float_sample(values, "x")
