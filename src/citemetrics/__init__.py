@@ -14,8 +14,8 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "errors": "CitemetricsError FitConvergenceError ValidationError WorkspaceError",
-        "model": "Basis Discipline FitMethod FitResult JournalTable Measure RankedSet "
-                 "build_ranked_set",
+        "model": "Basis Discipline FitMethod FitResult FixtureProfile JournalTable Measure "
+                 "RankedSet build_ranked_set",
         "indices": "RawCounts annual_citations citation_rate derive_rates impact_factor",
         "ingest": "load_dataset parse_csv read_manifest store_dataset write_csv",
         "rankstats": "RankSeries SeriesLabel rank_scatter rank_series scale_by_mean set_overlap "
@@ -25,7 +25,7 @@ _MODULE_OF = {
                    "pareto_tail_fit pdf_peak_location zipf_pareto_predict",
         "correlate": "CorrelationReport Transform binned_trend correlation_matrix "
                      "cross_measure_correlation dynamic_correlation pearson",
-        "synthgen": "FixtureProfile build_fixture fixture_metadata sample_gumbel_log sample_pareto",
+        "synthgen": "build_fixture fixture_metadata sample_gumbel_log sample_pareto",
     }.items()
     for name in names.split()
 }

@@ -17,50 +17,31 @@ import sys
 from functools import cache
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-# Nothing here calls BLAS, and OpenBLAS's idle thread pool costs CPU at import.
+# Nothing here calls BLAS, and OpenBLAS's idle thread pool costs CPU at import. This
+# runs before numpy's first import: each handler imports numpy and the analysis
+# modules it runs, and nothing imported here loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy as np
 
-from .correlate import (
-    CorrelationReport,
-    binned_trend,
-    correlation_matrix,
-    cross_measure_correlation,
-    dynamic_correlation,
-)
-from .distfit import (
-    GumbelParams,
-    Scaling,
-    check_log_base,
-    empirical_pdf,
-    gumbel_curve_ks,
-    gumbel_fit,
-    pareto_tail_fit,
-    pdf_peak_location,
-    zipf_pareto_predict,
-)
 from .errors import CitemetricsError, FitConvergenceError, ValidationError, WorkspaceError
-from .indices import derive_rates
 from .ingest import load_dataset, parse_csv, read_manifest, store_dataset, write_csv
 from .model import (
-    Basis, Discipline, FitMethod, FitResult, Measure, RankedSet, basis_measure, build_ranked_set,
+    Basis, Discipline, FitMethod, FitResult, FixtureProfile, Measure, RankedSet, basis_measure,
+    build_ranked_set,
 )
-from .rankstats import (
-    rank_series,
-    scale_by_mean,
-    set_overlap,
-    write_series_csv,
-    zipf_fit,
-)
-from .synthgen import FixtureProfile, build_fixture, fixture_metadata
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .correlate import CorrelationReport
 
 WORKSPACE_ENV = "CITEMETRICS_WORKSPACE"
 # Faults of the data: each fails only its own section of `report`, and exits a
-# command with 2 (3 for a fit that did not converge). In `run`, float overflow,
-# division by zero and 0/0 raise.
+# command with 2 (3 for a fit that did not converge). In `run`, numpy's float
+# overflow, division by zero and 0/0 raise.
 _DATA_FAULTS = (ValidationError, FitConvergenceError, FloatingPointError, OverflowError)
+# Commands that compute nothing numeric: they run without numpy.
+_NUMPY_FREE = frozenset({"ingest", "overlap"})
 
 
 class UsageError(Exception):
@@ -160,6 +141,8 @@ def _fit_json(measure: str, fit: FitResult, extra: dict | None = None) -> dict:
 
 
 def _scaled_rates(ranked: RankedSet) -> tuple[np.ndarray, int]:
+    from .indices import derive_rates
+    from .rankstats import rank_series
     dropped = len(derive_rates(ranked).dropped)
     rates = rank_series(ranked, Measure.RATE).values
     return rates / rates.mean(), dropped
@@ -190,6 +173,7 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_rank(args) -> None:
+    from .rankstats import rank_series, scale_by_mean, write_series_csv
     ranked = _load(args, args.set)
     series = rank_series(ranked, Measure(args.measure))
     if args.collapse:
@@ -207,6 +191,8 @@ def _cmd_rank(args) -> None:
 
 
 def _cmd_fit_zipf(args) -> None:
+    from .distfit import zipf_pareto_predict
+    from .rankstats import rank_series, zipf_fit
     ranked = _load(args, args.set)
     series = rank_series(ranked, Measure(args.measure))
     fit = zipf_fit(series, k_min=args.kmin)
@@ -220,6 +206,8 @@ def _cmd_fit_zipf(args) -> None:
 
 
 def _cmd_dist(args) -> None:
+    from .distfit import Scaling, empirical_pdf, pdf_peak_location
+    from .rankstats import rank_series, write_series_csv
     samples = rank_series(_load(args, args.set), Measure(args.measure)).values
     scaling = Scaling.MEAN_SCALED if args.collapse else Scaling.RAW
     dist = empirical_pdf(samples, binning=args.binning, scaling=scaling)
@@ -241,6 +229,8 @@ def _cmd_dist(args) -> None:
 
 
 def _cmd_fit_pareto(args) -> None:
+    from .distfit import pareto_tail_fit
+    from .rankstats import rank_series
     samples = rank_series(_load(args, args.set), Measure(args.measure)).values
     fit = pareto_tail_fit(samples, x_min=args.xmin)
     _emit(
@@ -252,6 +242,7 @@ def _cmd_fit_pareto(args) -> None:
 
 
 def _cmd_fit_gumbel(args) -> None:
+    from .distfit import gumbel_curve_ks, gumbel_fit
     ranked = _load(args, args.set)
     scaled, dropped = _scaled_rates(ranked)
     method = (
@@ -269,6 +260,7 @@ def _cmd_fit_gumbel(args) -> None:
 
 
 def _cmd_ks(args) -> None:
+    from .distfit import GumbelParams, check_log_base, gumbel_curve_ks
     ranked = _load(args, args.set)
     try:
         # integers read as floats: a literal of any length converts (past 1e308 to inf)
@@ -296,6 +288,7 @@ def _cmd_ks(args) -> None:
 
 
 def _cmd_correlate(args) -> None:
+    from .correlate import cross_measure_correlation, dynamic_correlation
     pair_mode = args.a is not None or args.b is not None
     cross_mode = args.set is not None or args.x is not None or args.y is not None
     if pair_mode == cross_mode:
@@ -320,6 +313,7 @@ def _cmd_correlate(args) -> None:
 
 
 def _cmd_overlap(args) -> None:
+    from .rankstats import set_overlap
     common, count = set_overlap(_load(args, args.a), _load(args, args.b))
     _emit(
         {"a": args.a, "b": args.b, "count": count, "common_ids": list(common)},
@@ -328,6 +322,8 @@ def _cmd_overlap(args) -> None:
 
 
 def _cmd_trend(args) -> None:
+    import numpy as np
+    from .correlate import binned_trend
     ranked = _load(args, args.set)
     xs, ys = ranked.column(args.x), ranked.column(args.y)
     defined = ~(np.isnan(xs) | np.isnan(ys))
@@ -344,6 +340,7 @@ def _cmd_trend(args) -> None:
 
 
 def _cmd_synth(args) -> None:
+    from .synthgen import build_fixture, fixture_metadata
     fixture = build_fixture(args.profile, args.year, args.seed)
     write_csv(args.out, fixture.table)
     meta = fixture_metadata(args.profile, args.year, args.seed)
@@ -385,6 +382,11 @@ def _section(build: Callable[[], dict | list]) -> dict | list:
 
 
 def _dataset_report(ranked: RankedSet) -> dict:
+    from .distfit import (
+        Scaling, empirical_pdf, gumbel_curve_ks, gumbel_fit, pareto_tail_fit, pdf_peak_location,
+        zipf_pareto_predict,
+    )
+    from .rankstats import rank_series, zipf_fit
     basis_m = basis_measure(ranked.basis)
     series = cache(lambda: rank_series(ranked, basis_m))  # built once, by the part first using it
     out = {**_key(ranked), "rows": len(ranked)}
@@ -407,12 +409,14 @@ def _dataset_report(ranked: RankedSet) -> dict:
 
 def _cross_measure(ranked: RankedSet) -> dict:
     """The rate against the measure the set is not ranked by."""
+    from .correlate import cross_measure_correlation
     (other,) = {Measure.CITATIONS, Measure.IMPACT_FACTOR} - {basis_measure(ranked.basis)}
     return {**_key(ranked),
             **_section(lambda: cross_measure_correlation(ranked, other, Measure.RATE).as_dict())}
 
 
 def _if_vs_articles(ranked: RankedSet) -> dict:
+    from .correlate import binned_trend
     articles = ranked.column("articles")
     has_articles = articles > 0
     bins = _section(
@@ -423,6 +427,7 @@ def _if_vs_articles(ranked: RankedSet) -> dict:
 
 def _year_pairs(sets: list[RankedSet]) -> list[dict]:
     """Rank and value correlations of every pair of years of one group."""
+    from .correlate import correlation_matrix
     _, rank_cells = correlation_matrix(sets, Measure.RANK)
     _, value_cells = correlation_matrix(sets, basis_measure(sets[0].basis))
     return [
@@ -436,6 +441,7 @@ def _group_report(workspace: Path, entries: list[dict], keys: Iterable[tuple[str
                   report: dict) -> None:
     """Load the sets of one discipline+basis group, ``keys`` in ascending years,
     and append their sections to ``report``; the sets die when this returns."""
+    from .rankstats import set_overlap
     sets = [load_dataset(workspace, Discipline(d), Basis(b), year, entries=entries)
             for d, b, year in keys]
     for ds in sets:
@@ -559,8 +565,12 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        if args.command in _NUMPY_FREE:
             args.handler(args)
+        else:
+            import numpy as np
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                args.handler(args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -155,6 +155,8 @@ def _csv_text(table: JournalTable) -> str:
 
 def write_csv(path: str | Path, table: JournalTable) -> None:
     """Write a table as CSV in the canonical column order (see ``_csv_text``)."""
+    if not isinstance(table, JournalTable):
+        raise ValidationError(f"write_csv needs a JournalTable, got {type(table).__name__}")
     Path(path).write_text(_csv_text(table), encoding="utf-8", newline="")
 
 

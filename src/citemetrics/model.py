@@ -10,22 +10,24 @@ for its first bad row and ``parse_csv`` share.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-
-import numpy as np
+from itertools import compress, count
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:  # numpy loads where a column, sample or join is built, so ingest never loads it
+    import numpy as np
 
 DEFAULT_CAP = 1000
 # The largest integer whose float is finite: 2**1024 - 2**970 rounds up to 2**1024.
 MAX_FLOAT_INT = 2**1024 - 2**970 - 1
-# Raised by reading an item that is no real number; float_sample makes numpy's ComplexWarning one.
-_NO_NUMBER = (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning)
 
 
 class Discipline(str, Enum):
@@ -58,6 +60,15 @@ def basis_measure(basis: Basis) -> Measure:
 class FitMethod(str, Enum):
     LOG_LOG_LEAST_SQUARES = "log_log_least_squares"
     MAXIMUM_LIKELIHOOD = "maximum_likelihood"
+
+
+class FixtureProfile(str, Enum):
+    """The bundled synthetic fixtures, one per discipline and Set (``synthgen.PROFILES``)."""
+
+    SCI_SET_I = "sci_set_i"
+    SCI_SET_II = "sci_set_ii"
+    SOCSCI_SET_I = "socsci_set_i"
+    SOCSCI_SET_II = "socsci_set_ii"
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,19 +221,18 @@ class RankedSet:
             for i, first in _first_rows(table, self.year):
                 if i != first:
                     raise ValidationError(f"duplicate journal_id {ids[i]!r}")
-        # build_ranked_set's order: each value no larger than the one before, and
-        # equal values in ascending id order.
-        values = table.citations if self.basis is Basis.CITATIONS else table.impact_factor
-        value = np.array(values, dtype=float)
-        out_of_order = value[1:] > value[:-1]
-        tie = value[1:] == value[:-1]
-        if tie.any():
-            out_of_order[tie] = [ids[i + 1] < ids[i] for i in np.flatnonzero(tie).tolist()]
-        if out_of_order.any():
-            raise ValidationError(
-                f"records out of order at {ids[int(np.argmax(out_of_order)) + 1]!r}: "
-                "must be non-increasing in basis value, ties by ascending id"
-            )
+        # build_ranked_set's order, on the values as floats: each lower than the one
+        # before, or equal to it with a larger id. Only the ties and rises are walked.
+        counts = self.basis is Basis.CITATIONS
+        value = table.citations if counts else table.impact_factor
+        if not counts or max(value) > 2**53:  # ints up to 2**53 compare as their floats do
+            value = list(map(float, value))
+        for i in compress(count(1), map(operator.ge, value[1:], value)):
+            if value[i] > value[i - 1] or ids[i] < ids[i - 1]:
+                raise ValidationError(
+                    f"records out of order at {ids[i]!r}: "
+                    "must be non-increasing in basis value, ties by ascending id"
+                )
 
     def __len__(self) -> int:
         return len(self.table)
@@ -234,6 +244,7 @@ class RankedSet:
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
+        import numpy as np
         table = self.table
         # Python int division is correctly rounded at any size, as before.
         rates = [c / n if n else math.nan for c, n in zip(table.citations, table.articles)]
@@ -294,6 +305,7 @@ def id_positions(sets: Sequence[RankedSet]) -> list[np.ndarray]:
     ascend in Python string order. Element ``c`` of a set's array is that
     id's 0-based rank position in the set, or -1 where the set lacks it.
     """
+    import numpy as np
     union = sorted(set().union(*(rs.table.journal_id for rs in sets)))
     code = dict(zip(union, range(len(union))))
     positions = []
@@ -324,6 +336,7 @@ def float_sample(values: Sequence[float], what: str, must: str = "real numbers",
     items; NaN and inf pass. ValidationError names any other input, and the
     first item that is no real number or fails the elementwise test ``ok``.
     """
+    import numpy as np
     whole = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf"
     # str, bytes and a mapping's or set's keys would iterate as numbers
     if not whole and (isinstance(values, (str, bytes, bytearray, memoryview, Mapping, Set))
@@ -332,13 +345,15 @@ def float_sample(values: Sequence[float], what: str, must: str = "real numbers",
     if whole and np.all(ok(x := values.astype(float, copy=False))):
         return x  # a real dtype holds no complex item
     import warnings
+    # raised by reading an item that is no real number; numpy's ComplexWarning is made one
+    no_number = (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning)
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        with suppress(*_NO_NUMBER):
+        with suppress(*no_number):
             if np.all(ok(x := np.frombuffer(array("d", values)))):
                 return x
         for item in values:  # name the first item at fault
-            with suppress(*_NO_NUMBER):
+            with suppress(*no_number):
                 if ok(array("d", (item,))[0]):
                     continue
             raise ValidationError(f"{what} must be {must}, got {_shown(item)}")
@@ -346,6 +361,7 @@ def float_sample(values: Sequence[float], what: str, must: str = "real numbers",
 
 def finite_samples(values: Sequence[float], what: str) -> np.ndarray:
     """``float_sample(values, what)``; ValidationError if it is empty or holds NaN or inf."""
+    import numpy as np
     x = float_sample(values, what)
     if x.size == 0:
         raise ValidationError(f"no {what} given")
@@ -368,6 +384,8 @@ def build_ranked_set(
     same id with conflicting values is rejected. Only the top ``cap`` rows
     are kept.
     """
+    if not isinstance(table, JournalTable):
+        raise ValidationError(f"build_ranked_set needs a JournalTable, got {type(table).__name__}")
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {_shown(cap)}")
     if not len(table):

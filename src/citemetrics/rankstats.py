@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import ValidationError
 from .model import (
@@ -21,8 +19,11 @@ from .model import (
     common_rows, float_sample, id_positions,
 )
 
+if TYPE_CHECKING:  # numpy loads where a series is built, so `overlap` never loads it
+    import numpy as np
+
 DEFAULT_K_MIN = 10
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 
 
 class SeriesLabel(NamedTuple):
@@ -59,6 +60,7 @@ class RankSeries:
     label: SeriesLabel
 
     def __post_init__(self):
+        import numpy as np
         ranks_rule = "ranks must be strictly increasing integers >= 1"
         if getattr(self.ranks, "ndim", 1) == 0 or not hasattr(self.ranks, "__len__"):  # a scalar
             raise ValidationError(ranks_rule)
@@ -88,6 +90,7 @@ class RankSeries:
         object.__setattr__(self, "values", v)
 
     def __eq__(self, other):
+        import numpy as np
         if not isinstance(other, RankSeries):
             return NotImplemented
         return (self.label == other.label and np.array_equal(self.ranks, other.ranks)
@@ -106,6 +109,7 @@ def rank_series(ranked: RankedSet, measure: Measure) -> RankSeries:
     Journals where the measure is undefined or non-positive (no articles for
     the rate, zero values that cannot sit on a log axis) are skipped.
     """
+    import numpy as np
     values = ranked.column(measure)
     keep = values > 0  # also drops the NaN rate of journals without articles
     if not keep.any():
@@ -132,6 +136,7 @@ def zipf_fit(series: RankSeries, k_min: int = DEFAULT_K_MIN) -> FitResult:
     ordinary least-squares standard error of the slope. Small ranks are
     excluded because the top of the ranking is nearly rank-independent.
     """
+    import numpy as np
     # ranks ascend, so the points with rank > k_min are a suffix of the series
     start = int(np.searchsorted(series.ranks, k_min, side="right"))
     ranks, values = series.ranks[start:], series.values[start:]

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .distfit import GumbelParams, check_log_base
 from .errors import ValidationError
-from .model import Basis, Discipline, JournalTable, RankedSet, build_ranked_set
+from .model import Basis, Discipline, FixtureProfile, JournalTable, RankedSet, build_ranked_set
 
 RNG_ALGORITHM = "philox4x64"
 DEFAULT_SEED = 20001000
@@ -72,13 +71,6 @@ def sample_gumbel_log(
     u = _rng(seed, 2).random(count)
     z = -np.log(-np.log(u))
     return np.power(log_base, a + b * z)
-
-
-class FixtureProfile(str, Enum):
-    SCI_SET_I = "sci_set_i"
-    SCI_SET_II = "sci_set_ii"
-    SOCSCI_SET_I = "socsci_set_i"
-    SOCSCI_SET_II = "socsci_set_ii"
 
 
 @dataclass(frozen=True)

@@ -297,7 +297,7 @@ class TestErrorPaths:
         def no_convergence(*args, **kwargs):
             raise FitConvergenceError("scale equation did not converge")
 
-        monkeypatch.setattr(cli, "gumbel_fit", no_convergence)
+        monkeypatch.setattr(distfit, "gumbel_fit", no_convergence)  # the handlers import it on use
         captured = invoke(
             capsys, "fit-gumbel", "--workspace", str(workspace), "--set", "sci:citations:2005",
             expect=3,
@@ -885,8 +885,9 @@ class TestColdImport:
         assert done.returncode == 0, done.stderr
 
     def test_cli_import_starts_one_blas_thread(self):
+        # the import loads no numpy; a command that computes imports it after
         code = (
-            "import os, citemetrics.cli\n"
+            "import os, citemetrics.cli, numpy\n"
             "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
             "if os.path.isdir('/proc/self/task'):\n"
             "    assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n"
@@ -898,6 +899,28 @@ class TestColdImport:
         code = "import os, citemetrics.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '2'"
         done = self.run_child(code, OPENBLAS_NUM_THREADS="2")
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["ingest", "--input", "{root}/fix2005.csv", "--discipline", "sci", "--basis", "citations",
+          "--year", "2005", "--overwrite"], {"numpy"}),
+        (["overlap", "--a", "sci:citations:2005", "--b", "sci:citations:2006"], {"numpy"}),
+        (["rank", "--set", "sci:citations:2005", "--measure", "n"],
+         {"citemetrics.distfit", "citemetrics.correlate", "citemetrics.synthgen"}),
+    ], ids=["ingest", "overlap", "rank"])
+    def test_a_cold_command_loads_only_what_it_runs(self, workspace, argv, unloaded):
+        """A command as the benchmark runs it, ``python -m citemetrics.cli``, with
+        ``-X importtime`` listing every module it imports on stderr."""
+        src = str(Path(citemetrics.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "citemetrics.cli",
+             *(a.format(root=workspace.parent) for a in argv), "--workspace", str(workspace)],
+            env=os.environ | {"PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "citemetrics.model" in loaded  # the listing holds the package
+        assert not loaded & unloaded, loaded & unloaded
 
     def test_cli_import_does_not_load_scipy(self):
         done = self.run_child("import sys, citemetrics.cli; assert 'scipy' not in sys.modules")

@@ -191,6 +191,12 @@ class TestParseCsv:
             write_csv(f, JournalTable.from_rows(records))
             assert rows_of(parse_csv(f)) == records
 
+    def test_write_csv_of_a_list_of_rows_is_a_validation_error_naming_the_table(self, tmp_path):
+        f = tmp_path / "rows.csv"
+        with pytest.raises(ValidationError, match="^write_csv needs a JournalTable, got list$"):
+            write_csv(f, [Row("a", 2000, 1, 1.0, 1)])
+        assert not f.exists()
+
 
 # Valid, malformed, out-of-range and whitespace-padded cells, including
 # non-ASCII digits and whitespace that int() and float() also accept.

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,10 @@ class TestBuildRankedSet:
         records = table(rec("a", impact=1.0), rec("b", impact=9.0))
         ranked = build_ranked_set(records, Discipline.SCI, Basis.IMPACT_FACTOR, 2000)
         assert ranked.table.journal_id == ["b", "a"]
+
+    def test_a_list_of_rows_is_a_validation_error_naming_the_table(self):
+        with pytest.raises(ValidationError, match="^build_ranked_set needs a JournalTable, got list$"):
+            build_ranked_set([rec("a")], Discipline.SCI, Basis.CITATIONS, 2000)
 
 
 class TestRankingProperties:
@@ -255,6 +260,56 @@ def test_columnar_checks_equal_former_record_loop(records, basis, cap):
     assert outcome(RankedSet, Discipline.SCI, basis, 2000, cap=cap,
                    table=table(*records)) == expected
     assert outcome(RankedSet, Discipline.SCI, basis, 2000, table(*records), cap) == expected
+
+
+def former_numpy_order_check(basis, table):
+    """RankedSet's former order check on numpy arrays, copied unchanged."""
+    ids = table.journal_id
+    values = table.citations if basis is Basis.CITATIONS else table.impact_factor
+    value = np.array(values, dtype=float)
+    out_of_order = value[1:] > value[:-1]
+    tie = value[1:] == value[:-1]
+    if tie.any():
+        out_of_order[tie] = [ids[i + 1] < ids[i] for i in np.flatnonzero(tie).tolist()]
+    if out_of_order.any():
+        raise ValidationError(
+            f"records out of order at {ids[int(np.argmax(out_of_order)) + 1]!r}: "
+            "must be non-increasing in basis value, ties by ascending id"
+        )
+
+
+# Basis values that tie often, also as floats where they differ as written: counts
+# around and past 2**53, and impact factors as ints, Decimals, Fractions and float32s.
+ORDER_VALUES = {
+    Basis.CITATIONS: (st.integers(0, 3) | st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2])
+                      | st.integers(2**60, 2**60 + 300) | st.integers(0, MAX_FLOAT_INT)),
+    Basis.IMPACT_FACTOR: (st.sampled_from([0.0, -0.0, 1.5, 2, 2.0]) | st.floats(0, 1e6)
+                          | st.decimals(0, 2, places=20) | st.fractions(0, 2)
+                          | st.floats(0, 2, width=32).map(np.float32)),
+}
+# Sort keys of a row's basis value: as build_ranked_set sorts it, and exactly as written.
+ORDER_KEYS = {
+    "float": float,
+    "exact": lambda v: Fraction(float(v) if isinstance(v, np.float32) else v),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(basis=st.sampled_from(Basis), data=st.data())
+def test_order_check_equals_the_former_numpy_check(basis, data):
+    ids = data.draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=40,
+                             unique=True))
+    field = "citations" if basis is Basis.CITATIONS else "impact_factor"
+    rows = [rec(jid, **{field.split("_")[0]: data.draw(ORDER_VALUES[basis])}) for jid in ids]
+    order = data.draw(st.sampled_from(["drawn", *ORDER_KEYS]))
+    if order != "drawn":  # sorted, ties by ascending id, then some neighbours swapped
+        key = ORDER_KEYS[order]
+        rows.sort(key=lambda r: (-key(getattr(r, field)), r.journal_id))
+        for i in data.draw(st.lists(st.integers(0, max(len(rows) - 2, 0)), max_size=3)):
+            rows[i:i + 2] = rows[i:i + 2][::-1]
+    built = table(*rows)
+    assert (outcome(RankedSet, Discipline.SCI, basis, 2000, built)
+            == outcome(former_numpy_order_check, basis, built))
 
 
 # (column, value, the record's wording before row_fault, row_fault's wording)
