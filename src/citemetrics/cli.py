@@ -17,7 +17,7 @@ import sys
 from functools import cache
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 # Nothing here calls BLAS, and OpenBLAS's idle thread pool costs CPU at import. This
 # runs before numpy's first import: each handler imports numpy and the analysis
@@ -34,14 +34,13 @@ from .model import (
 if TYPE_CHECKING:
     import numpy as np
     from .correlate import CorrelationReport
+    from .distfit import GumbelParams
 
 WORKSPACE_ENV = "CITEMETRICS_WORKSPACE"
 # Faults of the data: each fails only its own section of `report`, and exits a
 # command with 2 (3 for a fit that did not converge). In `run`, numpy's float
 # overflow, division by zero and 0/0 raise.
 _DATA_FAULTS = (ValidationError, FitConvergenceError, FloatingPointError, OverflowError)
-# Commands that compute nothing numeric: they run without numpy.
-_NUMPY_FREE = frozenset({"ingest", "overlap"})
 
 
 class UsageError(Exception):
@@ -148,9 +147,11 @@ def _scaled_rates(ranked: RankedSet) -> tuple[np.ndarray, int]:
     return rates / rates.mean(), dropped
 
 
-def _curve_points(ranked: RankedSet) -> int:
-    # reference curves use 12 points for citation-ranked sets, 14 otherwise
-    return 12 if ranked.basis is Basis.CITATIONS else 14
+def _curve_ks(ranked: RankedSet, scaled: np.ndarray, params: GumbelParams, **options) -> dict:
+    """KS of the rate curve ``scaled`` against ``params`` at the set's reference
+    points: 12 for citation-ranked sets, 14 otherwise."""
+    from .distfit import gumbel_curve_ks
+    return gumbel_curve_ks(scaled, params, 12 if ranked.basis is Basis.CITATIONS else 14, **options)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -242,7 +243,7 @@ def _cmd_fit_pareto(args) -> None:
 
 
 def _cmd_fit_gumbel(args) -> None:
-    from .distfit import gumbel_curve_ks, gumbel_fit
+    from .distfit import gumbel_fit
     ranked = _load(args, args.set)
     scaled, dropped = _scaled_rates(ranked)
     method = (
@@ -250,7 +251,7 @@ def _cmd_fit_gumbel(args) -> None:
         else FitMethod.LOG_LOG_LEAST_SQUARES
     )
     params, fit = gumbel_fit(scaled, method=method)
-    ks = gumbel_curve_ks(scaled, params, _curve_points(ranked))
+    ks = _curve_ks(ranked, scaled, params)
     payload = _fit_json("cr", fit, {"ks": ks, "dropped_zero_articles": dropped})
     _emit(
         payload,
@@ -260,7 +261,7 @@ def _cmd_fit_gumbel(args) -> None:
 
 
 def _cmd_ks(args) -> None:
-    from .distfit import GumbelParams, check_log_base, gumbel_curve_ks
+    from .distfit import GumbelParams, check_log_base
     ranked = _load(args, args.set)
     try:
         # integers read as floats: a literal of any length converts (past 1e308 to inf)
@@ -276,10 +277,7 @@ def _cmd_ks(args) -> None:
     except (KeyError, TypeError, ValueError, RecursionError):  # bad bytes or JSON, deep nesting
         raise ValidationError(f"{args.fit}: expected a fit report with params.a and params.b") from None
     scaled, _ = _scaled_rates(ranked)
-    ks = gumbel_curve_ks(
-        scaled, params, _curve_points(ranked),
-        log_base=log_base, significance=args.significance,
-    )
+    ks = _curve_ks(ranked, scaled, params, log_base=log_base, significance=args.significance)
     _emit(
         {"set": args.set, "ks": ks},
         f"KS {args.set}: D = {ks['D']:.4f} vs critical {ks['critical']:.3f} "
@@ -383,8 +381,7 @@ def _section(build: Callable[[], dict | list]) -> dict | list:
 
 def _dataset_report(ranked: RankedSet) -> dict:
     from .distfit import (
-        Scaling, empirical_pdf, gumbel_curve_ks, gumbel_fit, pareto_tail_fit, pdf_peak_location,
-        zipf_pareto_predict,
+        Scaling, empirical_pdf, gumbel_fit, pareto_tail_fit, pdf_peak_location, zipf_pareto_predict,
     )
     from .rankstats import rank_series, zipf_fit
     basis_m = basis_measure(ranked.basis)
@@ -398,7 +395,7 @@ def _dataset_report(ranked: RankedSet) -> dict:
     def gumbel() -> dict:
         scaled, dropped = _scaled_rates(ranked)
         params, fit = gumbel_fit(scaled)
-        ks = gumbel_curve_ks(scaled, params, _curve_points(ranked))
+        ks = _curve_ks(ranked, scaled, params)
         dist = empirical_pdf(scaled, binning="log", scaling=Scaling.MEAN_SCALED)
         out.update(cr_peak=pdf_peak_location(dist), dropped_zero_articles=dropped)
         return _fit_json("cr", fit, {"ks": ks})
@@ -476,101 +473,100 @@ def _cmd_report(args) -> None:
     print(f"report over {len(keys)} datasets{written}", file=sys.stderr)
 
 
-# --- parser ------------------------------------------------------------------
+# --- command table -----------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], None]
+    help: str
+    args: tuple[tuple[str, dict], ...]
+    numpy: bool = True  # False: it computes nothing numeric and runs without numpy
+
+
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    """One argument of a command: its flag and the keywords of ``add_argument``."""
+    return flag, kwargs
+
+
+def _optional(args: Iterable[tuple[str, dict]]) -> tuple[tuple[str, dict], ...]:
+    """``args`` with none of them required."""
+    return tuple((flag, {**kwargs, "required": False}) for flag, kwargs in args)
+
+
+_VALUES = [m.value for m in Measure if m is not Measure.RANK]
+_SET, _YEAR = _arg("--set", required=True), _arg("--year", required=True, type=int)
+_MEASURE = _arg("--measure", required=True, choices=_VALUES)
+_COLLAPSE, _EMIT = _arg("--collapse", action="store_true"), _arg("--emit")
+_PAIR = (_arg("--a", required=True), _arg("--b", required=True))
+_AXES = tuple(_arg(f"--{axis}", required=True, choices=["articles", *_VALUES]) for axis in "xy")
+
+_COMMANDS = {
+    "ingest": _Command(_cmd_ingest, "parse a CSV and store it as a ranked dataset", (
+        _arg("--input", required=True),
+        _arg("--discipline", required=True, choices=[d.value for d in Discipline]),
+        _arg("--basis", required=True, choices=[b.value for b in Basis]),
+        _YEAR, _arg("--top", type=_int_at_least(1), default=1000),
+        _arg("--overwrite", action="store_true"),
+    ), numpy=False),
+    "rank": _Command(_cmd_rank, "rank series of a measure", (_SET, _MEASURE, _COLLAPSE, _EMIT)),
+    "fit-zipf": _Command(_cmd_fit_zipf, "log-log rank-law fit",
+                         (_SET, _MEASURE, _arg("--kmin", type=_int_at_least(0), default=10))),
+    "dist": _Command(_cmd_dist, "binned probability density of a measure", (
+        _SET, _MEASURE, _arg("--binning", default="log", choices=["log", "linear"]),
+        _COLLAPSE, _EMIT,
+    )),
+    "fit-pareto": _Command(_cmd_fit_pareto, "maximum-likelihood tail exponent",
+                           (_SET, _MEASURE, _arg("--xmin", type=_x_min, default="auto"))),
+    "fit-gumbel": _Command(_cmd_fit_gumbel, "log-Gumbel fit of the citation-rate collapse",
+                           (_SET, _arg("--method", default="mle", choices=["mle", "lsq"]))),
+    "ks": _Command(_cmd_ks, "KS check of the rate curve against a stored fit", (
+        _SET, _arg("--fit", required=True, help="fit report JSON (from fit-gumbel)"),
+        _arg("--significance", type=float, default=0.20),
+    )),
+    # both modes' arguments; the handler checks that one mode is given whole
+    "correlate": _Command(_cmd_correlate, "year-pair or cross-measure correlation", _optional((
+        *_PAIR, _arg("--field", choices=[m.value for m in Measure]),
+        _SET, _arg("--x", choices=_VALUES), _arg("--y", choices=_VALUES),
+    ))),
+    "overlap": _Command(_cmd_overlap, "journals common to two datasets", _PAIR, numpy=False),
+    "trend": _Command(_cmd_trend, "binned mean of one measure over another",
+                      (_SET, *_AXES, _arg("--bins", type=_int_at_least(1), default=10))),
+    "synth": _Command(_cmd_synth, "generate a synthetic fixture dataset", (
+        _arg("--profile", required=True, choices=[f.value for f in FixtureProfile]), _YEAR,
+        _arg("--seed", type=_int_at_least(0), default=20001000), _arg("--out", required=True),
+    )),
+    "report": _Command(_cmd_report, "full analysis over every stored dataset", (_arg("--out"),)),
+}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """Every command's name and help line, but the arguments only of the first
+    word of ``argv`` that names a command: the top-level parser takes no option
+    with a value, so that word is the command argparse runs, if it runs one."""
     parser = _Parser(prog="citemetrics", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    fields = [m.value for m in Measure]
-    values = [m.value for m in Measure if m is not Measure.RANK]
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--workspace", default=None, help=f"dataset workspace (default ${WORKSPACE_ENV})")
-        return p
-
-    p = add("ingest", _cmd_ingest, help="parse a CSV and store it as a ranked dataset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--discipline", required=True, choices=[d.value for d in Discipline])
-    p.add_argument("--basis", required=True, choices=[b.value for b in Basis])
-    p.add_argument("--year", required=True, type=int)
-    p.add_argument("--top", type=_int_at_least(1), default=1000)
-    p.add_argument("--overwrite", action="store_true")
-
-    p = add("rank", _cmd_rank, help="rank series of a measure")
-    p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=values)
-    p.add_argument("--collapse", action="store_true")
-    p.add_argument("--emit", default=None)
-
-    p = add("fit-zipf", _cmd_fit_zipf, help="log-log rank-law fit")
-    p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=values)
-    p.add_argument("--kmin", type=_int_at_least(0), default=10)
-
-    p = add("dist", _cmd_dist, help="binned probability density of a measure")
-    p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=values)
-    p.add_argument("--binning", default="log", choices=["log", "linear"])
-    p.add_argument("--collapse", action="store_true")
-    p.add_argument("--emit", default=None)
-
-    p = add("fit-pareto", _cmd_fit_pareto, help="maximum-likelihood tail exponent")
-    p.add_argument("--set", required=True)
-    p.add_argument("--measure", required=True, choices=values)
-    p.add_argument("--xmin", type=_x_min, default="auto")
-
-    p = add("fit-gumbel", _cmd_fit_gumbel, help="log-Gumbel fit of the citation-rate collapse")
-    p.add_argument("--set", required=True)
-    p.add_argument("--method", default="mle", choices=["mle", "lsq"])
-
-    p = add("ks", _cmd_ks, help="KS check of the rate curve against a stored fit")
-    p.add_argument("--set", required=True)
-    p.add_argument("--fit", required=True, help="fit report JSON (from fit-gumbel)")
-    p.add_argument("--significance", type=float, default=0.20)
-
-    p = add("correlate", _cmd_correlate, help="year-pair or cross-measure correlation")
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
-    p.add_argument("--field", default=None, choices=fields)
-    p.add_argument("--set", default=None)
-    p.add_argument("--x", default=None, choices=values)
-    p.add_argument("--y", default=None, choices=values)
-
-    p = add("overlap", _cmd_overlap, help="journals common to two datasets")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = add("trend", _cmd_trend, help="binned mean of one measure over another")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x", required=True, choices=["articles", *values])
-    p.add_argument("--y", required=True, choices=["articles", *values])
-    p.add_argument("--bins", type=_int_at_least(1), default=10)
-
-    p = add("synth", _cmd_synth, help="generate a synthetic fixture dataset")
-    p.add_argument("--profile", required=True, choices=[f.value for f in FixtureProfile])
-    p.add_argument("--year", required=True, type=int)
-    p.add_argument("--seed", type=_int_at_least(0), default=20001000)
-    p.add_argument("--out", required=True)
-
-    p = add("report", _cmd_report, help="full analysis over every stored dataset")
-    p.add_argument("--out", default=None)
-
+    chosen = next((word for word in argv if word in _COMMANDS), None)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == chosen:
+            p.add_argument("--workspace", help=f"dataset workspace (default ${WORKSPACE_ENV})")
+            for flag, kwargs in command.args:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        if args.command in _NUMPY_FREE:
-            args.handler(args)
-        else:
+        command = _COMMANDS[args.command]
+        if command.numpy:
             import numpy as np
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                args.handler(args)
+                command.handler(args)
+        else:
+            command.handler(args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

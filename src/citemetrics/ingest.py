@@ -10,9 +10,12 @@ Workspace layout:
     <dir>/manifest.json
     <dir>/data/<discipline>_<basis>_<year>.csv
 
-Writes to a workspace are serialized through an advisory lock file and all
-file replacements go through write-temp-then-rename, so a workspace survives
-interrupted runs. Reads are freely concurrent.
+Writes to a workspace are serialized through an advisory lock file, and
+each file replacement is atomic (write-temp-then-rename). The data file and
+the manifest are not replaced together, though, and reads take no lock: an
+``ingest --overwrite`` interrupted between the two replacements, or a read
+that races one, sees a manifest digest that does not match its data file and
+fails with "digest mismatch".
 """
 
 from __future__ import annotations

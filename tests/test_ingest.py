@@ -356,6 +356,27 @@ class TestWorkspace:
         assert load_dataset(tmp_path, Discipline.SCI, Basis.CITATIONS, 2000) == second
         assert len(read_manifest(tmp_path)) == 1
 
+    def test_interrupted_overwrite_leaves_no_temporary_file_and_the_set_as_it_was(
+        self, tmp_path, monkeypatch
+    ):
+        stored = self.make_set(np.random.default_rng(11))
+        entry = store_dataset(tmp_path, stored)
+        data_file, manifest = tmp_path / entry["source_path"], tmp_path / "manifest.json"
+        before = data_file.read_bytes(), manifest.read_bytes()
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(src, dst):
+            raise interrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt) as caught:
+            store_dataset(tmp_path, self.make_set(np.random.default_rng(12)), overwrite=True)
+        monkeypatch.undo()
+        assert caught.value is interrupt
+        assert sorted(tmp_path.rglob("*.tmp")) == []
+        assert (data_file.read_bytes(), manifest.read_bytes()) == before
+        assert load_dataset(tmp_path, Discipline.SCI, Basis.CITATIONS, 2000) == stored
+
     def test_load_parses_the_bytes_it_digested_reading_the_file_once(self, tmp_path, monkeypatch):
         stored = self.make_set(np.random.default_rng(8))
         replacement = self.make_set(np.random.default_rng(9))

@@ -64,13 +64,21 @@ def called_layers(recorder, run):
 
 def test_the_benchmark_set_up_runs_and_writes_each_table(bench_modules, tmp_path):
     """Both workspace workloads' set-up (smoke size) runs on the package as it is,
-    and ``cli_session``'s input CSVs are the bytes ``write_csv`` makes of each
-    fixture's table."""
+    every file its operations read or replace exists, and ``cli_session``'s
+    input CSVs are the bytes ``write_csv`` makes of each fixture's table."""
     from citemetrics import ingest, synthgen
 
     run = bench_modules[2]
     for name in ("cli_session", "report_workspace"):
-        run.CliWorkload(name, run.DEFAULT_SEED, True, tmp_path).setup(tmp_path / name)
+        workload = run.CliWorkload(name, run.DEFAULT_SEED, True, tmp_path)
+        workload.setup(tmp_path / name)
+        for op in workload.cycle:
+            missing = [str(p) for p in op.loads + op.writes if not p.exists()]
+            assert not missing, (
+                f"{name} {op.kind}: no file at {missing}; bench/run.py CliWorkload._data names "
+                "each data file data/<discipline>_<basis>_<year>.csv, so a store that names "
+                "them otherwise needs that benchmark change first"
+            )
     inputs = tmp_path / "cli_session" / "inputs"
     expected = tmp_path / "expected.csv"
     names = []
