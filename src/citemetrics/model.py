@@ -391,16 +391,21 @@ def build_ranked_set(
     if not len(table):
         raise ValidationError("cannot rank an empty record list")
 
-    rows = list(zip(table.journal_id, table.year, table.citations, table.impact_factor,
-                    table.articles))
-    keep = []
-    for i, first in _first_rows(table, year):
-        if i == first:
-            keep.append(i)
-        elif rows[i] != rows[first]:
-            raise ValidationError(f"duplicate journal_id {rows[i][0]!r} with conflicting values")
+    columns = (ids := table.journal_id, table.year, table.citations, table.impact_factor,
+               table.articles)
+    if table.year.count(year) == len(ids) and len(set(ids)) == len(ids):  # no stray year, no repeat
+        keep = list(range(len(ids)))
+    else:
+        keep = []
+        for i, first in _first_rows(table, year):
+            if i == first:
+                keep.append(i)
+            elif [col[i] for col in columns] != [col[first] for col in columns]:
+                raise ValidationError(f"duplicate journal_id {ids[i]!r} with conflicting values")
 
     values = table.citations if basis is Basis.CITATIONS else table.impact_factor
-    keep.sort(key=lambda i: (-float(values[i]), table.journal_id[i]))
-    kept = JournalTable.from_rows(rows[i] for i in keep[:cap])
-    return RankedSet(discipline, basis, year, kept, cap)
+    keep.sort(key=ids.__getitem__)  # a stable sort, reversed or not, keeps ties in id order
+    keep.sort(key=list(map(float, values)).__getitem__, reverse=True)
+    top = keep[:cap]
+    return RankedSet(discipline, basis, year,
+                     JournalTable(*(list(map(col.__getitem__, top)) for col in columns)), cap)

@@ -252,18 +252,15 @@ def build_fixture(
         )
         citations = np.maximum(1, np.rint(articles * rates).astype(np.int64))
 
+    prefix = f"{spec.discipline.value.upper()}-J"
     table = JournalTable(
-        [_journal_id(spec.discipline, m) for m in members.tolist()],
+        [f"{prefix}{m:05d}" for m in members.tolist()],
         [year] * count,
         citations.tolist(),
         impact.tolist(),
         articles.tolist(),
     )
     return build_ranked_set(table, spec.discipline, spec.basis, year, cap=_CAP)
-
-
-def _journal_id(discipline: Discipline, index: int) -> str:
-    return f"{discipline.value.upper()}-J{index:05d}"
 
 
 def fixture_metadata(profile: FixtureProfile | str, year: int, seed: int = DEFAULT_SEED) -> dict:

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import io
 import json
 import os
 import re
@@ -575,3 +576,75 @@ def test_a_set_the_model_accepts_loads_back_equal(tmp_path_factory, case):
     loaded = load_dataset(workspace, Discipline.SCI, basis, set_year)
     assert loaded.table == ranked.table
     assert loaded == ranked
+
+
+# --- the written bytes ---------------------------------------------------------
+
+
+def former_csv_text(table):
+    """``ingest._csv_text`` as it was when ``csv.writer`` wrote it, copied unchanged."""
+    impact = table.impact_factor
+    if not {int, float}.issuperset(map(type, impact)):
+        impact = [v if type(v) in (int, float) else float(v) for v in impact]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(COLUMNS)
+    writer.writerows(
+        zip(table.journal_id, table.year, table.citations, map(repr, impact), table.articles)
+    )
+    return buf.getvalue()
+
+
+# Ids of the characters csv.writer quotes for (comma, double quote, CR, LF), beside
+# NUL, tab, a separator control and non-ASCII, which it writes as they are.
+written_ids = st.sampled_from(ROUND_TRIP_IDS) | st.text(
+    st.sampled_from(',"\r\n\x00\t\x1c aé日') | st.characters(), min_size=1, max_size=6
+).filter(lambda s: s == s.strip())
+written_counts = st.integers(0, 9) | st.integers(0, MAX_FLOAT_INT)
+written_impacts = st.one_of(
+    st.integers(0, 2**53),
+    st.integers(53, 1023).map(lambda e: 2**e),  # an int past 2**53 that is exactly a float
+    st.integers(54, 1023).map(lambda e: 2**e - 2**(e - 53)),
+    st.just(-0.0),
+    finite,
+    finite.map(np.float64),
+    st.floats(0, allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(written_ids, written_counts, written_counts, written_impacts,
+                               written_counts), max_size=8))
+def test_csv_text_writes_what_csv_writer_wrote(rows):
+    table = JournalTable.from_rows(rows)
+    assert ingest._csv_text(table) == former_csv_text(table)
+
+
+# Digests of the files store_dataset wrote for each profile's first year before the
+# writer built its rows with f-strings: a change that moves one byte fails here.
+STORED_DIGESTS = {
+    ("sci_set_i", 2000): "99287f72406f3c217ee7723650ad07831a2c996411c7e92f7264e9d8c2e6410b",
+    ("sci_set_ii", 2000): "822ac5447e6cae46ec5e86d0c35361749bc7138c4e67b67ddedb44fadfbcf18d",
+    ("socsci_set_i", 2007): "c7cb8e15618a8ded75e9d5467cf8a1d0518a4c92d702ce19ea824fe63f805c72",
+    ("socsci_set_ii", 2007): "ddab05b1cf76b656b606438561bb87d5f7ebc2a22d6c3b0960f58e1aab2108ab",
+}
+
+
+@pytest.mark.parametrize("profile, year", STORED_DIGESTS, ids=[p for p, _ in STORED_DIGESTS])
+def test_stored_fixture_digest_is_pinned(tmp_path, profile, year):
+    entry = store_dataset(tmp_path, build_fixture(profile, year))
+    assert entry["content_digest"] == "sha256:" + STORED_DIGESTS[profile, year]
+
+
+def test_stored_quoted_ids_are_pinned(tmp_path):
+    table = JournalTable(['q"x', "c,d", "l\r\nm", "plain", "é\x00"], [2000] * 5,
+                         [5, 4, 3, 2, 1], [1.5, 0.1, 2**60, 0.0, -0.0], [1, 2, 3, 0, 7])
+    entry = store_dataset(tmp_path, build_ranked_set(table, Discipline.SCI, Basis.CITATIONS, 2000))
+    assert (tmp_path / entry["source_path"]).read_bytes().decode() == (
+        "journal_id,year,citations,impact_factor,articles\r\n"
+        '"q""x",2000,5,1.5,1\r\n"c,d",2000,4,0.1,2\r\n"l\r\nm",2000,3,1152921504606846976,3\r\n'
+        "plain,2000,2,0.0,0\r\né\x00,2000,1,-0.0,7\r\n"
+    )
+    assert entry["content_digest"] == (
+        "sha256:129dc17d36fe5f6c35a0042937284e81e56326414cb98ff0c06717c88446a728"
+    )

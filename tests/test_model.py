@@ -547,3 +547,90 @@ def records_with_repeats(draw):
 def test_build_ranked_set_equals_former_record_sort(records, basis, cap):
     expected = reworded(ranked_outcome(former_build_ranked_set, records, basis, cap))
     assert ranked_outcome(build_ranked_set, table(*records), basis, cap) == expected
+
+
+# --- build_ranked_set against the former row-tuple build ---------------------------
+
+
+def former_row_tuple_build(table, discipline, basis, year, cap=1000):
+    """build_ranked_set as it was when it walked every row for repeats and sorted
+    row tuples by a (value, id) key, copied unchanged with ``_first_rows`` inlined."""
+    if not isinstance(table, JournalTable):
+        raise ValidationError(f"build_ranked_set needs a JournalTable, got {type(table).__name__}")
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {_shown(cap)}")
+    if not len(table):
+        raise ValidationError("cannot rank an empty record list")
+
+    def first_rows():
+        first = {}
+        for i, (journal_id, row_year) in enumerate(zip(table.journal_id, table.year)):
+            if row_year != year:
+                raise ValidationError(
+                    f"{journal_id!r}: record year {row_year} != set year {_shown(year)}")
+            yield i, first.setdefault(journal_id, i)
+
+    rows = list(zip(table.journal_id, table.year, table.citations, table.impact_factor,
+                    table.articles))
+    keep = []
+    for i, first in first_rows():
+        if i == first:
+            keep.append(i)
+        elif rows[i] != rows[first]:
+            raise ValidationError(f"duplicate journal_id {rows[i][0]!r} with conflicting values")
+
+    values = table.citations if basis is Basis.CITATIONS else table.impact_factor
+    keep.sort(key=lambda i: (-float(values[i]), table.journal_id[i]))
+    kept = JournalTable.from_rows(rows[i] for i in keep[:cap])
+    return RankedSet(discipline, basis, year, kept, cap)
+
+
+def built_outcome(build, rows, basis, year, cap):
+    """The built set with every value as its type and repr (so -0.0 differs from 0.0,
+    and a float32 or an int from a float), or the error."""
+    try:
+        ranked = build(table(*rows), Discipline.SCI, basis, year, cap)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    columns = [getattr(ranked.table, f.name) for f in dataclasses.fields(JournalTable)]
+    return ranked.cap, [[(type(v), repr(v)) for v in col] for col in columns]
+
+
+@st.composite
+def rows_to_rank(draw):
+    """Distinct-id rows with repeats inserted (as ``records_with_repeats``), whose basis
+    values tie often: 0.0 and -0.0, 2 and 2.0, a float32, and counts past 2**53 that are
+    equal as floats."""
+    records = draw(st.lists(
+        st.builds(
+            Row,
+            st.sampled_from(["a", "a\x00", "b", "B", "J1", "é", "c,d", 'q"x']),
+            st.sampled_from([2000] * 9 + [1999]),
+            st.integers(0, 3) | st.integers(2**53, 2**53 + 4) | st.just(10**300),
+            st.sampled_from([0.0, -0.0, 2, 2.0, 2**60, 1.5, np.float32(1.5)]) | st.floats(0, 4),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda r: r.journal_id,
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        twin = draw(st.sampled_from(records))
+        flipped = -twin.impact_factor if twin.impact_factor == 0 else twin.impact_factor
+        twin = draw(st.sampled_from([
+            twin,
+            twin._replace(impact_factor=flipped),
+            twin._replace(citations=twin.citations + 1),
+            twin._replace(year=1999),
+        ]))
+        records.insert(draw(st.integers(0, len(records))), twin)
+    return records
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=rows_to_rank(), basis=st.sampled_from(Basis),
+       year=st.sampled_from([2000, 2000, 2000, 1999, 2000.0, np.int64(2000)]),
+       cap=st.sampled_from([1, 2, 5, 1000]))
+def test_build_ranked_set_equals_former_row_tuple_build(rows, basis, year, cap):
+    expected = built_outcome(former_row_tuple_build, rows, basis, year, cap)
+    assert built_outcome(build_ranked_set, rows, basis, year, cap) == expected
